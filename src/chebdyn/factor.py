@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import polys
 from .cheb import iterate_coeffs, ramified_candidates
-from .ffield import alpha_order, is_prime, make_field
+from .ffield import alpha_order, is_prime, make_field, nu
 from .graph import orbit_stats_order
 from .predict import D1, D2, structure_params
 
@@ -20,8 +20,6 @@ __all__ = [
     "TClass",
     "DecompReport",
     "LevelDecomp",
-    "poly_powmod",
-    "poly_gcd",
     "factor_pattern_actual",
     "classify_t",
     "factor_pattern_predicted",
@@ -32,16 +30,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 1 << 12
-
-
-def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod f in F_p[x]."""
-    return polys.powmod(base, e, f, p)
-
-
-def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd in F_p[x]."""
-    return polys.gcd(f, g, p)
 
 
 @dataclass(frozen=True)
@@ -133,9 +121,7 @@ def classify_t(ell: int, p: int, t: int) -> TClass:
     a = ctx.from_int(tbar)
     rho, _ = orbit_stats_order(a, ell, ctx)
     ordv, _br = alpha_order(a, ctx)
-    d0 = ordv
-    while d0 % ell == 0:
-        d0 //= ell
+    d0 = ordv // ell ** nu(ordv, ell)
     params = structure_params(ell, p, 1)
     if params.d1 % d0 == 0:
         branch = D1

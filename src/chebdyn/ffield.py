@@ -17,6 +17,8 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from . import polys
+
 __all__ = [
     "FactoredInt",
     "FieldCtx",
@@ -31,6 +33,8 @@ __all__ = [
     "mult_order",
     "lift_alpha",
     "element_degree",
+    "nu",
+    "strip_ell",
 ]
 
 FACTOR_LIMIT = 1 << 96
@@ -211,59 +215,30 @@ def euler_phi_factored(d: int) -> FactoredInt:
 
 
 def euler_phi(d: int) -> int:
-    v = 1
-    for q, e in factor_int(d).factors:
-        v *= q ** (e - 1) * (q - 1)
-    return v
+    return euler_phi_factored(d).value
 
 
-# ---------------------------------------------------------------------------
-# Dense polynomial helpers over F_p (coefficient lists, ascending degree)
-# ---------------------------------------------------------------------------
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    r = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                r[i + j] = (r[i + j] + x * y) % p
-    return _ptrim(r)
+def nu(x: int, ell: int) -> int:
+    """Exponent of ell in the positive integer x."""
+    if x <= 0:
+        raise ValueError(f"nu needs a positive integer, got {x}")
+    k = 0
+    while x % ell == 0:
+        x //= ell
+        k += 1
+    return k
 
 
-def _prem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        s = len(a) - 1 - db
-        for i, y in enumerate(b):
-            a[s + i] = (a[s + i] - c * y) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _ppowmod_x(e: int, f: list[int], p: int) -> list[int]:
-    """x^e mod f over F_p."""
-    r, b = [1], [0, 1]
-    b = _prem(b, f, p) if len(f) <= 2 else b
-    while e:
-        if e & 1:
-            r = _prem(_pmul(r, b, p), f, p)
-        b = _prem(_pmul(b, b, p), f, p)
-        e >>= 1
-    return r
+def strip_ell(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise (prime-to-ell part, ell-valuation) of positive integers."""
+    rest = values.copy()
+    k = np.zeros(rest.shape, dtype=np.int64)
+    while True:
+        m = rest % ell == 0
+        if not m.any():
+            return rest, k
+        rest[m] //= ell
+        k[m] += 1
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -273,25 +248,14 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return False
     if n == 1:
         return True
-    h = _ppowmod_x(p ** n, f, p)
-    if h != [0, 1]:
+    x = [0, 1]
+    if polys.powmod(x, p ** n, f, p) != x:
         return False
-    for q in {q for q, _ in factor_int(n).factors}:
-        g = _ppowmod_x(p ** (n // q), f, p)
-        g = _ptrim([(c - d) % p for c, d in
-                    zip(g + [0] * 2, [0, 1] + [0] * len(g))])
-        if _pgcd(g, f, p) != [1]:
+    for q in factor_int(n).primes:
+        g = polys.sub(polys.powmod(x, p ** (n // q), f, p), x, p)
+        if polys.gcd(g, f, p) != [1]:
             return False
     return True
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _prem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
 
 
 def _lex_min_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -379,10 +343,6 @@ class FieldCtx:
     def one(self) -> "FFElem":
         return self.elem([1])
 
-    def elements(self) -> Iterator["FFElem"]:
-        for i in range(self.q):
-            yield self.decode(i)
-
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, n={self.n})"
 
@@ -427,8 +387,14 @@ class FieldCtx:
         pw = np.array(self._pow_p, dtype=np.int64)
         return rows @ pw
 
-    def mul_matrix(self, h: "FFElem") -> np.ndarray:
-        """(n, n) matrix M with row_vec(a) @ M = row_vec(a * h)."""
+    def mul_matrix(self, h: Union["FFElem", "QuadElem"]) -> np.ndarray:
+        """Matrix M with row_vec(a) @ M = row_vec(a * h): (n, n) for h in
+        F_{p^n}; (2n, 2n) over rows (u | v) of u + v*y for a QuadElem h."""
+        if isinstance(h, QuadElem):
+            # (s + t y)(u + v y) = (s u - t v) + (s v + t u + t v a) y
+            mu, mv = self.mul_matrix(h.u), self.mul_matrix(h.v)
+            return np.block([[mu, mv],
+                             [-mv % self.p, self.mul_matrix(h.u + h.v * h.a)]])
         rows = []
         cur = h
         x = self.elem([0, 1] + [0] * (self.n - 2)) if self.n > 1 else None
@@ -437,9 +403,6 @@ class FieldCtx:
             if x is not None:
                 cur = cur * x
         return np.array(rows, dtype=np.int64)
-
-    def mul_rows(self, rows: np.ndarray, h: "FFElem") -> np.ndarray:
-        return rows @ self.mul_matrix(h) % self.p
 
     def frobenius_indices(self) -> np.ndarray:
         """Permutation array f with f[i] = index of decode(i)^p."""
@@ -507,10 +470,12 @@ class FieldCtx:
             self._cache["alpha"] = t
         return t
 
-    def _exp_table(self, g: "FFElem", count: int) -> np.ndarray:
-        """(count, n) matrix of coefficient rows of g^0 .. g^(count-1)."""
-        n = self.n
-        E = np.zeros((count, n), dtype=np.int64)
+    def _exp_table(self, g: Union["FFElem", "QuadElem"],
+                   count: int) -> np.ndarray:
+        """Coefficient rows of g^0 .. g^(count-1) by doubling: width n for
+        g in F_{p^n}, 2n (rows u | v) for a QuadElem."""
+        width = 2 * self.n if isinstance(g, QuadElem) else self.n
+        E = np.zeros((count, width), dtype=np.int64)
         E[0, 0] = 1
         m = 1
         h = g
@@ -520,6 +485,17 @@ class FieldCtx:
             m += take
             h = h * h
         return E
+
+    def _norm_one_generator(self) -> "QuadElem":
+        """Root y of y^2 - a y + 1 of order exactly q + 1, for the
+        smallest-index a that has one."""
+        m = self.q + 1
+        for i in range(self.q):
+            y = QuadElem(self.decode(i), self.zero(), self.one())
+            if (y ** m).is_one() and not any(
+                    (y ** (m // r)).is_one() for r in self.order_plus.primes):
+                return y
+        raise ArithmeticError("no element of order q + 1 found")
 
     def _build_alpha_tables(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
@@ -533,13 +509,13 @@ class FieldCtx:
         e = np.arange(q - 1, dtype=np.int64)
         ords[traces] = (q - 1) // np.gcd(e, q - 1)
 
-        # Walk the norm-one subgroup of F_{q^2}^x = F_q(sqrt(delta)).
-        delta = self.nonresidue()
-        gamma = self._quad_generator(delta)
-        h = _quad_pow(gamma, q - 1, delta)  # exact order q + 1
-        E2 = self._quad_exp_table(h, delta, q + 1)
-        half = 2 % self.p
-        traces2 = self.encode_rows(E2[:, : self.n] * half % self.p)
+        # Walk the norm-one subgroup of F_{q^2}^x through a generator y, a
+        # root of y^2 - a y + 1: y^e = u + v y has trace 2u + a v.
+        y = self._norm_one_generator()
+        trace = np.concatenate([2 * np.eye(self.n, dtype=np.int64),
+                                self.mul_matrix(y.a)])
+        traces2 = self.encode_rows(
+            self._exp_table(y, q + 1) @ trace % self.p)
         e2 = np.arange(q + 1, dtype=np.int64)
         ords2 = (q + 1) // np.gcd(e2, q + 1)
         keep = (e2 != 0) & (e2 != (q + 1) // 2)  # alpha = +-1 handled below
@@ -556,39 +532,6 @@ class FieldCtx:
         ords.setflags(write=False)
         branch.setflags(write=False)
         return ords, branch
-
-    def _quad_generator(self, delta: "FFElem") -> tuple["FFElem", "FFElem"]:
-        """Smallest-index generator of F_{q^2}^x as x + y*sqrt(delta), y != 0."""
-        total = self.q * self.q - 1
-        primes = sorted(set(self.order_minus.primes) | set(self.order_plus.primes))
-        one = (self.one(), self.zero())
-        for k in range(self.q, self.q * self.q):
-            cand = (self.decode(k % self.q), self.decode(k // self.q))
-            if all(_quad_pow(cand, total // r, delta) != one for r in primes):
-                return cand
-        raise ArithmeticError("no generator of the quadratic extension found")
-
-    def _quad_exp_table(self, h: tuple["FFElem", "FFElem"], delta: "FFElem",
-                        count: int) -> np.ndarray:
-        """(count, 2n) rows of h^0..h^(count-1) in F_q(sqrt(delta))."""
-        n = self.n
-        E = np.zeros((count, 2 * n), dtype=np.int64)
-        E[0, 0] = 1
-        m = 1
-        cur = h
-        while m < count:
-            a, b = cur
-            ma = self.mul_matrix(a)
-            mdb = self.mul_matrix(b * delta)
-            mb = self.mul_matrix(b)
-            top = np.concatenate([ma, mb], axis=1)
-            bot = np.concatenate([mdb, ma], axis=1)
-            M = np.concatenate([top, bot], axis=0)
-            take = min(m, count - m)
-            E[m:m + take] = E[:take] @ M % self.p
-            m += take
-            cur = _quad_mul(cur, cur, delta)
-        return E
 
 
 class FFElem:
@@ -651,10 +594,6 @@ class FFElem:
             raise ZeroDivisionError("inverse of zero")
         return self ** (self.ctx.q - 2)
 
-    def scale(self, k: int) -> "FFElem":
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple(c * k % p for c in self.coeffs))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FFElem) and self.coeffs == other.coeffs \
             and self.ctx == other.ctx
@@ -669,34 +608,12 @@ class FFElem:
         return self.ctx.one()
 
 
-def _quad_is_zero(z: tuple[FFElem, FFElem]) -> bool:
-    return z[0].is_zero() and z[1].is_zero()
-
-
-def _quad_mul(z1, z2, delta: FFElem):
-    """(x1 + y1 s)(x2 + y2 s) with s^2 = delta."""
-    x1, y1 = z1
-    x2, y2 = z2
-    return (x1 * x2 + y1 * y2 * delta, x1 * y2 + y1 * x2)
-
-
-def _quad_pow(z, e: int, delta: FFElem):
-    ctx = z[0].ctx
-    r = (ctx.one(), ctx.zero())
-    b = z
-    while e:
-        if e & 1:
-            r = _quad_mul(r, b, delta)
-        b = _quad_mul(b, b, delta)
-        e >>= 1
-    return r
-
-
 class QuadElem:
     """Element u + v*y of F_{p^n}[y]/(y^2 - a*y + 1) for a designated a.
 
     Used to host a root of x^2 - a x + 1 when that quadratic is
-    irreducible over F_{p^n}; the root y then has order dividing p^n + 1.
+    irreducible over F_{p^n}; the root y then has order dividing p^n + 1
+    (the order-table walk uses one of order exactly p^n + 1).
     When the quadratic splits the ring degenerates to F_{p^n} x F_{p^n}
     and order computations must use a field root instead (lift_alpha
     picks the right home).

@@ -15,13 +15,13 @@ import numpy as np
 
 from .cheb import cheb_coeffs
 from .ffield import (MINUS, PLUS, Branch, FFElem, FieldCtx, alpha_order,
-                     factor_int, is_prime)
+                     factor_int, is_prime, nu, strip_ell)
 from .predict import c_of_d, half_order
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
     "FuncGraph",
-    "StructureReport",
+    "VerifyReport",
     "build_graph",
     "orbit_stats_order",
     "summarize",
@@ -213,19 +213,15 @@ def orbit_stats_order(a: FFElem, ell: int,
     if ell == ctx.p:
         raise ValueError("ell must differ from the field characteristic")
     ordv, _ = alpha_order(a, ctx)
-    rho = 0
-    d0 = ordv
-    while d0 % ell == 0:
-        d0 //= ell
-        rho += 1
-    return rho, c_of_d(d0, ell)
+    rho = nu(ordv, ell)
+    return rho, c_of_d(ordv // ell ** rho, ell)
 
 
 def summarize(g: FuncGraph) -> GraphSummary:
     """Group vertices into divisor classes and report observed rows."""
     q, ell = g.q, g.ell
-    lam_minus = _nu_int(q - 1, ell)
-    lam_plus = _nu_int(q + 1, ell)
+    lam_minus = nu(q - 1, ell)
+    lam_plus = nu(q + 1, ell)
     max_side = MINUS if lam_minus >= lam_plus else PLUS
 
     keys = g.divisor * 2 + g.branch
@@ -257,18 +253,26 @@ def summarize(g: FuncGraph) -> GraphSummary:
                         tuple(canonical_row_order(rows, ell)))
 
 
-def _nu_int(x: int, ell: int) -> int:
-    k = 0
-    while x % ell == 0:
-        x //= ell
-        k += 1
-    return k
-
-
 @dataclass
-class StructureReport:
-    ok: bool
+class VerifyReport:
+    """Named checks on an instance (ell, p, n), each with a pass flag and
+    a detail, plus notes and the vertex counts they were made on."""
+
+    ell: int
+    p: int
+    n: int
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    periodic: int = 0
+    q: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+    def add(self, name: str, ok: bool, detail: str = "") -> bool:
+        self.checks.append((name, ok, detail))
+        return ok
 
     @property
     def first_failure(self) -> str | None:
@@ -277,8 +281,33 @@ class StructureReport:
                 return f"{name}: {detail}"
         return None
 
+    def summary_line(self) -> str:
+        if self.ok:
+            return f"{self.periodic} periodic / {self.q}; all rows match"
+        first = next(d or n for n, ok, d in self.checks if not ok)
+        return f"{self.periodic} periodic / {self.q}; MISMATCH: {first}"
 
-def verify_structure(g: FuncGraph) -> StructureReport:
+    def lines(self) -> list[str]:
+        out = [f"verify l={self.ell} p={self.p} n={self.n}"]
+        for name, ok, detail in self.checks:
+            tag = "ok " if ok else "FAIL"
+            out.append(f"  [{tag}] {name}" + (f": {detail}" if detail else ""))
+        for note in self.notes:
+            out.append(f"  [note] {note}")
+        out.append(self.summary_line())
+        return out
+
+    def to_json_obj(self) -> dict:
+        return {
+            "ell": self.ell, "p": self.p, "n": self.n, "ok": self.ok,
+            "periodic": self.periodic, "q": self.q,
+            "checks": [{"name": n, "ok": ok, "detail": d}
+                       for n, ok, d in self.checks],
+            "notes": list(self.notes),
+        }
+
+
+def verify_structure(g: FuncGraph) -> VerifyReport:
     """Check the predicted shape vertex by vertex.
 
     Per component: exactly one cycle.  Cycle vertices on a side with
@@ -289,15 +318,10 @@ def verify_structure(g: FuncGraph) -> StructureReport:
     roots a complete binary tree of height lambda_m - 2.
     """
     q, ell, ctx = g.q, g.ell, g.ctx
-    lam = {MINUS: _nu_int(q - 1, ell), PLUS: _nu_int(q + 1, ell)}
+    lam = {MINUS: nu(q - 1, ell), PLUS: nu(q + 1, ell)}
     lam_m = max(lam.values())
-    report = StructureReport(True)
-
-    def check(name: str, ok: bool, detail: str = "") -> bool:
-        report.checks.append((name, ok, detail))
-        if not ok:
-            report.ok = False
-        return ok
+    report = VerifyReport(ell, ctx.p, ctx.n, periodic=g.periodic_count(), q=q)
+    check = report.add
 
     indptr, preds = g.predecessors()
 
@@ -424,12 +448,7 @@ def export_dot(g: FuncGraph, component_filter: int | None = None) -> str:
         keep = np.ones(q, dtype=bool)
     else:
         core_mask = g.pper == 0
-        d0 = g.divisor.copy()
-        while True:
-            m = (d0 % g.ell == 0)
-            if not m.any():
-                break
-            d0[m] //= g.ell
+        d0, _ = strip_ell(g.divisor, g.ell)
         valid = set(int(x) for x in np.unique(d0[core_mask]))
         if component_filter not in valid:
             raise ValueError(f"unknown divisor filter {component_filter}; "

@@ -3,7 +3,8 @@
 Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
 plain Python; the ModulusKernel gives numpy-backed multiply-reduce,
-gcd, and distinct-degree splitting for the factoring sweeps.
+powering and composition for the Frobenius powers of the factoring
+sweeps, whose gcds and exact divisions stay on the exact list routines.
 """
 
 from __future__ import annotations
@@ -63,20 +64,25 @@ def divmod_(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = trim([c % p for c in a])
+    quo = [0] * max(0, len(a) - degree(b))
+    _reduce(a, b, p, quo)
+    return trim(quo), a
+
+
+def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
+    """Replace a by a mod b in place (both trimmed, entries in [0, p));
+    the quotient's coefficients go into quo when it is given."""
     db = degree(b)
     inv = pow(b[-1], -1, p)
-    quo = [0] * max(0, len(a) - db)
-    while degree(a) >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        s = degree(a) - db
-        quo[s] = c
-        for i, y in enumerate(b):
-            a[s + i] = (a[s + i] - c * y) % p
-        a.pop()
-    return trim(quo), trim(a)
+    low = b[:-1]
+    while len(a) > db:
+        c = a.pop() * inv % p
+        if c:
+            s = len(a) - db
+            if quo is not None:
+                quo[s] = c
+            a[s:] = [(x - c * y) % p for x, y in zip(a[s:], low)]
+    trim(a)
 
 
 def rem(a: Poly, b: Poly, p: int) -> Poly:
@@ -90,10 +96,12 @@ def monic(a: Poly, p: int) -> Poly:
 
 
 def gcd(a: Poly, b: Poly, p: int) -> Poly:
+    """Monic gcd by Euclid, each remainder taken in place."""
     a = trim([c % p for c in a])
     b = trim([c % p for c in b])
     while b:
-        a, b = b, rem(a, b, p)
+        _reduce(a, b, p)
+        a, b = b, a
     return monic(a, p)
 
 
@@ -238,42 +246,6 @@ class ModulusKernel:
         return out
 
 
-def np_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd of coefficient arrays (any length, trailing zeros ok)."""
-    a = np.trim_zeros(a % p, "b").astype(np.int64)
-    b = np.trim_zeros(b % p, "b").astype(np.int64)
-    while b.size:
-        da, db = a.size - 1, b.size - 1
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(int(b[-1]), -1, p)
-        r = a.copy()
-        for s in range(da - db, -1, -1):
-            c = r[s + db] % p
-            if c:
-                r[s: s + db + 1] = (r[s: s + db + 1] - c * inv % p * b) % p
-        a, b = b, np.trim_zeros(r, "b")
-    if a.size:
-        a = a * pow(int(a[-1]), -1, p) % p
-    return a
-
-
-def _np_div_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a // b when b | a."""
-    a = np.trim_zeros(a % p, "b").copy()
-    b = np.trim_zeros(b % p, "b")
-    db = b.size - 1
-    inv = pow(int(b[-1]), -1, p)
-    q = np.zeros(max(a.size - db, 1), dtype=np.int64)
-    for s in range(a.size - 1 - db, -1, -1):
-        c = a[s + db] * inv % p
-        q[s] = c
-        if c:
-            a[s: s + db + 1] = (a[s: s + db + 1] - c * b) % p
-    return q
-
-
 def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
     """Squarefree decomposition of monic f: [(g_i, m_i)] with f = prod g_i^m_i.
 
@@ -335,34 +307,33 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         return {1: 1}
     out: dict[int, int] = {}
     ker = ModulusKernel(f, p)
-    fa = np.trim_zeros(np.array(f, dtype=np.int64), "b")
     x = np.zeros(ker.d, dtype=np.int64)
     x[1] = 1
 
     if d < 24:
-        h = x.copy()
-        rem_f = fa
+        h = x
+        rem_f = f
         k = 0
-        while rem_f.size - 1 >= 2 * (k + 1):
+        while degree(rem_f) >= 2 * (k + 1):
             k += 1
             h = ker.powmod(h, p)
-            g = np_gcd((h - x) % p, rem_f, p)
-            if g.size > 1:
-                out[k] = (g.size - 1) // k
-                rem_f = _np_div_exact(rem_f, g, p)
-        if rem_f.size > 1:
-            out[rem_f.size - 1] = out.get(rem_f.size - 1, 0) + 1
+            g = gcd(((h - x) % p).tolist(), rem_f, p)
+            if degree(g) > 0:
+                out[k] = degree(g) // k
+                rem_f = divmod_(rem_f, g, p)[0]
+        if degree(rem_f) > 0:
+            out[degree(rem_f)] = out.get(degree(rem_f), 0) + 1
         return out
 
     s = math.isqrt(d // 2) + 1
-    baby = [x.copy()]
+    baby = [x]
     for _ in range(s):
         baby.append(ker.powmod(baby[-1], p))  # baby[i] = x^(p^i)
     giant = baby[s]  # x^(p^s)
-    rem_f = fa
+    rem_f = f
     j = 0
     big = giant
-    while rem_f.size > 1 and (j * s) < (rem_f.size - 1):
+    while degree(rem_f) > 0 and j * s < degree(rem_f):
         j += 1
         if j > 1:
             big = ker.compose(big, giant)  # x^(p^(j*s))
@@ -371,24 +342,24 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         prod[0] = 1
         for i in range(s):
             prod = ker.mulmod(prod, (big - baby[i]) % p)
-        g = np_gcd(prod, rem_f, p)
-        if g.size > 1:
+        g = gcd(prod.tolist(), rem_f, p)
+        if degree(g) > 0:
             # split g by individual degree within the block
             gg = g
             for i in range(s - 1, -1, -1):
                 k = j * s - i
-                if gg.size <= 1:
+                if degree(gg) <= 0:
                     break
-                gi = np_gcd((big - baby[i]) % p, gg, p)
-                if gi.size > 1:
-                    if (gi.size - 1) % k:
+                gi = gcd(((big - baby[i]) % p).tolist(), gg, p)
+                if degree(gi) > 0:
+                    if degree(gi) % k:
                         raise ArithmeticError("distinct-degree split failed")
-                    out[k] = out.get(k, 0) + (gi.size - 1) // k
-                    gg = _np_div_exact(gg, gi, p)
-            rem_f = _np_div_exact(rem_f, g, p)
-        if rem_f.size - 1 < 2 * (j * s + 1):
+                    out[k] = out.get(k, 0) + degree(gi) // k
+                    gg = divmod_(gg, gi, p)[0]
+            rem_f = divmod_(rem_f, g, p)[0]
+        if degree(rem_f) < 2 * (j * s + 1):
             break
-    if rem_f.size > 1:
-        k = rem_f.size - 1
+    if degree(rem_f) > 0:
+        k = degree(rem_f)
         out[k] = out.get(k, 0) + 1
     return out

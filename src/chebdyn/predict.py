@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .ffield import (MINUS, PLUS, FactoredInt, euler_phi, euler_phi_factored,
-                     factor_int, is_prime)
+                     factor_int, is_prime, nu)
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
@@ -37,14 +37,6 @@ __all__ = [
 # ell-valuation.
 D1 = "D1"
 D2 = "D2"
-
-
-def _nu(x: int, ell: int) -> int:
-    k = 0
-    while x % ell == 0:
-        x //= ell
-        k += 1
-    return k
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +120,8 @@ class StructureParams:
         }
 
 
-def structure_params(ell: int, p: int, n: int) -> StructureParams:
+def _check_instance(ell: int, p: int, n: int) -> None:
+    """Refuse anything but primes ell != p, p odd, and n >= 1."""
     if not is_prime(ell) or not is_prime(p):
         raise ValueError("ell and p must be prime")
     if p == ell:
@@ -137,31 +130,30 @@ def structure_params(ell: int, p: int, n: int) -> StructureParams:
         raise ValueError("p must be odd")
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def structure_params(ell: int, p: int, n: int) -> StructureParams:
+    _check_instance(ell, p, n)
     q = p ** n
-    lm, lp = _nu(q - 1, ell), _nu(q + 1, ell)
+    lm, lp = nu(q - 1, ell), nu(q + 1, ell)
     mu = half_order(p, ell)
     cand_m, cand_p = p ** mu - 1, p ** mu + 1
-    if _nu(cand_m, ell) >= _nu(cand_p, ell):
+    if nu(cand_m, ell) >= nu(cand_p, ell):
         d1, d2 = cand_m, cand_p
     else:
         d1, d2 = cand_p, cand_m
     return StructureParams(ell, p, n, lm, (q - 1) // ell ** lm,
                            lp, (q + 1) // ell ** lp,
-                           mu, d1, d2, _nu(d1, ell))
+                           mu, d1, d2, nu(d1, ell))
 
 
 def nu_2n(ell: int, p: int, n: int) -> int:
     """ell-valuation of p^(2n) - 1, via the two-case closed form."""
-    if not is_prime(ell) or not is_prime(p):
-        raise ValueError("ell and p must be prime")
-    if p == ell:
-        raise ValueError("p must differ from ell")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_instance(ell, p, n)
     mu = half_order(p, ell)
     if n % mu:
         return 0
-    return _nu(p ** (2 * mu) - 1, ell) + _nu(n, ell)
+    return nu(p ** (2 * mu) - 1, ell) + nu(n, ell)
 
 
 def weight_of_divisor(d: int, p: int, n: int) -> int:
@@ -194,7 +186,7 @@ def predict_summary(ell: int, p: int, n: int) -> GraphSummary:
                 row_branch = params.max_side
             else:
                 row_branch = branch
-            k = _nu(d, ell)
+            k = nu(d, ell)
             points = 1 if d <= 2 else euler_phi(d) // 2
             weight = weight_of_divisor(d, p, n)
             if k == 0:
@@ -256,17 +248,8 @@ def predict_weight(params: StructureParams, branch: str, rho: int,
 
 def periodic_density(ell: int, p: int, n: int) -> Fraction:
     """Exact fraction of periodic vertices: (omega^- + omega^+) / (2 p^n)."""
-    if not is_prime(ell) or not is_prime(p):
-        raise ValueError("ell and p must be prime")
-    if p == ell:
-        raise ValueError("p must differ from ell")
-    q = p ** n
-    qm, qp = q - 1, q + 1
-    while qm % ell == 0:
-        qm //= ell
-    while qp % ell == 0:
-        qp //= ell
-    return Fraction(qm + qp, 2 * q)
+    s = structure_params(ell, p, n)
+    return Fraction(s.omega_minus + s.omega_plus, 2 * p ** n)
 
 
 def tower_limit(ell: int) -> Fraction:

@@ -5,13 +5,12 @@ pattern sweep over all residues t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .factor import factor_pattern_actual, factor_pattern_predicted
-from .ffield import make_field
-from .graph import build_graph, orbit_stats_order, summarize, verify_structure
+from .ffield import make_field, nu, strip_ell
+from .graph import (DEFAULT_CAP, VerifyReport, build_graph, orbit_stats_order,
+                    summarize, verify_structure)
 from .predict import c_of_d, periodic_density, predict_summary
 
 __all__ = ["VerifyReport", "verify_instance", "FIGURE_ERRATA"]
@@ -28,56 +27,13 @@ FIGURE_ERRATA = {
 }
 
 
-@dataclass
-class VerifyReport:
-    ell: int
-    p: int
-    n: int
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    periodic: int = 0
-    q: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
-
-    def summary_line(self) -> str:
-        if self.ok:
-            return f"{self.periodic} periodic / {self.q}; all rows match"
-        first = next(d or n for n, ok, d in self.checks if not ok)
-        return f"{self.periodic} periodic / {self.q}; MISMATCH: {first}"
-
-    def lines(self) -> list[str]:
-        out = [f"verify l={self.ell} p={self.p} n={self.n}"]
-        for name, ok, detail in self.checks:
-            tag = "ok " if ok else "FAIL"
-            out.append(f"  [{tag}] {name}" + (f": {detail}" if detail else ""))
-        for note in self.notes:
-            out.append(f"  [note] {note}")
-        out.append(self.summary_line())
-        return out
-
-    def to_json_obj(self) -> dict:
-        return {
-            "ell": self.ell, "p": self.p, "n": self.n, "ok": self.ok,
-            "periodic": self.periodic, "q": self.q,
-            "checks": [{"name": n, "ok": ok, "detail": d}
-                       for n, ok, d in self.checks],
-            "notes": list(self.notes),
-        }
-
-
 def _row_key(r):
     return (r.divisor_value, r.branch)
 
 
 def verify_instance(ell: int, p: int, n: int,
                     pattern_level: int | None = None,
-                    cap: int = 1 << 26) -> VerifyReport:
+                    cap: int = DEFAULT_CAP) -> VerifyReport:
     """Brute force versus prediction for one instance.
 
     Builds the graph, compares summaries row for row, checks the point
@@ -106,25 +62,15 @@ def verify_instance(ell: int, p: int, n: int,
             f"({len(enumerated.rows)} rows)", match, detail)
 
     qm, qp = g.q - 1, g.q + 1
-    om, op_ = qm, qp
-    while om % ell == 0:
-        om //= ell
-    while op_ % ell == 0:
-        op_ //= ell
+    om = qm // ell ** nu(qm, ell)
+    op_ = qp // ell ** nu(qp, ell)
     rep.add("periodic count == (omega- + omega+)/2",
             rep.periodic == (om + op_) // 2,
             f"{rep.periodic} vs {(om + op_) // 2}")
 
     # per-element oracle: brute (pper, per) == order formula
     ords, _branch = ctx.alpha_order_tables()
-    rho_pred = np.zeros(g.q, dtype=np.int64)
-    d0 = ords.copy()
-    while True:
-        m = d0 % ell == 0
-        if not m.any():
-            break
-        d0[m] //= ell
-        rho_pred[m] += 1
+    d0, rho_pred = strip_ell(ords, ell)
     per_pred = np.zeros(g.q, dtype=np.int64)
     for dv in np.unique(d0):
         per_pred[d0 == dv] = c_of_d(int(dv), ell)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chebdyn
 from chebdyn.cli import main
 
 GOLDEN_G_3_53_1 = """\
@@ -121,6 +126,15 @@ def test_refusal_exit_3(capsys):
     assert run(capsys, ["graph", "--ell", "2", "--p", "9"])[0] == 3
     assert run(capsys, ["graph", "--ell", "2", "--p", "5", "--n", "9",
                         "--cap", "1000"])[0] == 3
+    # boundary inputs run in a subprocess so that a hang fails the test
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(chebdyn.__file__).resolve().parents[1]))
+    for argv in (["density", "--ell", "2", "--p", "3", "--n", "0"],
+                 ["density", "--ell", "2", "--p", "3", "--n", "-1"],
+                 ["density", "--ell", "3", "--p", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "chebdyn.cli", *argv],
+                              env=env, capture_output=True, timeout=10)
+        assert proc.returncode == 3, (argv, proc.stderr)
 
 
 def test_determinism(capsys):
@@ -128,3 +142,9 @@ def test_determinism(capsys):
     out1 = run(capsys, argv)
     out2 = run(capsys, argv)
     assert out1 == out2
+
+
+def test_public_names_resolve():
+    assert len(chebdyn.__all__) == len(set(chebdyn.__all__))
+    for name in chebdyn.__all__:
+        assert hasattr(chebdyn, name), name

@@ -250,7 +250,7 @@ def test_order_degree_link():
 
 
 def test_alpha_order_table_matches_per_element():
-    for (p, n) in ((13, 1), (5, 2)):
+    for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3)):
         ctx = make_field(p, n)
         ords, branch = ctx.alpha_order_tables()
         for i in range(ctx.q):

@@ -1,7 +1,9 @@
+import random
 from itertools import product as iproduct
 
-import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcd
 
 from chebdyn import polys
 
@@ -103,18 +105,17 @@ def test_ddf_irreducible_detection():
     assert polys.distinct_degree_counts(mod, 3) == {29: 1}
 
 
-def test_np_gcd_matches_scalar():
-    rng = np.random.default_rng(7)
-    p = 13
-    for _ in range(40):
-        a = rng.integers(0, p, size=rng.integers(2, 30)).tolist()
-        b = rng.integers(0, p, size=rng.integers(1, 20)).tolist()
-        if not any(a) or not any(b):
-            continue
-        want = polys.gcd(a, b, p)
-        got = polys.np_gcd(np.array(a, dtype=np.int64),
-                           np.array(b, dtype=np.int64), p).tolist()
-        assert got == want
+def test_gcd_matches_sympy():
+    for p in (13, 10 ** 9 + 7, 10 ** 12 + 39):
+        rng = random.Random(p)
+        for _ in range(40):
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 6))]
+            a = polys.mul(g, [rng.randrange(p)
+                              for _ in range(rng.randrange(1, 25))], p)
+            b = polys.mul(g, [rng.randrange(p)
+                              for _ in range(rng.randrange(1, 15))], p)
+            want = [int(c) for c in gf_gcd(a[::-1], b[::-1], p, ZZ)[::-1]]
+            assert polys.gcd(a, b, p) == want, p
 
 
 def test_sqrt_monic():
