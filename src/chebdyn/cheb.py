@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import polys
-from .ffield import FactoredInt, FFElem, FieldCtx, factor_int, is_prime
+from .ffield import (FactoredInt, FFElem, FieldCtx, _cheb_ladder,
+                     factor_int, is_prime)
 
 __all__ = [
     "cheb_eval",
@@ -33,24 +34,12 @@ NUMERIC_BITS_CAP = 512
 
 
 def cheb_eval(d: int, a: FFElem, ctx: Optional[FieldCtx] = None) -> FFElem:
-    """T_d(a) in O(log d) ring operations.
-
-    Uses the pair ladder T_2k = T_k^2 - 2, T_2k+1 = T_k T_k+1 - a, both
-    consequences of the defining identity.
-    """
+    """T_d(a) in O(log d) ring operations, by the pair ladder
+    T_2k = T_k^2 - 2, T_2k+1 = T_k T_k+1 - a."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     ctx = ctx or a.ctx
-    two = ctx.from_int(2)
-    if d == 0:
-        return two
-    u, v = two, a  # (T_0, T_1)
-    for bit in bin(d)[2:]:
-        if bit == "0":
-            u, v = u * u - two, u * v - a
-        else:
-            u, v = u * v - a, v * v - two
-    return u
+    return _cheb_ladder(d, a, ctx.from_int(2))
 
 
 def cheb_coeffs(d: int, p: int, cap: int = COEFF_DEGREE_CAP) -> list[int]:
@@ -81,7 +70,7 @@ def iterate_coeffs(ell: int, n: int, p: int) -> tuple[int, ...]:
         # Horner: T_ell(cur), top coefficient first
         out = np.array([base[-1]], dtype=np.int64)
         for c in base[-2::-1]:
-            out = np.convolve(out, cur) % p
+            out = polys.convolve_mod(out, cur, p)
             out[0] = (out[0] + c) % p
         cur = out
     return tuple(int(c) for c in cur)

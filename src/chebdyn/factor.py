@@ -12,7 +12,6 @@ from typing import Optional
 from . import polys
 from .cheb import iterate_coeffs, ramified_candidates
 from .ffield import alpha_order, is_prime, make_field, nu
-from .graph import orbit_stats_order
 from .predict import D1, D2, structure_params
 
 __all__ = [
@@ -88,6 +87,7 @@ def factor_pattern_actual(ell: int, p: int, n: int, t: int,
         raise ValueError("n must be >= 1")
     if ell ** n > degree_cap:
         raise ValueError(f"degree {ell ** n} exceeds cap {degree_cap}")
+    polys.limb_width(ell ** n, p)  # refuses a p beyond the kernel's bound
     f = list(iterate_coeffs(ell, n, p))
     f[0] = (f[0] - t) % p
     entries = []
@@ -118,10 +118,9 @@ def classify_t(ell: int, p: int, t: int) -> TClass:
     _validate(ell, p)
     ctx = make_field(p, 1)
     tbar = t % p
-    a = ctx.from_int(tbar)
-    rho, _ = orbit_stats_order(a, ell, ctx)
-    ordv, _br = alpha_order(a, ctx)
-    d0 = ordv // ell ** nu(ordv, ell)
+    ordv, _ = alpha_order(ctx.from_int(tbar), ctx)
+    rho = nu(ordv, ell)
+    d0 = ordv // ell ** rho
     params = structure_params(ell, p, 1)
     if params.d1 % d0 == 0:
         branch = D1

@@ -285,9 +285,10 @@ class FieldCtx:
     matrix) are write-once and safe for concurrent readers.
     """
 
-    # Order tables are built by a full walk of the two cyclic groups; above
-    # this size per-element order computation is used instead.  Matches the
-    # default graph enumeration cap; the walk needs O(q) transient memory.
+    # Order tables are built by a full walk of the two cyclic groups, which
+    # needs O(q) transient memory; alpha_order_tables refuses above this
+    # size.  Matches the default graph enumeration cap.  alpha_order never
+    # builds the tables: it reads them when build_graph already has.
     TABLE_CAP = 1 << 26
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -772,17 +773,58 @@ def element_degree(a: FFElem, ctx: Optional[FieldCtx] = None) -> int:
     return m
 
 
-def alpha_order(a: FFElem, ctx: Optional[FieldCtx] = None) -> tuple[int, Branch]:
-    """Order of the lifted root of x^2 - a x + 1, with its branch tag.
+def _cheb_ladder(d: int, a, two, p: int = 0):
+    """T_d(a) in O(log d) ring operations (cheb.cheb_eval is the public
+    form).
 
-    Uses the context's precomputed walk tables for enumerable fields and
-    falls back to lift_alpha + mult_order above the table cap.
+    Uses the pair ladder T_2k = T_k^2 - 2, T_2k+1 = T_k T_k+1 - a, both
+    consequences of T_d(z + 1/z) = z^d + z^-d.  a and two are FFElem, or,
+    when p is given, plain residues mod p: the fast form on a prime field.
+    """
+    u, v = two, a  # (T_0, T_1)
+    for bit in bin(d)[2:]:
+        if bit == "0":
+            u, v = u * u - two, u * v - a
+        else:
+            u, v = u * v - a, v * v - two
+        if p:
+            u, v = u % p, v % p
+    return u
+
+
+def alpha_order(a: FFElem, ctx: Optional[FieldCtx] = None) -> tuple[int, Branch]:
+    """Order of the lifted root alpha of x^2 - a x + 1, with its branch tag.
+
+    T_k(alpha + 1/alpha) = alpha^k + alpha^-k, so alpha^k = 1 exactly when
+    T_k(a) = 2.  The branch is MINUS when T_{q-1}(a) = 2, else PLUS, and the
+    order is the least k dividing q -+ 1 with T_k(a) = 2: for each prime
+    power r^e exactly dividing q -+ 1, T_r is applied to T_{(q-+1)/r^e}(a)
+    until it reaches 2 (T_r . T_k = T_rk).  That is O(omega(q -+ 1) log q)
+    ring operations, on the plain residue when n = 1, and no table.  When
+    the context already holds its walk tables (build_graph builds them),
+    they are read instead.
     """
     ctx = ctx or a.ctx
-    if ctx.q <= FieldCtx.TABLE_CAP:
-        ords, branch = ctx.alpha_order_tables()
+    tables = ctx._cache.get("alpha")
+    if tables is not None:
+        ords, branch = tables
         i = a.index
         return int(ords[i]), (MINUS if branch[i] == 0 else PLUS)
-    alpha, br = lift_alpha(a, ctx)
+    if ctx.n == 1:
+        p, t, two = ctx.p, a.coeffs[0], 2
+    else:
+        p, t, two = 0, a, ctx.from_int(2)
+    br = MINUS if _cheb_ladder(ctx.q - 1, t, two, p) == two else PLUS
     group = ctx.order_minus if br == MINUS else ctx.order_plus
-    return mult_order(alpha, group).value, br
+    size = group.value
+    order = 1
+    for r, e in group.factors:
+        y = _cheb_ladder(size // r ** e, t, two, p)
+        for _ in range(e):
+            if y == two:
+                break
+            y = _cheb_ladder(r, y, two, p)
+            order *= r
+        if y != two:
+            raise ArithmeticError(f"T_{size}({a}) != 2 on the {br} branch")
+    return order, br

@@ -2,7 +2,7 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
-plain Python; the ModulusKernel gives numpy-backed multiply-reduce,
+plain Python; the ModulusKernel gives exact numpy-backed multiply-reduce,
 powering and composition for the Frobenius powers of the factoring
 sweeps, whose gcds and exact divisions stay on the exact list routines.
 """
@@ -169,12 +169,70 @@ def sqrt_monic(a: Poly, p: int) -> Poly:
 # numpy kernel for a fixed modulus
 # ---------------------------------------------------------------------------
 
-class ModulusKernel:
-    """Fast arithmetic in F_p[x]/(f) for a fixed monic f.
+# Integers below these are exact in int64 and in float64 arithmetic.
+INT_EXACT = 1 << 63
+FLOAT_EXACT = 1 << 53
 
-    Reduction is a single vector-matrix product against precomputed rows
-    of x^(d+j) mod f; with p <= a few hundred the float64 products stay
-    exact (they are far below 2^53).
+
+def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """np.convolve(a, b) % p, exact for int64 vectors of residues mod p.
+
+    Each output coefficient sums m = min(len(a), len(b)) products, so whole
+    residues are exact in int64 while m (p - 1)^2 < 2^63.  Above that the
+    shorter vector is split into limbs of w bits, the largest w with
+    (m + 1) 2^w p <= 2^63, and the limb products are recombined by
+    Horner's rule mod p, every partial sum staying below 2^63.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    m = len(a)
+    if m * (p - 1) ** 2 < INT_EXACT:
+        return np.convolve(a, b) % p
+    w = (INT_EXACT // ((m + 1) * p)).bit_length() - 1
+    if w < 1:
+        raise ValueError(f"p = {p} is too large for an exact int64 "
+                         f"convolution of length {m}")
+    mask = (1 << w) - 1
+    out = 0
+    for shift in _limb_shifts(p, w):
+        out = (out * (1 << w) + np.convolve((a >> shift) & mask, b)) % p
+    return out
+
+
+def _limb_shifts(p: int, w: int) -> range:
+    """Bit offsets of the w-bit limbs of a residue mod p, top limb first."""
+    return range(((p - 1).bit_length() - 1) // w * w, -1, -w)
+
+
+def limb_width(d: int, p: int) -> int:
+    """Bits per limb of a ModulusKernel of degree d over F_p.
+
+    0 when (d + 1) p^2 <= 2^53 and residues are used whole; otherwise the
+    largest w with (d + 1) 2^w p <= 2^53.  Raises ValueError when no w >= 1
+    is safe, that is when p > 2^52 / (d + 1).
+    """
+    if (d + 1) * p * p <= FLOAT_EXACT:
+        return 0
+    w = (FLOAT_EXACT // ((d + 1) * p)).bit_length() - 1
+    if w < 1:
+        raise ValueError(
+            f"p = {p} exceeds the exact polynomial kernel's bound "
+            f"2^52 / (d + 1) = {(FLOAT_EXACT // 2) // (d + 1)} at degree {d}")
+    return w
+
+
+class ModulusKernel:
+    """Exact arithmetic in F_p[x]/(f) for a fixed monic f of degree d.
+
+    Products are exact int64 convolutions (convolve_mod); reduction is one
+    float64 vector-matrix product against precomputed rows of x^(d+j) mod
+    f, built in exact integers.  Every float64 sum has at most d + 1 terms,
+    each a residue below p times a value below B, so it is exact while
+    (d + 1) B p <= 2^53.  When (d + 1) p^2 <= 2^53 the residues are used
+    whole (B = p); above that the rows are split into limbs of w bits
+    (B = 2^w, see limb_width) and the limb products are recombined by
+    Horner's rule mod p.  The constructor refuses (ValueError) where no
+    limb width is safe, p > 2^52 / (d + 1).
     """
 
     def __init__(self, f: Poly, p: int):
@@ -184,17 +242,43 @@ class ModulusKernel:
         self.f = np.array(monic(f, p), dtype=np.int64)
         self.d = len(f) - 1
         d = self.d
-        rows = np.zeros((max(d - 1, 0), d), dtype=np.float64)
-        if d > 1:
-            base = (-self.f[:d]) % p
-            rows[0] = base
-            for j in range(1, d - 1):
-                prev = rows[j - 1]
-                row = np.concatenate(([0.0], prev[: d - 1]))
-                row = (row + prev[d - 1] * base) % p
-                rows[j] = row
-        self.rows = rows
+        w = limb_width(d, p) or (p - 1).bit_length()  # 0: one whole limb
+        self.radix = 1 << w
+        self.mask = self.radix - 1
+        self.shifts = tuple(_limb_shifts(p, w))
+        self.limbs = len(self.shifts)
+        self.rows = np.zeros((max(d - 1, 0), self.limbs * d))
+        base = row = (-self.f[:d]) % p  # x^d mod f
+        for j in range(d - 1):
+            if j:
+                # x * row: shift up, fold top * base back in, with
+                # Horner's rule over the limbs of top (sums below 2 B p)
+                top = int(row[-1])
+                acc = (top >> self.shifts[0]) * base
+                for shift in self.shifts[1:]:
+                    acc = acc % p * self.radix + ((top >> shift)
+                                                  & self.mask) * base
+                row = (np.concatenate(([0], row[:-1])) + acc) % p
+            self.rows[j] = self._split(row)
         self.x = self.lift([0, 1] if d > 1 else rem([0, 1], f, p))
+
+    def _split(self, m: np.ndarray) -> np.ndarray:
+        """float64 limbs of a matrix of residues, side by side along the
+        last axis, top limb first; the matrix itself for one limb."""
+        if self.limbs == 1:
+            return m.astype(np.float64)
+        return np.concatenate([(m >> shift) & self.mask
+                               for shift in self.shifts],
+                              axis=-1).astype(np.float64)
+
+    def _recombine(self, u: np.ndarray, head=0) -> np.ndarray:
+        """(sum over limbs k of u_k B^(L-1-k)) + head mod p, as int64, for
+        u holding the L limb products side by side along its last axis."""
+        d, p = self.d, self.p
+        acc = u[..., :d]
+        for k in range(1, self.limbs):
+            acc = acc % p * self.radix + u[..., k * d:(k + 1) * d]
+        return ((acc + head) % p).astype(np.int64)
 
     def lift(self, a: Poly) -> np.ndarray:
         v = np.zeros(self.d, dtype=np.int64)
@@ -207,13 +291,17 @@ class ModulusKernel:
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p, d = self.p, self.d
-        raw = np.convolve(a, b) % p
-        head = raw[:d].astype(np.float64)
-        if len(raw) > d:
-            tail = raw[d:].astype(np.float64)
-            head = head + tail @ self.rows[: len(tail)]
-        out = head % p
-        return out.astype(np.int64)
+        if self.limbs == 1:
+            raw = np.convolve(a, b) % p
+            head = raw[:d].astype(np.float64)
+            if len(raw) > d:
+                tail = raw[d:].astype(np.float64)
+                head = head + tail @ self.rows[: len(tail)]
+            out = head % p
+            return out.astype(np.int64)
+        raw = convolve_mod(a, b, p)
+        return self._recombine(raw[d:].astype(np.float64) @ self.rows,
+                               raw[:d])
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
         r = np.zeros(self.d, dtype=np.int64)
@@ -229,7 +317,8 @@ class ModulusKernel:
     def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """g(h) mod f by Brent-Kung baby-step giant-step."""
         p, d = self.p, self.d
-        s = max(1, math.isqrt(d) + 1)
+        # s <= d keeps each chunk sum plus the Horner term within d + 1
+        s = min(math.isqrt(d) + 1, d)
         baby = np.zeros((s, d), dtype=np.int64)
         baby[0, 0] = 1
         for i in range(1, s):
@@ -237,12 +326,12 @@ class ModulusKernel:
         hs = self.mulmod(baby[s - 1], h)
         coeffs = np.zeros(((d + s - 1) // s) * s, dtype=np.int64)
         coeffs[: len(g)] = g
-        chunks = coeffs.reshape(-1, s)
+        chunks = coeffs.reshape(-1, s).astype(np.float64)
+        parts = self._recombine(chunks @ self._split(baby))
         out = np.zeros(d, dtype=np.int64)
-        for chunk in chunks[::-1]:
+        for part in parts[::-1]:
             out = self.mulmod(out, hs)
-            part = (chunk.astype(np.float64) @ baby.astype(np.float64)) % p
-            out = (out + part.astype(np.int64)) % p
+            out = (out + part) % p
         return out
 
 

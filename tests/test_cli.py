@@ -137,6 +137,19 @@ def test_refusal_exit_3(capsys):
         assert proc.returncode == 3, (argv, proc.stderr)
 
 
+def test_large_p_factor_never_exits_1():
+    # p^2 is far past 2^53 here: the factoring kernel must either agree
+    # with the closed form (exit 0) or refuse (exit 3), never mismatch
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(chebdyn.__file__).resolve().parents[1]))
+    argv = ["factor", "--ell", "3", "--p", "1000000000039", "--n", "2",
+            "--t", "5"]
+    proc = subprocess.run([sys.executable, "-m", "chebdyn.cli", *argv],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode in (0, 3), (proc.returncode, proc.stdout,
+                                       proc.stderr)
+
+
 def test_determinism(capsys):
     argv = ["graph", "--ell", "2", "--p", "3", "--n", "4", "--format", "json"]
     out1 = run(capsys, argv)

@@ -1,4 +1,7 @@
 import pytest
+from sympy import nextprime, prevprime
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_list
 
 from chebdyn import polys
 from chebdyn.cheb import cheb_coeffs
@@ -175,3 +178,44 @@ def test_validation_errors():
         factor_pattern_predicted(3, 2, 1, 0)
     with pytest.raises(ValueError):
         factor_pattern_predicted(6, 5, 1, 0)
+
+
+def _sympy_pattern(ell, p, n, t):
+    """Pattern of T_ell^n(x) - t = T_(ell^n)(x) - t mod p from sympy's
+    squarefree and distinct-degree factorization (test-only oracle)."""
+    f = cheb_coeffs(ell ** n, p)
+    f[0] = (f[0] - t) % p
+    entries = []
+    for g, mult in gf_sqf_list([ZZ(c) for c in f[::-1]], p, ZZ)[1]:
+        for h, deg in gf_ddf_zassenhaus(g, p, ZZ):
+            entries.append((deg, mult, (len(h) - 1) // deg))
+    return FactorPattern.from_entries(entries)
+
+
+LARGE_P = (100000007, 10 ** 9 + 7, 10 ** 12 + 39)
+
+
+@pytest.mark.parametrize("p", LARGE_P)
+def test_large_p_patterns_match_sympy_and_prediction(p):
+    # these primes are past the point where float64 products of residues
+    # lose bits (p^2 > 2^53), so the kernel splits residues into limbs
+    for ell, n in ((2, 2), (2, 3), (3, 2), (5, 1)):
+        for t in (2, p - 2, 0, 5, p // 3):
+            actual = factor_pattern_actual(ell, p, n, t)
+            assert actual == _sympy_pattern(ell, p, n, t), (ell, n, t)
+            assert (actual
+                    == factor_pattern_predicted(ell, p, n, t)), (ell, n, t)
+    for ell, n in ((3, 4), (2, 6)):
+        for t in (7, p - 11):
+            assert (factor_pattern_actual(ell, p, n, t)
+                    == factor_pattern_predicted(ell, p, n, t)), (ell, n, t)
+
+
+def test_large_p_refused_up_front_beyond_kernel_bound():
+    # the exact kernel needs (d + 1) 2 p <= 2^53 at d = ell^n = 81
+    edge = (1 << 52) // 82
+    below, above = prevprime(edge + 1), nextprime(edge)
+    assert (factor_pattern_actual(3, below, 4, 7)
+            == factor_pattern_predicted(3, below, 4, 7))
+    with pytest.raises(ValueError, match="bound"):
+        factor_pattern_actual(3, above, 4, 7)

@@ -272,3 +272,29 @@ def test_alpha_order_fallback_above_table_cap():
         o_small, _ = alpha_order(small.from_int(i), small)
         o_big, _ = alpha_order(big.from_int(i), big)
         assert o_small == o_big, i
+
+
+def test_alpha_order_ladder_matches_walk_tables():
+    # a fresh context holds no tables, so alpha_order takes the T_d
+    # ladder; the walk tables built afterwards are the reference
+    for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3), (11, 2), (53, 1)):
+        ctx = make_field.__wrapped__(p, n)
+        got = [alpha_order(ctx.decode(i), ctx) for i in range(ctx.q)]
+        assert "alpha" not in ctx._cache
+        ords, branch = ctx.alpha_order_tables()
+        want = [(int(ords[i]), MINUS if branch[i] == 0 else PLUS)
+                for i in range(ctx.q)]
+        assert got == want, (p, n)
+
+
+def test_alpha_order_builds_no_table_between_2e7_and_table_cap():
+    # one walk table at p ~ 3e7 would need about 2.8 GB; the closed-form
+    # route must answer from single orders and leave no table behind
+    from chebdyn.factor import factor_pattern_actual, factor_pattern_predicted
+    from chebdyn.ffield import FieldCtx
+    p = 30000001
+    assert is_prime(p) and 2 * 10 ** 7 < p < FieldCtx.TABLE_CAP
+    for t in (0, 1, 5, 12345, p - 3):
+        assert (factor_pattern_predicted(3, p, 2, t)
+                == factor_pattern_actual(3, p, 2, t)), t
+    assert "alpha" not in make_field(p, 1)._cache

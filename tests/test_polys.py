@@ -1,7 +1,12 @@
 import random
+from datetime import timedelta
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcd
 
@@ -142,3 +147,70 @@ def test_modulus_kernel_matches_scalar():
     got = ker.to_list(ker.compose(ker.lift(b), ker.lift(a)))
     want = polys.rem(polys.compose(b, a, p), f, p)
     assert got == want
+
+
+def _compose_mod(g, h, f, p):
+    """g(h) mod f by Horner on the exact list routines."""
+    out = []
+    for c in reversed(g):
+        out = polys.add(polys.rem(polys.mul(out, h, p), f, p), [c], p)
+    return out
+
+
+def _kernel_bound(d):
+    """Largest p the kernel accepts at degree d: (d + 1) 2 p <= 2^53."""
+    return (1 << 52) // (d + 1)
+
+
+@st.composite
+def _prime_upto(draw, bound):
+    """An odd prime <= bound: log-uniform in size, or the largest."""
+    if draw(st.sampled_from((False, False, True))):
+        x = bound
+    else:
+        k = draw(st.sampled_from(range(3, bound.bit_length() + 1)))
+        x = draw(st.integers(1 << (k - 1), min((1 << k) - 1, bound)))
+    return prevprime(x + 1)
+
+
+_HYPOTHESIS = settings(max_examples=40, deadline=timedelta(seconds=10),
+                       derandomize=True, database=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+@_HYPOTHESIS
+@given(data=st.data(), d=st.sampled_from(range(1, 82)),
+       rng=st.randoms(use_true_random=True))
+def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
+    p = data.draw(_prime_upto(_kernel_bound(d)), label="p")
+    f = [rng.randrange(p) for _ in range(d)] + [1]
+    a, b = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
+    e = data.draw(st.integers(0, 1 << 64), label="e")
+    ker = polys.ModulusKernel(f, p)
+    A, B = ker.lift(a), ker.lift(b)
+    assert ker.to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p), f, p)
+    assert ker.to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
+    assert ker.to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
+
+
+@_HYPOTHESIS
+@given(data=st.data(), m=st.sampled_from(range(1, 244)),
+       n=st.sampled_from(range(1, 244)), rng=st.randoms(use_true_random=True))
+def test_convolve_mod_exact(data, m, n, rng):
+    p = data.draw(_prime_upto((1 << 62) // (min(m, n) + 1)), label="p")
+    a = [rng.randrange(p) for _ in range(m)]
+    b = [rng.randrange(p) for _ in range(n)]
+    got = polys.convolve_mod(np.array(a, dtype=np.int64),
+                             np.array(b, dtype=np.int64), p)
+    want = [sum(a[i] * b[k - i] for i in range(max(0, k - n + 1),
+                                               min(k, m - 1) + 1)) % p
+            for k in range(m + n - 1)]
+    assert got.tolist() == want
+
+
+def test_modulus_kernel_refuses_beyond_its_bound():
+    for d in (1, 9, 81):
+        f = [1] * d + [1]
+        polys.ModulusKernel(f, prevprime(_kernel_bound(d) + 1))
+        with pytest.raises(ValueError, match="bound"):
+            polys.ModulusKernel(f, nextprime(_kernel_bound(d)))
