@@ -285,11 +285,12 @@ class FieldCtx:
     matrix) are write-once and safe for concurrent readers.
     """
 
-    # Order tables are built by a full walk of the two cyclic groups, which
-    # needs O(q) transient memory; alpha_order_tables refuses above this
-    # size.  Matches the default graph enumeration cap.  alpha_order never
-    # builds the tables: it reads them when build_graph already has.
-    TABLE_CAP = 1 << 26
+    # Order tables are built by a walk of the two cyclic groups, a block of
+    # exponents at a time, and keep 5 bytes per element (int32 orders, int8
+    # branches); alpha_order_tables refuses above this size.  Matches the
+    # default graph enumeration cap.  alpha_order never builds the tables:
+    # it reads them when build_graph already has.
+    TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
                  order_minus: FactoredInt, order_plus: FactoredInt):
@@ -369,24 +370,30 @@ class FieldCtx:
 
     # -- vector kernels (used by graph building) ----------------------------
 
-    def coeff_matrix(self) -> np.ndarray:
-        """(q, n) int64 matrix of coefficient vectors, row i = decode(i)."""
-        m = self._cache.get("coeff")
-        if m is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            cols = []
-            for _ in range(self.n):
-                idx, r = np.divmod(idx, self.p)
-                cols.append(r)
-            m = np.stack(cols, axis=1)
-            m.setflags(write=False)
-            self._cache["coeff"] = m
-        return m
+    # Whole-field passes run over blocks of this many indices: an (n, BLOCK)
+    # int64 working set stays cache-sized, and no temporary grows with q.
+    BLOCK = 1 << 15
 
-    def encode_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical indices of a (m, n) coefficient matrix."""
-        pw = np.array(self._pow_p, dtype=np.int64)
-        return rows @ pw
+    def coeff_cols(self, lo: int, hi: int) -> np.ndarray:
+        """(n, hi - lo) int64 matrix whose column j is decode(lo + j)."""
+        idx = np.arange(lo, hi, dtype=np.int64)
+        cols = np.empty((self.n, hi - lo), dtype=np.int64)
+        for i in range(self.n - 1):
+            idx, cols[i] = np.divmod(idx, self.p)
+        cols[-1] = idx
+        return cols
+
+    def encode_cols(self, cols: np.ndarray) -> np.ndarray:
+        """Canonical indices of the columns of an (n, m) coefficient
+        matrix."""
+        return np.array(self._pow_p, dtype=np.int64) @ cols
+
+    def _matmod(self, M: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(M @ cols) mod p for integer matrices with entries in [0, p);
+        the product runs in float64 BLAS, exact while cols.shape[0] * p^2
+        <= 2^53: the order tables (width <= 2n, q <= TABLE_CAP) and the
+        Frobenius map (width n >= 2, q < 2^52) stay below that."""
+        return (M.astype(np.float64) @ cols).astype(np.int64) % self.p
 
     def mul_matrix(self, h: Union["FFElem", "QuadElem"]) -> np.ndarray:
         """Matrix M with row_vec(a) @ M = row_vec(a * h): (n, n) for h in
@@ -416,8 +423,12 @@ class FieldCtx:
                 for i in range(self.n):
                     e = self.elem([0] * i + [1] + [0] * (self.n - 1 - i))
                     basis.append((e ** self.p).coeffs)
-                fm = np.array(basis, dtype=np.int64)
-                f = self.encode_rows(self.coeff_matrix() @ fm % self.p)
+                fmt = np.array(basis, dtype=np.int64).T
+                f = np.empty(self.q, dtype=np.int64)
+                for lo in range(0, self.q, self.BLOCK):
+                    hi = min(lo + self.BLOCK, self.q)
+                    f[lo:hi] = self.encode_cols(
+                        self._matmod(fmt, self.coeff_cols(lo, hi)))
             f.setflags(write=False)
             self._cache["frob"] = f
         return f
@@ -457,10 +468,11 @@ class FieldCtx:
     def alpha_order_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-index order and branch of the lifted root.
 
-        Returns (ord, branch) arrays of length q: ord[i] is the
-        multiplicative order of a root of x^2 - a x + 1 for a = decode(i),
-        branch[i] is 0 where that order divides q - 1 and 1 where it
-        divides q + 1.  Built by one walk of each cyclic group.
+        Returns (ord, branch), read-only int32 and int8 arrays of length
+        q shared by every caller: ord[i] is the multiplicative order of a
+        root of x^2 - a x + 1 for a = decode(i), branch[i] is 0 where that
+        order divides q - 1 and 1 where it divides q + 1.  Built by one
+        walk of each cyclic group.
         """
         t = self._cache.get("alpha")
         if t is None:
@@ -471,18 +483,17 @@ class FieldCtx:
             self._cache["alpha"] = t
         return t
 
-    def _exp_table(self, g: Union["FFElem", "QuadElem"],
-                   count: int) -> np.ndarray:
-        """Coefficient rows of g^0 .. g^(count-1) by doubling: width n for
-        g in F_{p^n}, 2n (rows u | v) for a QuadElem."""
+    def _exp_cols(self, g: Union["FFElem", "QuadElem"],
+                  count: int) -> np.ndarray:
+        """Coefficient columns of g^0 .. g^(count-1) by doubling: n rows
+        for g in F_{p^n}, 2n (rows u over v) for a QuadElem."""
         width = 2 * self.n if isinstance(g, QuadElem) else self.n
-        E = np.zeros((count, width), dtype=np.int64)
+        E = np.zeros((width, count), dtype=np.int64)
         E[0, 0] = 1
-        m = 1
-        h = g
+        m, h = 1, g
         while m < count:
             take = min(m, count - m)
-            E[m:m + take] = E[:take] @ self.mul_matrix(h) % self.p
+            E[:, m:m + take] = self._matmod(self.mul_matrix(h).T, E[:, :take])
             m += take
             h = h * h
         return E
@@ -500,28 +511,48 @@ class FieldCtx:
 
     def _build_alpha_tables(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
-        ords = np.zeros(q, dtype=np.int64)
+        # orders divide q -+ 1 <= TABLE_CAP + 1 < 2^31
+        ords = np.zeros(q, dtype=np.int32)
         branch = np.zeros(q, dtype=np.int8)
 
-        # Walk F_q^x: alpha = g^e, trace a = g^e + g^-e, ord = (q-1)/gcd(e,.)
-        E = self._exp_table(self.generator(), q - 1)
-        inv = E[(-np.arange(q - 1)) % (q - 1)]
-        traces = self.encode_rows((E + inv) % self.p)
-        e = np.arange(q - 1, dtype=np.int64)
-        ords[traces] = (q - 1) // np.gcd(e, q - 1)
+        # Walk F_q^x: alpha = g^e has trace a = g^e + g^-e and order
+        # (q-1)/gcd(e, q-1).  e and -e give the same trace and order, so
+        # e <= (q-1)/2 covers every trace.  Powers come a block at a time:
+        # g^(lo+j) = g^lo g^j and g^-(lo+j) = g^(q-lo-size) g^(size-1-j).
+        g = self.generator()
+        half = (q - 1) // 2 + 1
+        size = min(half, self.BLOCK)
+        base = self._exp_cols(g, size)
+        step, back = g ** size, g ** (q - 1 - size)
+        fwd_h, bwd_h = self.one(), g ** (q - size)
+        for lo in range(0, half, size):
+            m = min(size, half - lo)
+            fwd = self._matmod(self.mul_matrix(fwd_h).T, base[:, :m])
+            bwd = self._matmod(self.mul_matrix(bwd_h).T, base)[:, ::-1]
+            traces = self.encode_cols((fwd + bwd[:, :m]) % self.p)
+            e = np.arange(lo, lo + m, dtype=np.int64)
+            ords[traces] = (q - 1) // np.gcd(e, q - 1)
+            fwd_h, bwd_h = fwd_h * step, bwd_h * back
 
         # Walk the norm-one subgroup of F_{q^2}^x through a generator y, a
-        # root of y^2 - a y + 1: y^e = u + v y has trace 2u + a v.
+        # root of y^2 - a y + 1: y^e = u + v y has trace 2u + a v, the
+        # same as y^-e, so again e <= (q+1)/2 suffices.
         y = self._norm_one_generator()
         trace = np.concatenate([2 * np.eye(self.n, dtype=np.int64),
-                                self.mul_matrix(y.a)])
-        traces2 = self.encode_rows(
-            self._exp_table(y, q + 1) @ trace % self.p)
-        e2 = np.arange(q + 1, dtype=np.int64)
-        ords2 = (q + 1) // np.gcd(e2, q + 1)
-        keep = (e2 != 0) & (e2 != (q + 1) // 2)  # alpha = +-1 handled below
-        ords[traces2[keep]] = ords2[keep]
-        branch[traces2[keep]] = 1
+                                self.mul_matrix(y.a)]).T
+        half = (q + 1) // 2 + 1
+        size = min(half, self.BLOCK)
+        base = self._exp_cols(y, size)
+        step, h = y ** size, y ** 0
+        for lo in range(0, half, size):
+            m = min(size, half - lo)
+            cols = self._matmod(self.mul_matrix(h).T, base[:, :m])
+            traces = self.encode_cols(self._matmod(trace, cols))
+            e = np.arange(lo, lo + m, dtype=np.int64)
+            keep = (e != 0) & (e != (q + 1) // 2)  # alpha = +-1, see below
+            ords[traces[keep]] = (q + 1) // np.gcd(e[keep], q + 1)
+            branch[traces[keep]] = 1
+            h = h * step
 
         # a = 2 and a = -2 lift to alpha = 1 and -1 inside F_q^x.
         two = self.from_int(2).index

@@ -2,8 +2,9 @@
 
 The graph lives in flat numpy arrays keyed by the canonical element
 index.  Preperiods and periods are found by brute force (in-degree
-peeling plus reverse BFS), completely independently of the
-multiplicative-order route, so the two can check each other.
+peeling, pointer jumping on the cycles and level sweeps up the trees),
+completely independently of the multiplicative-order route, so the two
+can check each other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ __all__ = [
     "DEFAULT_CAP",
 ]
 
-DEFAULT_CAP = 1 << 26
+# Enumeration cap on q = p^n.  `chebdyn graph` peaks near 87 bytes per
+# vertex (396 MiB at G(2, 3, 14), q = 4.78 M), so 2^25 vertices take about
+# 2.9 GB, under half of an 8 GB host, and 2^26 would not; --cap overrides.
+DEFAULT_CAP = 1 << 25
 
 
 @dataclass
@@ -40,8 +44,9 @@ class FuncGraph:
     succ[i] is the index of T_ell applied to the element with index i;
     pper/per are the brute-force preperiod and eventual cycle length;
     weight is the degree over F_p; divisor holds the order of the lifted
-    root and branch which of p^n -+ 1 it divides; comp identifies the
-    component by the smallest index on its cycle.
+    root and branch which of p^n -+ 1 it divides (the field's read-only
+    order tables, not copies); comp identifies the component by the
+    smallest index on its cycle.
     """
 
     ctx: FieldCtx
@@ -79,39 +84,74 @@ def _predecessors(succ: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vector_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
-    """succ array: T_ell evaluated at every field element at once."""
-    p, n, q = ctx.p, ctx.n, ctx.q
+    """succ array: T_ell evaluated at every field element, one block of
+    indices at a time in column-major (n, block) layout, so every
+    coefficient product runs over contiguous rows."""
+    p, q = ctx.p, ctx.q
     coeffs = cheb_coeffs(ell, p)
-    if n == 1:
-        idx = np.arange(q, dtype=np.int64)
-        acc = np.full(q, coeffs[-1], dtype=np.int64)
-        for c in coeffs[-2::-1]:
-            acc = (acc * idx + c) % p
-        return acc
-    C = ctx.coeff_matrix()
-    acc = np.zeros((q, n), dtype=np.int64)
-    acc[:, 0] = coeffs[-1]
-    red = np.array(ctx._red, dtype=np.int64) if n > 1 else None
-    for c in coeffs[-2::-1]:
-        acc = _mul_pairwise(acc, C, p, red)
-        acc[:, 0] = (acc[:, 0] + c) % p
-    return ctx.encode_rows(acc)
+    red = np.array(ctx._red, dtype=np.int64)
+    succ = np.empty(q, dtype=np.int64)
+    for lo in range(0, q, ctx.BLOCK):
+        hi = min(lo + ctx.BLOCK, q)
+        x = ctx.coeff_cols(lo, hi)
+        # Horner; the first step multiplies by a constant
+        acc = coeffs[-1] * x
+        acc[0] += coeffs[-2]
+        acc %= p
+        for c in coeffs[-3::-1]:
+            acc = _horner_step(acc, x, c, p, red)
+        succ[lo:hi] = ctx.encode_cols(acc)
+    return succ
 
 
-def _mul_pairwise(A: np.ndarray, B: np.ndarray, p: int,
-                  red: np.ndarray) -> np.ndarray:
-    """Row-by-row product of two coefficient matrices, reduced."""
-    m, n = A.shape
-    raw = np.zeros((m, 2 * n - 1), dtype=np.int64)
+def _horner_step(A: np.ndarray, B: np.ndarray, c: int, p: int,
+                 red: np.ndarray) -> np.ndarray:
+    """A * B + c, column by column, for (n, m) coefficient matrices of
+    reduced field elements."""
+    n, m = A.shape
+    raw = np.empty((2 * n - 1, m), dtype=np.int64)
+    tmp = np.empty(m, dtype=np.int64)
     for i in range(n):
-        col = A[:, i]
         for j in range(n):
-            raw[:, i + j] += col * B[:, j]
-    raw %= p
-    head = raw[:, :n]
+            if i == 0 or j == n - 1:  # first term of raw[i + j]
+                np.multiply(A[i], B[j], out=raw[i + j])
+            else:
+                np.multiply(A[i], B[j], out=tmp)
+                raw[i + j] += tmp
+    # only the rows folded back through red need reducing first: the
+    # head stays below (2n - 1) p^2 + p
+    raw[n:] %= p
+    head = raw[:n]
     for k in range(n, 2 * n - 1):
-        head += raw[:, k: k + 1] * red[k - n][None, :]
-    return head % p
+        head += red[k - n][:, None] * raw[k]
+    head[0] += c
+    head %= p
+    return head
+
+
+def _cycle_min(succ: np.ndarray,
+               verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer jumping (Wyllie 1979) over verts, a vertex set closed
+    under succ.
+
+    Returns (low, on_cycle): low[i] is the smallest index among the first
+    2^k >= len(verts) iterates of verts[i], so on a cycle it is the cycle
+    minimum; on_cycle[i] says whether verts[i] lies on a cycle, that is,
+    is a 2^k-th iterate of some vertex.
+    """
+    pos = np.empty(succ.size, dtype=np.int64)
+    pos[verts] = np.arange(verts.size)
+    nxt = pos[succ[verts]]
+    del pos
+    low = verts.copy()
+    span = 1
+    while span < verts.size:
+        np.minimum(low, np.take(low, nxt), out=low)
+        nxt = np.take(nxt, nxt)
+        span *= 2
+    on_cycle = np.zeros(verts.size, dtype=bool)
+    on_cycle[nxt] = True
+    return low, on_cycle
 
 
 def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
@@ -125,6 +165,10 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
     q = ctx.q
     if q > cap:
         raise ValueError(f"q = {q} exceeds the enumeration cap {cap}")
+    if q > ctx.TABLE_CAP:
+        # the order tables would refuse only after all the work below
+        raise ValueError(
+            f"q = {q} exceeds the order-table cap {ctx.TABLE_CAP}")
 
     succ = _vector_succ(ctx, ell)
 
@@ -137,49 +181,33 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
         dec = np.bincount(succ[frontier], minlength=q)
         indeg -= dec
         frontier = np.flatnonzero((indeg == 0) & alive)
+    del indeg
 
-    pper = np.full(q, -1, dtype=np.int16)
-    per = np.zeros(q, dtype=np.int32)
-    comp = np.full(q, -1, dtype=np.int32)
+    # every cycle vertex is labelled by its cycle's smallest index
     core = np.flatnonzero(alive)
-    pper[core] = 0
-    seen = np.zeros(q, dtype=bool)
-    succ_list = succ.tolist()
-    for start in core.tolist():
-        if seen[start]:
-            continue
-        cyc = [start]
-        v = succ_list[start]
-        while v != start:
-            cyc.append(v)
-            v = succ_list[v]
-        cid = min(cyc)
-        for v in cyc:
-            seen[v] = True
-        per[cyc] = len(cyc)
-        comp[cyc] = cid
+    low, _ = _cycle_min(succ, core)
+    comp = np.full(q, -1, dtype=np.int32)
+    comp[core] = low
+    per = np.zeros(q, dtype=np.int32)
+    per[core] = np.bincount(low)[low]
 
-    # reverse BFS from the core assigns preperiods, periods, components
-    indptr, preds = _predecessors(succ, q)
-    frontier = core
-    dist = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        lens = ends - starts
-        if lens.sum() == 0:
-            break
-        gathered = np.concatenate([preds[s:e] for s, e in zip(starts, ends)])
-        parent = np.repeat(frontier, lens)
-        fresh = pper[gathered] < 0
-        gathered, parent = gathered[fresh], parent[fresh]
-        dist += 1
-        pper[gathered] = dist
-        per[gathered] = per[parent]
-        comp[gathered] = comp[parent]
-        frontier = gathered
-    if (pper < 0).any():
-        raise ArithmeticError("reverse BFS missed vertices")
+    # level sweeps: a vertex whose successor sits at depth d - 1 has
+    # depth d and inherits its successor's period and component
+    pper = np.full(q, -1, dtype=np.int16)
+    pper[core] = 0
+    rest = np.flatnonzero(~alive)
+    depth = 0
+    while rest.size:
+        depth += 1
+        nxt = succ[rest]
+        hit = pper[nxt] == depth - 1
+        if not hit.any():
+            raise ArithmeticError("level sweep missed vertices")
+        level, up = rest[hit], nxt[hit]
+        pper[level] = depth
+        per[level] = per[up]
+        comp[level] = comp[up]
+        rest = rest[~hit]
 
     # weights: cycle lengths of the Frobenius permutation
     weight = np.zeros(q, dtype=np.int16)
@@ -199,7 +227,7 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
 
     ords, branch = ctx.alpha_order_tables()
     return FuncGraph(ctx, ell, succ.astype(np.int32), pper, per, weight,
-                     ords.astype(np.int32), branch.copy(), comp)
+                     ords, branch, comp)
 
 
 def orbit_stats_order(a: FFElem, ell: int,
@@ -225,12 +253,13 @@ def summarize(g: FuncGraph) -> GraphSummary:
     max_side = MINUS if lam_minus >= lam_plus else PLUS
 
     keys = g.divisor * 2 + g.branch
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
     rows = []
-    for ui, key in enumerate(uniq):
-        idx = np.flatnonzero(inverse == ui)
-        ordv = int(key) // 2
-        br: Branch = MINUS if int(key) % 2 == 0 else PLUS
+    for idx in np.split(order, cuts):
+        key = int(keys[idx[0]])
+        ordv = key // 2
+        br: Branch = MINUS if key % 2 == 0 else PLUS
         if ordv <= 2:
             br = max_side
         pp = g.pper[idx]
@@ -307,130 +336,203 @@ class VerifyReport:
         }
 
 
-def verify_structure(g: FuncGraph) -> VerifyReport:
-    """Check the predicted shape vertex by vertex.
+def _tree_faults(g: FuncGraph, indeg: np.ndarray, roots: np.ndarray,
+                 height: int, arity: int, depth0: int, cid: int) -> list[str]:
+    """First fault of the tree over each root, "" for none.
 
-    Per component: exactly one cycle.  Cycle vertices on a side with
-    positive ell-valuation carry ell - 1 strictly preperiodic neighbors,
-    each rooting a complete ell-ary tree of height lambda - 1.  For odd
-    ell the fixed vertices +-2 carry (ell-1)/2 roots of trees of height
-    lambda_m - 1; for ell = 2 the edges (2,2), (-2,2), (0,-2) exist and 0
-    roots a complete binary tree of height lambda_m - 2.
+    The iterated predecessors of roots[i] must form a complete arity-ary
+    tree of the given height whose vertices have component cid and
+    preperiod depth0 plus their depth in the tree.  One sweep over succ
+    per level carries the root's position up to the next level.
+    """
+    faults = [""] * roots.size
+    owner = np.full(g.q, -1, dtype=np.int32)
+    level, lab = roots, np.arange(roots.size)
+    for depth in range(height + 1):
+        want = arity if depth < height else 0
+        found = indeg[level]
+        bad_count = found != want
+        bad_label = (g.pper[level] != depth0 + depth) | (g.comp[level] != cid)
+        hits = np.flatnonzero(bad_count | bad_label)
+        tree_hit, first = np.unique(lab[hits], return_index=True)
+        for t, i in zip(tree_hit.tolist(), hits[first].tolist()):
+            v = int(level[i])
+            if faults[t]:
+                continue
+            if bad_count[i]:
+                faults[t] = (f"vertex {v} at depth {depth0 + depth} has "
+                             f"{found[i]} tree children, wanted {want}")
+            else:
+                faults[t] = (f"vertex {v} has preperiod {g.pper[v]} and "
+                             f"comp {g.comp[v]}, wanted {depth0 + depth} "
+                             f"and {cid}")
+        if depth == height:
+            break
+        owner[level] = lab
+        kids = np.flatnonzero(owner[g.succ] >= 0)
+        lab = owner[g.succ[kids]]
+        owner[level] = -1
+        level = kids
+    return faults
+
+
+def verify_structure(g: FuncGraph) -> VerifyReport:
+    """Check the predicted shape with whole-array predicates.
+
+    Per component: exactly one cycle.  The core (pper == 0) must be
+    closed under succ, succ must permute it, and comp must be the cycle
+    minimum there.  Every other vertex inherits comp and pper - 1 from
+    its successor, so pper is its distance to the cycle.  With H the
+    ell-valuation of q -+ 1 on the component's side, a cycle vertex has
+    ell - 1 tree roots if H >= 1 and none otherwise, and a tree vertex
+    has ell predecessors below depth H and none at depth H: complete
+    ell-ary trees of height H - 1.  For odd ell the fixed vertices +-2
+    carry (ell-1)/2 roots of trees of height lambda_m - 1; for ell = 2 the
+    edges (2,2), (-2,2), (0,-2) exist and 0 roots a complete binary tree
+    of height lambda_m - 2.
     """
     q, ell, ctx = g.q, g.ell, g.ctx
-    lam = {MINUS: nu(q - 1, ell), PLUS: nu(q + 1, ell)}
-    lam_m = max(lam.values())
+    # indexed by branch
+    lam = np.array([nu(q - 1, ell), nu(q + 1, ell)], dtype=np.int16)
+    lam_m = int(lam.max())
     report = VerifyReport(ell, ctx.p, ctx.n, periodic=g.periodic_count(), q=q)
     check = report.add
-
-    indptr, preds = g.predecessors()
-
-    def pred_list(v: int) -> list[int]:
-        return preds[indptr[v]: indptr[v + 1]].tolist()
-
-    def complete_tree(root: int, height: int, arity: int) -> tuple[bool, str]:
-        level = [root]
-        for d in range(height):
-            nxt: list[int] = []
-            for v in level:
-                kids = pred_list(v)
-                if len(kids) != arity:
-                    return False, (f"vertex {v} at depth {d} has "
-                                   f"{len(kids)} tree children, wanted {arity}")
-                nxt.extend(kids)
-            level = nxt
-        for v in level:
-            if pred_list(v):
-                return False, f"leaf {v} at depth {height} has children"
-        return True, ""
-
+    succ, pper = g.succ, g.pper
+    comp = g.comp
+    indeg = np.bincount(succ, minlength=q)
     two = ctx.from_int(2).index
     minus_two = ctx.from_int(-2).index
+    zero = ctx.from_int(0).index
+    special = [two, minus_two, zero] if ell == 2 else [two, minus_two]
 
     # one cycle per component
-    core = np.flatnonzero(g.pper == 0)
-    comp_core_counts: dict[int, int] = {}
-    for v in core.tolist():
-        comp_core_counts[int(g.comp[v])] = comp_core_counts.get(int(g.comp[v]), 0) + 1
-    one_cycle = True
-    detail = ""
-    for cid, total in comp_core_counts.items():
-        # walk the cycle through cid itself (cid is on its cycle);
-        # bounded so that a corrupted graph reports instead of spinning
-        length = 1
-        v = int(g.succ[cid])
-        while v != cid and length <= q:
-            length += 1
-            v = int(g.succ[v])
-        if v != cid or length != total:
-            one_cycle, detail = False, (f"component {cid} has {total} core "
-                                        f"vertices but cycle length {length}")
-            break
-    check("one cycle per component", one_cycle, detail)
+    in_core = pper == 0
+    core = np.flatnonzero(in_core)
+    faults = []
+    leaving = core[~in_core[succ[core]]]
+    if leaving.size:
+        v = int(leaving[0])
+        faults.append(f"core vertex {v} maps to {succ[v]} of preperiod "
+                      f"{pper[succ[v]]}, wanted 0")
+    core_preds = np.bincount(succ[core], minlength=q)[core]
+    bad = np.flatnonzero(core_preds != 1)
+    if bad.size:
+        faults.append(f"core vertex {core[bad[0]]} has {core_preds[bad[0]]} "
+                      "core predecessors, wanted 1")
+    # pointer jumping needs a set closed under succ: add what the core
+    # leads to
+    verts = core
+    if leaving.size:
+        closed = in_core.copy()
+        new = np.unique(succ[leaving])
+        while new.size:
+            closed[new] = True
+            nxt = np.unique(succ[new])
+            new = nxt[~closed[nxt]]
+        verts = np.flatnonzero(closed)
+    low, cyc = _cycle_min(succ, verts)
+    cmin = np.full(q, -1, dtype=np.int32)
+    cmin[verts] = low
+    on_cycle = np.zeros(q, dtype=bool)
+    on_cycle[verts[cyc]] = True
+    bad = np.flatnonzero(comp[core] != low[in_core[verts]])
+    if bad.size:
+        v = int(core[bad[0]])
+        faults.append(f"core vertex {v} has comp {comp[v]}, wanted its "
+                      f"cycle minimum {cmin[v]}")
+    check("one cycle per component", not faults, faults[0] if faults else "")
 
-    special = {two, minus_two}
     if ell == 2:
-        zero = ctx.from_int(0).index
-        special.add(zero)
-        check("edge (2,2)", int(g.succ[two]) == two, "2 is not fixed")
-        check("edge (-2,2)", int(g.succ[minus_two]) == two,
+        check("edge (2,2)", int(succ[two]) == two, "2 is not fixed")
+        check("edge (-2,2)", int(succ[minus_two]) == two,
               "-2 does not map to 2")
-        check("edge (0,-2)", int(g.succ[zero]) == minus_two,
+        check("edge (0,-2)", int(succ[zero]) == minus_two,
               "0 does not map to -2")
-        ok, why = complete_tree(zero, lam_m - 2, 2)
-        check(f"0 roots a complete binary tree of height {lam_m - 2}", ok, why)
+        fault, = _tree_faults(g, indeg, np.array([zero]), lam_m - 2, 2, 2,
+                              two)
+        check(f"0 roots a complete binary tree of height {lam_m - 2}",
+              not fault, fault)
     else:
+        want = (ell - 1) // 2 if lam_m >= 1 else 0
         for vtx, name in ((two, "2"), (minus_two, "-2")):
-            check(f"{name} fixed", int(g.succ[vtx]) == vtx,
+            check(f"{name} fixed", int(succ[vtx]) == vtx,
                   f"{name} is not a fixed point")
-            roots = [u for u in pred_list(vtx) if u != vtx]
-            want = (ell - 1) // 2 if lam_m >= 1 else 0
-            if not check(f"{name} has {want} tree roots",
-                         len(roots) == want,
-                         f"found {len(roots)}"):
+            roots = np.flatnonzero(succ == vtx)
+            roots = roots[roots != vtx]
+            if not check(f"{name} has {want} tree roots", roots.size == want,
+                         f"found {roots.size}"):
                 continue
-            for r in roots:
-                ok, why = complete_tree(r, lam_m - 1, ell)
+            tree_faults = _tree_faults(g, indeg, roots, lam_m - 1, ell, 1, vtx)
+            for r, fault in zip(roots.tolist(), tree_faults):
                 if not check(f"tree at {r} over {name} complete "
-                             f"(height {lam_m - 1})", ok, why):
+                             f"(height {lam_m - 1})", not fault, fault):
                     break
 
-    # generic cycles
-    checked_components: set[int] = set()
-    core_set = set(core.tolist())
-    for v in core.tolist():
-        if v in special or int(g.comp[v]) in checked_components:
-            continue
-        checked_components.add(int(g.comp[v]))
-        br: Branch = MINUS if g.branch[v] == 0 else PLUS
-        height = lam[br]
-        cyc = [v]
-        u = int(g.succ[v])
-        while u != v and len(cyc) <= q:
-            cyc.append(u)
-            u = int(g.succ[u])
-        if u != v:
+    # generic components: one check per comp label on the non-special
+    # core, in the order of the label's first vertex, keyed by the cycle
+    # minimum recomputed there
+    rest = in_core.copy()
+    rest[special] = False
+    core_rest = np.flatnonzero(rest)
+    first = np.full(q, core_rest.size)
+    np.minimum.at(first, np.clip(comp[core_rest], 0, q - 1),
+                  np.arange(core_rest.size))
+    heads = core_rest[np.sort(first[first < core_rest.size])]
+    del rest, core_rest, first
+    head_keys = cmin[heads]
+    is_head_key = np.zeros(q, dtype=bool)
+    is_head_key[head_keys] = True
+    first_fault: dict[int, str] = {}
+
+    def blame(bad: np.ndarray, keys: np.ndarray, describe) -> None:
+        hits = np.flatnonzero(bad)
+        hits = hits[(keys[hits] >= 0) & (keys[hits] < q)]
+        hits = hits[is_head_key[keys[hits]]]
+        hit_keys, at = np.unique(keys[hits], return_index=True)
+        for k, i in zip(hit_keys.tolist(), hits[at].tolist()):
+            first_fault.setdefault(k, describe(i))
+
+    # a cycle vertex has ell - 1 tree roots if H >= 1, none if H = 0
+    on_core_cycle = on_cycle[core]
+    cycle = core[on_core_cycle]
+    key = cmin[cycle]
+    roots = (indeg[core] - core_preds)[on_core_cycle]
+    want = np.where(lam[g.branch[key]] >= 1, ell - 1, 0)
+    blame(roots != want, key,
+          lambda i: f"cycle vertex {cycle[i]}: {roots[i]} tree roots, "
+                    f"wanted {want[i]}")
+    # a tree vertex has ell children below depth H and none at depth H
+    tree = np.flatnonzero(~in_core)
+    depth = pper[tree]
+    label = comp[tree]
+    height = lam[g.branch[np.clip(label, 0, q - 1)]]
+    kids = indeg[tree]
+    want = np.where(depth < height, ell, 0)
+    blame((depth > height) | (kids != want), label,
+          lambda i: (f"vertex {tree[i]} at depth {depth[i]}, wanted at "
+                     f"most {height[i]}") if depth[i] > height[i] else
+                    (f"vertex {tree[i]} at depth {depth[i]} has {kids[i]} "
+                     f"tree children, wanted {want[i]}"))
+    # and inherits comp and pper - 1 from its successor; on a cycle the
+    # recomputed minimum stands in for comp
+    up = succ[tree]
+    up_label = np.where(on_cycle[up], cmin[up], comp[up])
+    up_depth = pper[up] + 1
+    blame((depth != up_depth) | (label != up_label), up_label,
+          lambda i: f"vertex {tree[i]} has preperiod {depth[i]} and comp "
+                    f"{label[i]}, wanted {up_depth[i]} and {up_label[i]} "
+                    f"from its successor {up[i]}")
+
+    for v, k, closes, dv in zip(heads.tolist(), head_keys.tolist(),
+                                on_cycle[heads].tolist(),
+                                g.divisor[heads].tolist()):
+        if not closes:
             check(f"cycle walk from {v} closes", False,
                   "successor walk never returned to its start")
             continue
-        ok_comp = True
-        why = ""
-        for cv in cyc:
-            roots = [u for u in pred_list(cv) if u not in core_set]
-            want = ell - 1 if height >= 1 else 0
-            if len(roots) != want:
-                ok_comp, why = False, (f"cycle vertex {cv}: {len(roots)} "
-                                       f"tree roots, wanted {want}")
-                break
-            for r in roots:
-                ok, sub_why = complete_tree(r, height - 1, ell)
-                if not ok:
-                    ok_comp, why = False, sub_why
-                    break
-            if not ok_comp:
-                break
-        check(f"component of {min(cyc)} (divisor {int(g.divisor[v])}) "
-              f"trees complete", ok_comp, why)
+        fault = first_fault.get(k, "")
+        check(f"component of {k} (divisor {dv}) trees complete", not fault,
+              fault)
     return report
 
 

@@ -1,0 +1,142 @@
+"""Vertex-by-vertex reference for `chebdyn.graph.verify_structure`.
+
+This is the structure check as it was written before the array version:
+cycles are walked one successor at a time and every tree is searched
+breadth first from its root through a CSR predecessor list.  Tests
+require the array version to produce the same (name, ok) list on valid
+and corrupted graphs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from chebdyn.ffield import MINUS, PLUS, Branch, nu
+from chebdyn.graph import FuncGraph, VerifyReport
+
+
+def reference_verify_structure(g: FuncGraph) -> VerifyReport:
+    """Check the predicted shape vertex by vertex.
+
+    Per component: exactly one cycle.  Cycle vertices on a side with
+    positive ell-valuation carry ell - 1 strictly preperiodic neighbors,
+    each rooting a complete ell-ary tree of height lambda - 1.  For odd
+    ell the fixed vertices +-2 carry (ell-1)/2 roots of trees of height
+    lambda_m - 1; for ell = 2 the edges (2,2), (-2,2), (0,-2) exist and 0
+    roots a complete binary tree of height lambda_m - 2.
+    """
+    q, ell, ctx = g.q, g.ell, g.ctx
+    lam = {MINUS: nu(q - 1, ell), PLUS: nu(q + 1, ell)}
+    lam_m = max(lam.values())
+    report = VerifyReport(ell, ctx.p, ctx.n, periodic=g.periodic_count(), q=q)
+    check = report.add
+
+    indptr, preds = g.predecessors()
+
+    def pred_list(v: int) -> list[int]:
+        return preds[indptr[v]: indptr[v + 1]].tolist()
+
+    def complete_tree(root: int, height: int, arity: int) -> tuple[bool, str]:
+        level = [root]
+        for d in range(height):
+            nxt: list[int] = []
+            for v in level:
+                kids = pred_list(v)
+                if len(kids) != arity:
+                    return False, (f"vertex {v} at depth {d} has "
+                                   f"{len(kids)} tree children, wanted {arity}")
+                nxt.extend(kids)
+            level = nxt
+        for v in level:
+            if pred_list(v):
+                return False, f"leaf {v} at depth {height} has children"
+        return True, ""
+
+    two = ctx.from_int(2).index
+    minus_two = ctx.from_int(-2).index
+
+    # one cycle per component
+    core = np.flatnonzero(g.pper == 0)
+    comp_core_counts: dict[int, int] = {}
+    for v in core.tolist():
+        comp_core_counts[int(g.comp[v])] = comp_core_counts.get(int(g.comp[v]), 0) + 1
+    one_cycle = True
+    detail = ""
+    for cid, total in comp_core_counts.items():
+        # walk the cycle through cid itself (cid is on its cycle);
+        # bounded so that a corrupted graph reports instead of spinning
+        length = 1
+        v = int(g.succ[cid])
+        while v != cid and length <= q:
+            length += 1
+            v = int(g.succ[v])
+        if v != cid or length != total:
+            one_cycle, detail = False, (f"component {cid} has {total} core "
+                                        f"vertices but cycle length {length}")
+            break
+    check("one cycle per component", one_cycle, detail)
+
+    special = {two, minus_two}
+    if ell == 2:
+        zero = ctx.from_int(0).index
+        special.add(zero)
+        check("edge (2,2)", int(g.succ[two]) == two, "2 is not fixed")
+        check("edge (-2,2)", int(g.succ[minus_two]) == two,
+              "-2 does not map to 2")
+        check("edge (0,-2)", int(g.succ[zero]) == minus_two,
+              "0 does not map to -2")
+        ok, why = complete_tree(zero, lam_m - 2, 2)
+        check(f"0 roots a complete binary tree of height {lam_m - 2}", ok, why)
+    else:
+        for vtx, name in ((two, "2"), (minus_two, "-2")):
+            check(f"{name} fixed", int(g.succ[vtx]) == vtx,
+                  f"{name} is not a fixed point")
+            roots = [u for u in pred_list(vtx) if u != vtx]
+            want = (ell - 1) // 2 if lam_m >= 1 else 0
+            if not check(f"{name} has {want} tree roots",
+                         len(roots) == want,
+                         f"found {len(roots)}"):
+                continue
+            for r in roots:
+                ok, why = complete_tree(r, lam_m - 1, ell)
+                if not check(f"tree at {r} over {name} complete "
+                             f"(height {lam_m - 1})", ok, why):
+                    break
+
+    # generic cycles
+    checked_components: set[int] = set()
+    core_set = set(core.tolist())
+    for v in core.tolist():
+        if v in special or int(g.comp[v]) in checked_components:
+            continue
+        checked_components.add(int(g.comp[v]))
+        br: Branch = MINUS if g.branch[v] == 0 else PLUS
+        height = lam[br]
+        cyc = [v]
+        u = int(g.succ[v])
+        while u != v and len(cyc) <= q:
+            cyc.append(u)
+            u = int(g.succ[u])
+        if u != v:
+            check(f"cycle walk from {v} closes", False,
+                  "successor walk never returned to its start")
+            continue
+        ok_comp = True
+        why = ""
+        for cv in cyc:
+            roots = [u for u in pred_list(cv) if u not in core_set]
+            want = ell - 1 if height >= 1 else 0
+            if len(roots) != want:
+                ok_comp, why = False, (f"cycle vertex {cv}: {len(roots)} "
+                                       f"tree roots, wanted {want}")
+                break
+            for r in roots:
+                ok, sub_why = complete_tree(r, height - 1, ell)
+                if not ok:
+                    ok_comp, why = False, sub_why
+                    break
+            if not ok_comp:
+                break
+        check(f"component of {min(cyc)} (divisor {int(g.divisor[v])}) "
+              f"trees complete", ok_comp, why)
+    return report

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import chebdyn
 from chebdyn.cli import main
+from chebdyn.ffield import is_prime
+from chebdyn.graph import DEFAULT_CAP
 
 GOLDEN_G_3_53_1 = """\
 l=3 p=53 n=1
@@ -135,6 +138,30 @@ def test_refusal_exit_3(capsys):
         proc = subprocess.run([sys.executable, "-m", "chebdyn.cli", *argv],
                               env=env, capture_output=True, timeout=10)
         assert proc.returncode == 3, (argv, proc.stderr)
+
+
+def test_refusal_one_past_the_cap_allocates_nothing(capsys):
+    # q = cap + 1 with an explicit cap, and the first prime field past the
+    # default cap (and the order-table cap, which matches it): exit 3
+    # before any per-vertex array exists
+    p = DEFAULT_CAP + 1
+    while not is_prime(p):
+        p += 1
+    tracemalloc.start()
+    try:
+        assert run(capsys, ["graph", "--ell", "2", "--p", "7", "--n", "2",
+                            "--cap", "48"])[0] == 3
+        for cmd in ("graph", "verify"):
+            assert run(capsys, [cmd, "--ell", "3", "--p", str(p)])[0] == 3
+        # a larger --cap still meets the order-table cap before any work
+        assert run(capsys, ["graph", "--ell", "3", "--p", str(p),
+                            "--cap", str(4 * DEFAULT_CAP)])[0] == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert run(capsys, ["graph", "--ell", "2", "--p", "7", "--n", "2",
+                        "--cap", "49"])[0] == 0
 
 
 def test_large_p_factor_never_exits_1():

@@ -260,10 +260,11 @@ def test_alpha_order_table_matches_per_element():
             assert mult_order(al, grp).value == int(ords[i])
 
 
-def test_alpha_order_fallback_above_table_cap():
-    # 53^5 exceeds the walk-table cap, forcing the scalar lift + order
-    # path; the order of a lifted root does not depend on the ambient
-    # field, so embedded residues must agree with the small-field tables
+def test_alpha_order_of_embedded_residues_above_table_cap():
+    # 53^5 exceeds the walk-table cap, so F_{53^5} never holds tables and
+    # its orders come from the T_d ladder; the order of a lifted root does
+    # not depend on the ambient field, so embedded residues must agree
+    # with F_53
     from chebdyn.ffield import FieldCtx
     big = make_field(53, 5)
     assert big.q > FieldCtx.TABLE_CAP

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from chebdyn.ffield import make_field
 from chebdyn.graph import (build_graph, export_dot, orbit_stats_order,
                            summarize, verify_structure)
 from chebdyn.predict import predict_summary
+from structure_reference import reference_verify_structure
 
 
 def rows_tuple(summary):
@@ -110,6 +113,11 @@ def test_pper_per_minimality():
                 for _ in range(pi - 1):
                     w = succ[w]
                 assert w != v
+            # comp is the smallest index on the cycle that i reaches
+            cyc = [v]
+            for _ in range(pi - 1):
+                cyc.append(succ[cyc[-1]])
+            assert int(g.comp[i]) == min(cyc)
 
 
 def test_summarize_equals_predict_full_sweep():
@@ -193,6 +201,119 @@ def test_verify_structure_catches_corruption():
     g.succ[10] = g.succ[10 - 1]  # break one edge
     rep = verify_structure(g)
     assert not rep.ok and rep.first_failure
+
+
+def _checks(rep):
+    return [(name, ok) for name, ok, _ in rep.checks]
+
+
+def test_verify_structure_matches_reference_on_sweep():
+    # the criterion-05 sweep (ell in {2,3,5,7}, odd p <= 31, p^n <= 2^14)
+    # and G(2,3,10)
+    cases = [(ell, p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+             for n in range(1, 15) if p ** n <= 2 ** 14
+             for ell in (2, 3, 5, 7) if ell != p] + [(2, 3, 10)]
+    for ell, p, n in cases:
+        g = build_graph(ell, make_field(p, n))
+        rep, ref = verify_structure(g), reference_verify_structure(g)
+        assert rep.ok and _checks(rep) == _checks(ref), (ell, p, n)
+
+
+def _special_comps(g):
+    ctx = g.ctx
+    return {int(g.comp[ctx.from_int(k).index])
+            for k in ((2, -2, 0) if g.ell == 2 else (2, -2))}
+
+
+def _generic(g):
+    return ~np.isin(g.comp, list(_special_comps(g)))
+
+
+def _cycle_from(g, c):
+    cyc = [c]
+    while int(g.succ[cyc[-1]]) != c:
+        cyc.append(int(g.succ[cyc[-1]]))
+    return cyc
+
+
+def _move_tree_edge(g):
+    v = int(np.flatnonzero(_generic(g) & (g.pper >= 2))[0])
+    targets = np.flatnonzero(_generic(g) & (g.pper == g.pper[v] - 1)
+                             & (np.arange(g.q) != g.succ[v]))
+    g.succ[v] = targets[-1]
+
+
+def _give_leaf_a_child(g):
+    indeg = np.bincount(g.succ, minlength=g.q)
+    leaves = np.flatnonzero(_generic(g) & (g.pper >= 1) & (indeg == 0))
+    g.succ[leaves[-1]] = leaves[0]
+
+
+def _split_cycle(g):
+    heads = np.flatnonzero(_generic(g) & (g.pper == 0)
+                           & (g.comp == np.arange(g.q)) & (g.per >= 4))
+    cyc = _cycle_from(g, int(heads[0]))
+    k = len(cyc) // 2
+    g.succ[cyc[k - 1]] = cyc[0]
+    g.succ[cyc[-1]] = cyc[k]
+
+
+def _relabel_cycle_vertex(g):
+    core = np.flatnonzero(_generic(g) & (g.pper == 0))
+    v = int(core[g.comp[core] != core][-1])
+    g.comp[v] = min(int(c) for c in g.comp[core] if c != g.comp[v])
+
+
+def _lift_cycle_vertex(g):
+    core = np.flatnonzero(_generic(g) & (g.pper == 0))
+    g.pper[core[g.comp[core] != core][0]] = 1
+
+
+def _sink_tree_root(g):
+    g.pper[np.flatnonzero(_generic(g) & (g.pper == 1))[0]] = 0
+
+
+def _break_special_edge(g):
+    ctx = g.ctx
+    special = ctx.from_int(0 if g.ell == 2 else 2).index
+    g.succ[special] = np.flatnonzero(_generic(g) & (g.pper == 0))[0]
+
+
+CORRUPTIONS = {f.__name__[1:]: f for f in (
+    _move_tree_edge, _give_leaf_a_child, _split_cycle, _relabel_cycle_vertex,
+    _lift_cycle_vertex, _sink_tree_root, _break_special_edge)}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("ell,p", [(2, 81), (2, 41), (3, 73), (5, 101)])
+def test_verify_structure_corruptions_match_reference(kind, ell, p):
+    ctx = make_field(3, 4) if p == 81 else make_field(p, 1)
+    g = build_graph(ell, ctx)
+    g = dataclasses.replace(g, succ=g.succ.copy(), pper=g.pper.copy(),
+                            comp=g.comp.copy())
+    CORRUPTIONS[kind](g)
+    rep, ref = verify_structure(g), reference_verify_structure(g)
+    assert not rep.ok and rep.first_failure
+    assert _checks(rep) == _checks(ref)
+
+
+def test_verify_structure_checks_labels_the_reference_trusted():
+    # labels away from the cycles were never read by the vertex-by-vertex
+    # check; the array check derives depths from them, so it checks them,
+    # in generic trees and in the trees over the special vertices
+    for ell, p in ((2, 41), (3, 73)):
+        g = build_graph(ell, make_field(p, 1))
+        for deep in (np.flatnonzero(_generic(g) & (g.pper >= 2))[0],
+                     np.flatnonzero(~_generic(g) & (g.pper >= 2))[-1]):
+            for field, value in (("pper", g.pper[deep] + 1),
+                                 ("comp", g.comp[deep] + 1)):
+                arr = getattr(g, field).copy()
+                arr[deep] = value
+                bad = dataclasses.replace(g, **{field: arr})
+                assert reference_verify_structure(bad).ok
+                rep = verify_structure(bad)
+                assert not rep.ok, (ell, p, deep, field)
+                assert f"vertex {deep} " in rep.first_failure
 
 
 def test_export_dot_f3():
