@@ -15,8 +15,8 @@ from .factor import (DecompReport, FactorPattern, LevelDecomp, TClass,
                      factor_pattern_actual, factor_pattern_predicted,
                      find_irreducibility_witness, verify_reciprocity)
 from .ffield import (MINUS, PLUS, Branch, FactoredInt, FFElem, FieldCtx,
-                     QuadElem, alpha_order, element_degree, factor_int,
-                     is_prime, lift_alpha, make_field, mult_order)
+                     alpha_order, element_degree, factor_int, is_prime,
+                     make_field)
 from .graph import (FuncGraph, build_graph, export_dot, orbit_stats_order,
                     summarize, verify_structure)
 from .predict import (D1, D2, StructureParams, c_of_d, half_order, nu_2n,
@@ -31,14 +31,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch", "CriticalSplit", "D1", "D2", "DecompReport", "FFElem",
     "FIGURE_ERRATA", "FactorPattern", "FactoredInt", "FieldCtx", "FuncGraph",
-    "GraphSummary", "LevelDecomp", "MINUS", "PLUS", "QuadElem",
+    "GraphSummary", "LevelDecomp", "MINUS", "PLUS",
     "SignedFactoredInt", "StructureParams", "SummaryRow", "TClass",
     "VerifyReport", "all_iterates_irreducible", "alpha_order", "build_graph",
     "c_of_d", "cheb_coeffs", "cheb_eval", "classify_t",
     "critical_factorization", "decompose_prime", "disc_factored",
     "element_degree", "export_dot", "factor_int", "factor_pattern_actual",
     "factor_pattern_predicted", "find_irreducibility_witness", "half_order",
-    "is_prime", "iterate_coeffs", "lift_alpha", "make_field", "mult_order",
+    "is_prime", "iterate_coeffs", "make_field",
     "nu_2n", "orbit_stats_order", "periodic_density", "predict_summary",
     "predict_weight", "ramified_candidates", "structure_params", "summarize",
     "tower_density", "tower_levels", "tower_limit", "verify_instance",

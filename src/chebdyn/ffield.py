@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -23,15 +23,12 @@ __all__ = [
     "FactoredInt",
     "FieldCtx",
     "FFElem",
-    "QuadElem",
     "Branch",
     "MINUS",
     "PLUS",
     "is_prime",
     "factor_int",
     "make_field",
-    "mult_order",
-    "lift_alpha",
     "element_degree",
     "nu",
     "strip_ell",
@@ -174,10 +171,6 @@ class FactoredInt:
                 return e
         return 0
 
-    def prime_to(self, ell: int) -> "FactoredInt":
-        """The part of the integer coprime to ell."""
-        return FactoredInt(tuple((q, e) for q, e in self.factors if q != ell))
-
     def divisors(self) -> Iterator[int]:
         """All positive divisors, ascending."""
         divs = [1]
@@ -282,14 +275,15 @@ class FieldCtx:
     """Immutable descriptor of F_{p^n} with pre-factored group orders.
 
     Construct through make_field.  Lazy caches (order tables, Frobenius
-    matrix) are write-once and safe for concurrent readers.
+    indices) are write-once and safe for concurrent readers.
     """
 
-    # Order tables are built by a walk of the two cyclic groups, a block of
-    # exponents at a time, and keep 5 bytes per element (int32 orders, int8
-    # branches); alpha_order_tables refuses above this size.  Matches the
-    # default graph enumeration cap.  alpha_order never builds the tables:
-    # it reads them when build_graph already has.
+    # Order tables are built by one Chebyshev trace walk per side, a block
+    # of exponents at a time, and keep 5 bytes per element (int32 orders,
+    # int8 branches); alpha_order_tables refuses above this size, which
+    # also keeps the walk's n * p^2 below 2^53.  Matches the default graph
+    # enumeration cap.  alpha_order never builds the tables: it reads them
+    # when build_graph already has.
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -339,9 +333,6 @@ class FieldCtx:
             c.append(r)
         return FFElem(self, tuple(c))
 
-    def zero(self) -> "FFElem":
-        return self.elem([0])
-
     def one(self) -> "FFElem":
         return self.elem([1])
 
@@ -390,19 +381,13 @@ class FieldCtx:
 
     def _matmod(self, M: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(M @ cols) mod p for integer matrices with entries in [0, p);
-        the product runs in float64 BLAS, exact while cols.shape[0] * p^2
-        <= 2^53: the order tables (width <= 2n, q <= TABLE_CAP) and the
-        Frobenius map (width n >= 2, q < 2^52) stay below that."""
+        the product runs in float64 BLAS, exact while n * p^2 <= 2^53:
+        the order tables (q <= TABLE_CAP) and the Frobenius map (n >= 2,
+        q < 2^52) stay below that."""
         return (M.astype(np.float64) @ cols).astype(np.int64) % self.p
 
-    def mul_matrix(self, h: Union["FFElem", "QuadElem"]) -> np.ndarray:
-        """Matrix M with row_vec(a) @ M = row_vec(a * h): (n, n) for h in
-        F_{p^n}; (2n, 2n) over rows (u | v) of u + v*y for a QuadElem h."""
-        if isinstance(h, QuadElem):
-            # (s + t y)(u + v y) = (s u - t v) + (s v + t u + t v a) y
-            mu, mv = self.mul_matrix(h.u), self.mul_matrix(h.v)
-            return np.block([[mu, mv],
-                             [-mv % self.p, self.mul_matrix(h.u + h.v * h.a)]])
+    def mul_matrix(self, h: "FFElem") -> np.ndarray:
+        """(n, n) matrix M with row_vec(a) @ M = row_vec(a * h)."""
         rows = []
         cur = h
         x = self.elem([0, 1] + [0] * (self.n - 2)) if self.n > 1 else None
@@ -435,36 +420,6 @@ class FieldCtx:
 
     # -- multiplicative structure -------------------------------------------
 
-    def generator(self) -> "FFElem":
-        """Smallest-index generator of F_{p^n}^x (deterministic)."""
-        g = self._cache.get("gen")
-        if g is None:
-            primes = self.order_minus.primes
-            nm1 = self.q - 1
-            for i in range(2, self.q):
-                cand = self.decode(i)
-                if all((cand ** (nm1 // r)).coeffs != self.one().coeffs
-                       for r in primes):
-                    g = cand
-                    break
-            else:
-                g = self.one()  # q = 2 never happens (p odd)
-            self._cache["gen"] = g
-        return g
-
-    def nonresidue(self) -> "FFElem":
-        """Smallest-index non-square of F_{p^n}^x."""
-        r = self._cache.get("nonres")
-        if r is None:
-            half = (self.q - 1) // 2
-            for i in range(2, self.q):
-                cand = self.decode(i)
-                if (cand ** half).coeffs != self.one().coeffs:
-                    r = cand
-                    break
-            self._cache["nonres"] = r
-        return r
-
     def alpha_order_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-index order and branch of the lifted root.
 
@@ -472,7 +427,7 @@ class FieldCtx:
         q shared by every caller: ord[i] is the multiplicative order of a
         root of x^2 - a x + 1 for a = decode(i), branch[i] is 0 where that
         order divides q - 1 and 1 where it divides q + 1.  Built by one
-        walk of each cyclic group.
+        Chebyshev trace walk of each cyclic group.
         """
         t = self._cache.get("alpha")
         if t is None:
@@ -483,87 +438,75 @@ class FieldCtx:
             self._cache["alpha"] = t
         return t
 
-    def _exp_cols(self, g: Union["FFElem", "QuadElem"],
-                  count: int) -> np.ndarray:
-        """Coefficient columns of g^0 .. g^(count-1) by doubling: n rows
-        for g in F_{p^n}, 2n (rows u over v) for a QuadElem."""
-        width = 2 * self.n if isinstance(g, QuadElem) else self.n
-        E = np.zeros((width, count), dtype=np.int64)
-        E[0, 0] = 1
-        m, h = 1, g
-        while m < count:
-            take = min(m, count - m)
-            E[:, m:m + take] = self._matmod(self.mul_matrix(h).T, E[:, :take])
-            m += take
-            h = h * h
-        return E
-
-    def _norm_one_generator(self) -> "QuadElem":
-        """Root y of y^2 - a y + 1 of order exactly q + 1, for the
-        smallest-index a that has one."""
-        m = self.q + 1
-        for i in range(self.q):
-            y = QuadElem(self.decode(i), self.zero(), self.one())
-            if (y ** m).is_one() and not any(
-                    (y ** (m // r)).is_one() for r in self.order_plus.primes):
-                return y
-        raise ArithmeticError("no element of order q + 1 found")
-
     def _build_alpha_tables(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
         # orders divide q -+ 1 <= TABLE_CAP + 1 < 2^31
         ords = np.zeros(q, dtype=np.int32)
         branch = np.zeros(q, dtype=np.int8)
-
-        # Walk F_q^x: alpha = g^e has trace a = g^e + g^-e and order
-        # (q-1)/gcd(e, q-1).  e and -e give the same trace and order, so
-        # e <= (q-1)/2 covers every trace.  Powers come a block at a time:
-        # g^(lo+j) = g^lo g^j and g^-(lo+j) = g^(q-lo-size) g^(size-1-j).
-        g = self.generator()
-        half = (q - 1) // 2 + 1
-        size = min(half, self.BLOCK)
-        base = self._exp_cols(g, size)
-        step, back = g ** size, g ** (q - 1 - size)
-        fwd_h, bwd_h = self.one(), g ** (q - size)
-        for lo in range(0, half, size):
-            m = min(size, half - lo)
-            fwd = self._matmod(self.mul_matrix(fwd_h).T, base[:, :m])
-            bwd = self._matmod(self.mul_matrix(bwd_h).T, base)[:, ::-1]
-            traces = self.encode_cols((fwd + bwd[:, :m]) % self.p)
-            e = np.arange(lo, lo + m, dtype=np.int64)
-            ords[traces] = (q - 1) // np.gcd(e, q - 1)
-            fwd_h, bwd_h = fwd_h * step, bwd_h * back
-
-        # Walk the norm-one subgroup of F_{q^2}^x through a generator y, a
-        # root of y^2 - a y + 1: y^e = u + v y has trace 2u + a v, the
-        # same as y^-e, so again e <= (q+1)/2 suffices.
-        y = self._norm_one_generator()
-        trace = np.concatenate([2 * np.eye(self.n, dtype=np.int64),
-                                self.mul_matrix(y.a)]).T
-        half = (q + 1) // 2 + 1
-        size = min(half, self.BLOCK)
-        base = self._exp_cols(y, size)
-        step, h = y ** size, y ** 0
-        for lo in range(0, half, size):
-            m = min(size, half - lo)
-            cols = self._matmod(self.mul_matrix(h).T, base[:, :m])
-            traces = self.encode_cols(self._matmod(trace, cols))
-            e = np.arange(lo, lo + m, dtype=np.int64)
-            keep = (e != 0) & (e != (q + 1) // 2)  # alpha = +-1, see below
-            ords[traces[keep]] = (q + 1) // np.gcd(e[keep], q + 1)
-            branch[traces[keep]] = 1
-            h = h * step
-
-        # a = 2 and a = -2 lift to alpha = 1 and -1 inside F_q^x.
-        two = self.from_int(2).index
-        mtwo = self.from_int(-2).index
-        ords[two], branch[two] = 1, 0
-        ords[mtwo], branch[mtwo] = 2, 0
+        # Side m = q -+ 1 is a cyclic group of order m.  If a is the trace
+        # of one of its generators alpha, T_e(a) = alpha^e + alpha^-e is
+        # the trace of alpha^e, of order m / gcd(e, m); e and -e give the
+        # same trace, so e <= m/2 reaches every trace of the side.  The
+        # minus side walks last: a = +-2 (alpha = +-1) lies on both and
+        # keeps branch 0.
+        for m, side, group in ((q + 1, 1, self.order_plus),
+                               (q - 1, 0, self.order_minus)):
+            a = self._full_order_trace(m, group)
+            for lo, cols in self._trace_walk(a, m // 2 + 1):
+                traces = self.encode_cols(cols)
+                e = np.arange(lo, lo + cols.shape[1], dtype=np.int64)
+                ords[traces] = m // np.gcd(e, m)
+                branch[traces] = side
         if not (ords > 0).all():
             raise ArithmeticError("order walk left unassigned vertices")
         ords.setflags(write=False)
         branch.setflags(write=False)
         return ords, branch
+
+    def _full_order_trace(self, m: int, group: FactoredInt) -> "FFElem":
+        """Smallest-index a whose lifted root has order exactly m = q -+ 1:
+        T_m(a) = 2 and T_{m/r}(a) != 2 for every prime r | m.  When n > 1
+        the scan starts at index p, since a root over F_p has order
+        dividing p -+ 1."""
+        for i in range(self.p if self.n > 1 else 0, self.q):
+            a = self.decode(i)
+            t, two, p = _ladder_operands(a, self)
+            if _cheb_ladder(m, t, two, p) == two and all(
+                    _cheb_ladder(m // r, t, two, p) != two
+                    for r in group.primes):
+                return a
+        raise ArithmeticError(f"no trace of order {m} found")
+
+    def _trace_walk(self, a: "FFElem", count: int
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (lo, cols), column j of the (n, size) block cols being
+        T_{lo+j}(a), up to T_{count-1}(a) (count >= 2).
+
+        T_{h+j} = T_h T_j - T_{h-j}: the first block doubles up from
+        (T_0, T_1), and every later block is T_lo times the first block
+        minus T_lo, T_{lo-1}, ... read back off the block before it."""
+
+        def extend(prev: np.ndarray, take: int) -> np.ndarray:
+            # T_lo .. T_{lo+take-1}, prev ending with T_{lo-2}, T_{lo-1}
+            h = a * self.elem(prev[:, -1]) - self.elem(prev[:, -2])  # T_lo
+            block = self._matmod(self.mul_matrix(h).T, base[:, :take])
+            block[:, 0] = h.coeffs  # T_lo T_0 - T_lo
+            block[:, 1:] -= prev[:, :-take:-1]  # T_{lo-1} .. T_{lo-take+1}
+            return block % self.p
+
+        size = min(count, self.BLOCK)
+        base = np.zeros((self.n, size), dtype=np.int64)
+        base[0, 0], base[:, 1] = 2, a.coeffs
+        done = 2
+        while done < size:
+            take = min(done, size - done)
+            base[:, done:done + take] = extend(base[:, :done], take)
+            done += take
+        yield 0, base
+        prev = base
+        for lo in range(size, count, size):
+            prev = extend(prev, min(size, count - lo))
+            yield lo, prev
 
 
 class FFElem:
@@ -636,62 +579,6 @@ class FFElem:
     def __repr__(self) -> str:
         return f"FFElem({list(self.coeffs)} over GF({self.ctx.p}^{self.ctx.n}))"
 
-    def identity(self) -> "FFElem":
-        return self.ctx.one()
-
-
-class QuadElem:
-    """Element u + v*y of F_{p^n}[y]/(y^2 - a*y + 1) for a designated a.
-
-    Used to host a root of x^2 - a x + 1 when that quadratic is
-    irreducible over F_{p^n}; the root y then has order dividing p^n + 1
-    (the order-table walk uses one of order exactly p^n + 1).
-    When the quadratic splits the ring degenerates to F_{p^n} x F_{p^n}
-    and order computations must use a field root instead (lift_alpha
-    picks the right home).
-    """
-
-    __slots__ = ("a", "u", "v")
-
-    def __init__(self, a: FFElem, u: FFElem, v: FFElem):
-        self.a = a
-        self.u = u
-        self.v = v
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.a.ctx
-
-    def __mul__(self, other: "QuadElem") -> "QuadElem":
-        # y^2 = a*y - 1
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        cross = v1 * v2
-        return QuadElem(self.a, u1 * u2 - cross, u1 * v2 + v1 * u2 + cross * self.a)
-
-    def __pow__(self, e: int) -> "QuadElem":
-        r = self.identity()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def identity(self) -> "QuadElem":
-        return QuadElem(self.a, self.ctx.one(), self.ctx.zero())
-
-    def is_one(self) -> bool:
-        return self.u == self.ctx.one() and self.v.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QuadElem) and self.a == other.a
-                and self.u == other.u and self.v == other.v)
-
-    def __repr__(self) -> str:
-        return f"QuadElem({self.u!r} + {self.v!r}*y; a={self.a!r})"
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -714,83 +601,6 @@ def make_field(p: int, n: int) -> FieldCtx:
     q = p ** n
     return FieldCtx(p, n, _lex_min_irreducible(p, n),
                     factor_int(q - 1), factor_int(q + 1))
-
-
-def mult_order(x: Union[FFElem, QuadElem], group_order: FactoredInt) -> FactoredInt:
-    """Exact multiplicative order of x, given a factored multiple of it.
-
-    Divides each prime out of group_order while the power stays 1.
-    Raises if x^group_order != 1 (wrong ambient group supplied).
-    """
-    one = x.identity()
-    if x == one:
-        return FactoredInt(())
-    n_val = group_order.value
-    if x ** n_val != one:
-        raise ValueError("x^group_order != 1: wrong ambient group supplied")
-    o = n_val
-    for qprime, _ in group_order.factors:
-        while o % qprime == 0 and x ** (o // qprime) == one:
-            o //= qprime
-    out = []
-    for qprime, e in group_order.factors:
-        k = 0
-        while o % qprime == 0:
-            o //= qprime
-            k += 1
-        if k:
-            out.append((qprime, k))
-    return FactoredInt(tuple(out))
-
-
-def _sqrt(a: FFElem) -> FFElem:
-    """A square root of a nonzero square in F_{p^n} (Tonelli-Shanks)."""
-    ctx = a.ctx
-    q = ctx.q
-    s = ctx.order_minus.nu(2)
-    m = (q - 1) >> s
-    z = ctx.nonresidue() ** m
-    c, t, r = z, a ** m, a ** ((m + 1) // 2)
-    while not t == ctx.one():
-        t2, i = t, 0
-        while t2 != ctx.one():
-            t2 = t2 * t2
-            i += 1
-        b = c
-        for _ in range(s - i - 1):
-            b = b * b
-        r = r * b
-        c = b * b
-        t = t * c
-        s = i
-    return r
-
-
-def lift_alpha(a: FFElem, ctx: Optional[FieldCtx] = None
-               ) -> tuple[Union[FFElem, QuadElem], Branch]:
-    """A root alpha of x^2 - a x + 1, tagged by the group containing it.
-
-    When the quadratic splits, alpha lies in F_{p^n}^x (branch "minus",
-    order divides p^n - 1) and the root with the smaller canonical index
-    is returned.  Otherwise alpha is the residue class of y in
-    F_{p^n}[y]/(y^2 - a y + 1) (branch "plus", order divides p^n + 1).
-    a = 2 lifts to 1 and a = -2 to -1.
-    """
-    ctx = ctx or a.ctx
-    two = ctx.from_int(2)
-    if a == two:
-        return ctx.one(), MINUS
-    if a == -two:
-        return -ctx.one(), MINUS
-    disc = a * a - ctx.from_int(4)
-    half = (ctx.q - 1) // 2
-    if (disc ** half) == ctx.one():
-        s = _sqrt(disc)
-        inv2 = ctx.from_int(2).inverse()
-        r1 = (a + s) * inv2
-        r2 = (a - s) * inv2
-        return (r1 if r1.index <= r2.index else r2), MINUS
-    return QuadElem(a, ctx.zero(), ctx.one()), PLUS
 
 
 def element_degree(a: FFElem, ctx: Optional[FieldCtx] = None) -> int:
@@ -823,6 +633,14 @@ def _cheb_ladder(d: int, a, two, p: int = 0):
     return u
 
 
+def _ladder_operands(a: FFElem, ctx: FieldCtx) -> tuple:
+    """(a, 2, p) for _cheb_ladder: plain residues mod p on a prime field,
+    FFElem with p = 0 otherwise."""
+    if ctx.n == 1:
+        return a.coeffs[0], 2, ctx.p
+    return a, ctx.from_int(2), 0
+
+
 def alpha_order(a: FFElem, ctx: Optional[FieldCtx] = None) -> tuple[int, Branch]:
     """Order of the lifted root alpha of x^2 - a x + 1, with its branch tag.
 
@@ -841,10 +659,7 @@ def alpha_order(a: FFElem, ctx: Optional[FieldCtx] = None) -> tuple[int, Branch]
         ords, branch = tables
         i = a.index
         return int(ords[i]), (MINUS if branch[i] == 0 else PLUS)
-    if ctx.n == 1:
-        p, t, two = ctx.p, a.coeffs[0], 2
-    else:
-        p, t, two = 0, a, ctx.from_int(2)
+    t, two, p = _ladder_operands(a, ctx)
     br = MINUS if _cheb_ladder(ctx.q - 1, t, two, p) == two else PLUS
     group = ctx.order_minus if br == MINUS else ctx.order_plus
     size = group.value

@@ -70,18 +70,6 @@ class FuncGraph:
         vals, counts = np.unique(self.pper, return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
-    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) CSR view of the reversed edge set."""
-        return _predecessors(self.succ, self.q)
-
-
-def _predecessors(succ: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.bincount(succ, minlength=q)
-    indptr = np.zeros(q + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(succ, kind="stable")
-    return indptr, order
-
 
 def _vector_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
     """succ array: T_ell evaluated at every field element, one block of
@@ -272,7 +260,8 @@ def summarize(g: FuncGraph) -> GraphSummary:
             pers = g.per[idx]
             if not (pers == pers[0]).all():
                 raise ArithmeticError(f"mixed periods in class {ordv}")
-            cycles = len(np.unique(g.comp[idx]))
+            # one vertex of each cycle is its own minimum
+            cycles = int((g.comp[idx] == idx).sum())
             rows.append(SummaryRow(factor_int(ordv), br, len(idx), 0,
                                    int(pers[0]), int(wt[0]), cycles))
         else:

@@ -120,24 +120,8 @@ def powmod(base: Poly, e: int, f: Poly, p: int) -> Poly:
     return r
 
 
-def compose(g: Poly, h: Poly, p: int) -> Poly:
-    """g(h(x)) by Horner."""
-    out: Poly = []
-    for c in reversed(g):
-        out = mul(out, h, p)
-        out = add(out, [c], p)
-    return out
-
-
 def deriv(a: Poly, p: int) -> Poly:
     return trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def eval_at(a: Poly, x: int, p: int) -> int:
-    v = 0
-    for c in reversed(a):
-        v = (v * x + c) % p
-    return v
 
 
 def sqrt_monic(a: Poly, p: int) -> Poly:
@@ -285,9 +269,6 @@ class ModulusKernel:
         a = rem(list(a), list(map(int, self.f)), self.p)
         v[: len(a)] = a
         return v
-
-    def to_list(self, v: np.ndarray) -> Poly:
-        return trim([int(c) for c in v])
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p, d = self.p, self.d

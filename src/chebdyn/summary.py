@@ -73,9 +73,6 @@ class GraphSummary:
     def total_points(self) -> int:
         return sum(r.points for r in self.rows)
 
-    def periodic_points(self) -> int:
-        return sum(r.points for r in self.rows if r.periodic)
-
     def preperiod_totals(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for r in self.rows:

@@ -1,9 +1,10 @@
 import pytest
 
-from chebdyn.ffield import (MINUS, PLUS, FactoredInt, FFElem, QuadElem,
+from chebdyn.ffield import (MINUS, PLUS, FactoredInt, FFElem, FieldCtx,
                             alpha_order, element_degree, euler_phi,
-                            factor_int, is_prime, lift_alpha, make_field,
-                            mult_order)
+                            factor_int, is_prime, make_field)
+from order_reference import (QuadElem, lift_alpha, mult_order,
+                             reference_alpha_order)
 
 
 # -- integer factorization ---------------------------------------------------
@@ -65,7 +66,6 @@ def test_factored_int_helpers():
     f = factor_int(360)
     assert f.value == 360
     assert f.nu(2) == 3 and f.nu(3) == 2 and f.nu(7) == 0
-    assert f.prime_to(2).value == 45
     assert list(f.divisors())[:6] == [1, 2, 3, 4, 5, 6]
     assert len(list(f.divisors())) == 24
 
@@ -157,7 +157,7 @@ def test_mult_order_examples():
     assert mult_order(ctx.one(), ctx.order_minus).value == 1
     assert mult_order(-ctx.one(), ctx.order_minus).value == 2
     # root of y^2 + 1 in the quadratic ring over F_53 (a = 0)
-    alpha = QuadElem(ctx.from_int(0), ctx.zero(), ctx.one())
+    alpha = QuadElem(ctx.from_int(0), ctx.from_int(0), ctx.one())
     sq = alpha * alpha
     assert sq.u == ctx.from_int(-1) and sq.v.is_zero()
     assert (sq * sq).u == ctx.one()
@@ -166,9 +166,9 @@ def test_mult_order_examples():
 
 def test_mult_order_wrong_group():
     ctx = make_field(53, 1)
-    g = ctx.generator()
     with pytest.raises(ValueError):
-        mult_order(g, factor_int(10))  # 10 is not a multiple of ord(g)
+        # 2^10 = 17 mod 53, so 10 is not a multiple of ord(2)
+        mult_order(ctx.from_int(2), factor_int(10))
 
 
 def test_lift_alpha_examples():
@@ -189,7 +189,7 @@ def test_lift_alpha_root_property():
             a = ctx.decode(i)
             al, br = lift_alpha(a)
             if br == MINUS and isinstance(al, FFElem):
-                assert al * al - a * al + ctx.one() == ctx.zero()
+                assert al * al - a * al + ctx.one() == ctx.from_int(0)
             else:
                 # alpha^2 = a*alpha - 1 in the quadratic ring
                 prod = al * al
@@ -198,7 +198,7 @@ def test_lift_alpha_root_property():
 
 
 def test_trace_correspondence_counts():
-    for (p, n, ell) in ((3, 4, 2), (53, 1, 3), (7, 2, 3)):
+    for (p, n, ell) in ((3, 4, 2), (53, 1, 3), (7, 2, 3), (3, 10, 2)):
         ctx = make_field(p, n)
         ords, branch = ctx.alpha_order_tables()
         from collections import Counter
@@ -250,14 +250,15 @@ def test_order_degree_link():
 
 
 def test_alpha_order_table_matches_per_element():
-    for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3)):
+    # (3, 1) and (3, 2) walk 2 to 6 exponents a side; at n = 2 the
+    # full-order search skips the subfield F_p
+    for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3), (3, 1), (3, 2), (5, 3),
+                   (31, 2)):
         ctx = make_field(p, n)
         ords, branch = ctx.alpha_order_tables()
         for i in range(ctx.q):
-            a = ctx.decode(i)
-            al, br = lift_alpha(a)
-            grp = ctx.order_minus if br == MINUS else ctx.order_plus
-            assert mult_order(al, grp).value == int(ords[i])
+            want = reference_alpha_order(ctx.decode(i))
+            assert (int(ords[i]), MINUS if branch[i] == 0 else PLUS) == want
 
 
 def test_alpha_order_of_embedded_residues_above_table_cap():
@@ -265,7 +266,6 @@ def test_alpha_order_of_embedded_residues_above_table_cap():
     # its orders come from the T_d ladder; the order of a lifted root does
     # not depend on the ambient field, so embedded residues must agree
     # with F_53
-    from chebdyn.ffield import FieldCtx
     big = make_field(53, 5)
     assert big.q > FieldCtx.TABLE_CAP
     small = make_field(53, 1)
@@ -277,14 +277,20 @@ def test_alpha_order_of_embedded_residues_above_table_cap():
 
 def test_alpha_order_ladder_matches_walk_tables():
     # a fresh context holds no tables, so alpha_order takes the T_d
-    # ladder; the walk tables built afterwards are the reference
-    for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3), (11, 2), (53, 1)):
+    # ladder; the walk tables built afterwards are the reference.  Both
+    # sides of the last two fields walk more than one block of exponents,
+    # the last one partial; about 2000 of their elements are compared
+    for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3), (11, 2), (53, 1),
+                   (145007, 1), (7, 6)):
         ctx = make_field.__wrapped__(p, n)
-        got = [alpha_order(ctx.decode(i), ctx) for i in range(ctx.q)]
+        step = max(1, ctx.q // 2000)
+        assert step == 1 or (ctx.q - 1) // 2 >= FieldCtx.BLOCK
+        idx = range(0, ctx.q, step)
+        got = [alpha_order(ctx.decode(i), ctx) for i in idx]
         assert "alpha" not in ctx._cache
         ords, branch = ctx.alpha_order_tables()
         want = [(int(ords[i]), MINUS if branch[i] == 0 else PLUS)
-                for i in range(ctx.q)]
+                for i in idx]
         assert got == want, (p, n)
 
 
@@ -292,7 +298,6 @@ def test_alpha_order_builds_no_table_between_2e7_and_table_cap():
     # one walk table at p ~ 3e7 would need about 2.8 GB; the closed-form
     # route must answer from single orders and leave no table behind
     from chebdyn.factor import factor_pattern_actual, factor_pattern_predicted
-    from chebdyn.ffield import FieldCtx
     p = 30000001
     assert is_prime(p) and 2 * 10 ** 7 < p < FieldCtx.TABLE_CAP
     for t in (0, 1, 5, 12345, p - 3):
