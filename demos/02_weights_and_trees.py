@@ -43,7 +43,7 @@ for i in range(ctx.q):
     else:
         continue
     if predict_weight(sp, branch, int(g.pper[i]), 3, 1) \
-            != element_degree(ctx.decode(i), ctx):
+            != element_degree(ctx.decode(i)):
         bad += 1
 print(f"\nF_(5^6): weight formula vs Frobenius orbit mismatches: {bad}")
 

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import polys
-from .ffield import (FactoredInt, FFElem, FieldCtx, _cheb_ladder,
-                     factor_int, is_prime)
+from .ffield import FactoredInt, FFElem, _cheb_ladder, factor_int, is_prime
 
 __all__ = [
     "cheb_eval",
@@ -33,21 +32,21 @@ COEFF_DEGREE_CAP = 1 << 16
 NUMERIC_BITS_CAP = 512
 
 
-def cheb_eval(d: int, a: FFElem, ctx: Optional[FieldCtx] = None) -> FFElem:
+def cheb_eval(d: int, a: FFElem) -> FFElem:
     """T_d(a) in O(log d) ring operations, by the pair ladder
     T_2k = T_k^2 - 2, T_2k+1 = T_k T_k+1 - a."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    ctx = ctx or a.ctx
-    return _cheb_ladder(d, a, ctx.from_int(2))
+    return _cheb_ladder(d, a, a.ctx.from_int(2))
 
 
-def cheb_coeffs(d: int, p: int, cap: int = COEFF_DEGREE_CAP) -> list[int]:
+def cheb_coeffs(d: int, p: int) -> list[int]:
     """Coefficients of T_d mod p via the three-term recurrence."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    if d > cap:
-        raise ValueError(f"degree {d} exceeds the coefficient cap {cap}")
+    if d > COEFF_DEGREE_CAP:
+        raise ValueError(
+            f"degree {d} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
     if d == 0:
         return [2 % p]
     prev, cur = [2 % p], [0, 1]
@@ -150,20 +149,22 @@ class SignedFactoredInt:
     def bit_size(self) -> int:
         return sum(e * max(abs(b), 2).bit_length() for _, b, e in self.atoms)
 
-    def numeric(self, max_bits: int = NUMERIC_BITS_CAP) -> Optional[int]:
-        """The expanded integer, or None when larger than max_bits bits."""
+    def numeric(self) -> Optional[int]:
+        """The expanded integer, or None when larger than NUMERIC_BITS_CAP
+        bits."""
         if self.sign == 0:
             return 0
-        if self.bit_size() > max_bits:
+        if self.bit_size() > NUMERIC_BITS_CAP:
             return None
         v = 1
         for _, b, e in self.atoms:
             v *= abs(b) ** e
         return self.sign * v
 
-    def factored(self, max_bits: int = NUMERIC_BITS_CAP) -> Optional[FactoredInt]:
-        """FactoredInt of the magnitude, or None when degenerate/too big."""
-        if self.sign == 0 or self.bit_size() > max_bits:
+    def factored(self) -> Optional[FactoredInt]:
+        """FactoredInt of the magnitude, or None when degenerate or larger
+        than NUMERIC_BITS_CAP bits."""
+        if self.sign == 0 or self.bit_size() > NUMERIC_BITS_CAP:
             return None
         acc: dict[int, int] = {}
         for _, b, e in self.atoms:

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEGREE_CAP = 1 << 12
+# Largest prime find_irreducibility_witness tries.
+WITNESS_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,7 @@ def _validate(ell: int, p: int) -> None:
         raise ValueError("p must differ from ell")
 
 
-def factor_pattern_actual(ell: int, p: int, n: int, t: int,
-                          degree_cap: int = DEGREE_CAP) -> FactorPattern:
+def factor_pattern_actual(ell: int, p: int, n: int, t: int) -> FactorPattern:
     """Pattern of T_ell^n(x) - t mod p by direct factorization.
 
     Squarefree split first, then distinct-degree counts per squarefree
@@ -85,8 +86,8 @@ def factor_pattern_actual(ell: int, p: int, n: int, t: int,
     _validate(ell, p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if ell ** n > degree_cap:
-        raise ValueError(f"degree {ell ** n} exceeds cap {degree_cap}")
+    if ell ** n > DEGREE_CAP:
+        raise ValueError(f"degree {ell ** n} exceeds cap {DEGREE_CAP}")
     polys.limb_width(ell ** n, p)  # refuses a p beyond the kernel's bound
     f = list(iterate_coeffs(ell, n, p))
     f[0] = (f[0] - t) % p
@@ -116,9 +117,8 @@ class TClass:
 
 def classify_t(ell: int, p: int, t: int) -> TClass:
     _validate(ell, p)
-    ctx = make_field(p, 1)
     tbar = t % p
-    ordv, _ = alpha_order(ctx.from_int(tbar), ctx)
+    ordv, _ = alpha_order(make_field(p, 1).from_int(tbar))
     rho = nu(ordv, ell)
     d0 = ordv // ell ** rho
     params = structure_params(ell, p, 1)
@@ -282,11 +282,11 @@ class DecompReport:
         return "\n".join(lines)
 
 
-def find_irreducibility_witness(ell: int, t: int, bound: int = 1000
-                                ) -> Optional[int]:
-    """Smallest odd prime w != ell with t of maximal preperiod mod w."""
+def find_irreducibility_witness(ell: int, t: int) -> Optional[int]:
+    """Smallest odd prime w != ell, w <= WITNESS_BOUND, with t of maximal
+    preperiod mod w."""
     w = 3
-    while w <= bound:
+    while w <= WITNESS_BOUND:
         if w != ell and is_prime(w):
             try:
                 if all_iterates_irreducible(ell, w, t):
@@ -338,8 +338,7 @@ def decompose_prime(ell: int, t: int, p: int, max_level: int,
     return DecompReport(ell, t, p, witness, tuple(sorted(ram)), tuple(levels))
 
 
-def verify_reciprocity(ell: int, n: int, p: int,
-                       degree_cap: int = DEGREE_CAP) -> bool:
+def verify_reciprocity(ell: int, n: int, p: int) -> bool:
     """Confirm the splitting law for the real cyclotomic towers.
 
     For odd ell: T_ell^n - 2 splits into linears mod p iff p = +-1 mod
@@ -351,5 +350,5 @@ def verify_reciprocity(ell: int, n: int, p: int,
         t, modulus = 0, 2 ** (n + 2)
     else:
         t, modulus = 2, ell ** n
-    pat = factor_pattern_actual(ell, p, n, t, degree_cap)
+    pat = factor_pattern_actual(ell, p, n, t)
     return pat.all_linear() == (p % modulus in (1 % modulus, modulus - 1))

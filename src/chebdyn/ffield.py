@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -281,9 +281,12 @@ class FieldCtx:
     # Order tables are built by one Chebyshev trace walk per side, a block
     # of exponents at a time, and keep 5 bytes per element (int32 orders,
     # int8 branches); alpha_order_tables refuses above this size, which
-    # also keeps the walk's n * p^2 below 2^53.  Matches the default graph
-    # enumeration cap.  alpha_order never builds the tables: it reads them
-    # when build_graph already has.
+    # also keeps the walk's n * p^2 below 2^53.  alpha_order never builds
+    # the tables: it reads them when build_graph already has.  It is also
+    # the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
+    # graph` peaks near 87 bytes per vertex (396 MiB at G(2, 3, 14),
+    # q = 4.78 M), so 2^25 vertices take about 2.9 GB, under half of an
+    # 8 GB host, and 2^26 would not.
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -603,13 +606,13 @@ def make_field(p: int, n: int) -> FieldCtx:
                     factor_int(q - 1), factor_int(q + 1))
 
 
-def element_degree(a: FFElem, ctx: Optional[FieldCtx] = None) -> int:
+def element_degree(a: FFElem) -> int:
     """[F_p(a) : F_p]: the length of the Frobenius orbit of a."""
-    ctx = ctx or a.ctx
-    b = a ** ctx.p
+    p = a.ctx.p
+    b = a ** p
     m = 1
     while b != a:
-        b = b ** ctx.p
+        b = b ** p
         m += 1
     return m
 
@@ -641,7 +644,7 @@ def _ladder_operands(a: FFElem, ctx: FieldCtx) -> tuple:
     return a, ctx.from_int(2), 0
 
 
-def alpha_order(a: FFElem, ctx: Optional[FieldCtx] = None) -> tuple[int, Branch]:
+def alpha_order(a: FFElem) -> tuple[int, Branch]:
     """Order of the lifted root alpha of x^2 - a x + 1, with its branch tag.
 
     T_k(alpha + 1/alpha) = alpha^k + alpha^-k, so alpha^k = 1 exactly when
@@ -653,7 +656,7 @@ def alpha_order(a: FFElem, ctx: Optional[FieldCtx] = None) -> tuple[int, Branch]
     the context already holds its walk tables (build_graph builds them),
     they are read instead.
     """
-    ctx = ctx or a.ctx
+    ctx = a.ctx
     tables = ctx._cache.get("alpha")
     if tables is not None:
         ords, branch = tables

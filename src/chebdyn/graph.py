@@ -31,10 +31,9 @@ __all__ = [
     "DEFAULT_CAP",
 ]
 
-# Enumeration cap on q = p^n.  `chebdyn graph` peaks near 87 bytes per
-# vertex (396 MiB at G(2, 3, 14), q = 4.78 M), so 2^25 vertices take about
-# 2.9 GB, under half of an 8 GB host, and 2^26 would not; --cap overrides.
-DEFAULT_CAP = 1 << 25
+# Enumeration cap on q = p^n, measured where FieldCtx.TABLE_CAP is
+# defined; --cap overrides.
+DEFAULT_CAP = FieldCtx.TABLE_CAP
 
 
 @dataclass
@@ -218,17 +217,15 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
                      ords, branch, comp)
 
 
-def orbit_stats_order(a: FFElem, ell: int,
-                      ctx: FieldCtx | None = None) -> tuple[int, int]:
+def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
     """(preperiod, period) of a from the order of its lifted root alone.
 
     No iteration of the map: the preperiod is the ell-valuation of
     ord(alpha) and the period is c of the prime-to-ell part.
     """
-    ctx = ctx or a.ctx
-    if ell == ctx.p:
+    if ell == a.ctx.p:
         raise ValueError("ell must differ from the field characteristic")
-    ordv, _ = alpha_order(a, ctx)
+    ordv, _ = alpha_order(a)
     rho = nu(ordv, ell)
     return rho, c_of_d(ordv // ell ** rho, ell)
 

@@ -5,6 +5,9 @@ zeros trimmed (the zero polynomial is []).  The scalar routines are
 plain Python; the ModulusKernel gives exact numpy-backed multiply-reduce,
 powering and composition for the Frobenius powers of the factoring
 sweeps, whose gcds and exact divisions stay on the exact list routines.
+Factoring has one path per step: the characteristic-p squarefree loop,
+whose p-th-root step also covers f' = 0, and the baby-step giant-step
+distinct-degree split at every degree >= 2.
 """
 
 from __future__ import annotations
@@ -158,6 +161,15 @@ INT_EXACT = 1 << 63
 FLOAT_EXACT = 1 << 53
 
 
+def _limb_bits(terms: int, p: int, bound: int, refusal: str) -> int:
+    """The largest w with (terms + 1) 2^w p <= bound; ValueError(refusal)
+    when w < 1."""
+    w = (bound // ((terms + 1) * p)).bit_length() - 1
+    if w < 1:
+        raise ValueError(refusal)
+    return w
+
+
 def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """np.convolve(a, b) % p, exact for int64 vectors of residues mod p.
 
@@ -172,10 +184,8 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     m = len(a)
     if m * (p - 1) ** 2 < INT_EXACT:
         return np.convolve(a, b) % p
-    w = (INT_EXACT // ((m + 1) * p)).bit_length() - 1
-    if w < 1:
-        raise ValueError(f"p = {p} is too large for an exact int64 "
-                         f"convolution of length {m}")
+    w = _limb_bits(m, p, INT_EXACT, f"p = {p} is too large for an exact "
+                   f"int64 convolution of length {m}")
     mask = (1 << w) - 1
     out = 0
     for shift in _limb_shifts(p, w):
@@ -197,12 +207,10 @@ def limb_width(d: int, p: int) -> int:
     """
     if (d + 1) * p * p <= FLOAT_EXACT:
         return 0
-    w = (FLOAT_EXACT // ((d + 1) * p)).bit_length() - 1
-    if w < 1:
-        raise ValueError(
-            f"p = {p} exceeds the exact polynomial kernel's bound "
-            f"2^52 / (d + 1) = {(FLOAT_EXACT // 2) // (d + 1)} at degree {d}")
-    return w
+    return _limb_bits(
+        d, p, FLOAT_EXACT,
+        f"p = {p} exceeds the exact polynomial kernel's bound "
+        f"2^52 / (d + 1) = {(FLOAT_EXACT // 2) // (d + 1)} at degree {d}")
 
 
 class ModulusKernel:
@@ -244,7 +252,6 @@ class ModulusKernel:
                                                   & self.mask) * base
                 row = (np.concatenate(([0], row[:-1])) + acc) % p
             self.rows[j] = self._split(row)
-        self.x = self.lift([0, 1] if d > 1 else rem([0, 1], f, p))
 
     def _split(self, m: np.ndarray) -> np.ndarray:
         """float64 limbs of a matrix of residues, side by side along the
@@ -264,23 +271,9 @@ class ModulusKernel:
             acc = acc % p * self.radix + u[..., k * d:(k + 1) * d]
         return ((acc + head) % p).astype(np.int64)
 
-    def lift(self, a: Poly) -> np.ndarray:
-        v = np.zeros(self.d, dtype=np.int64)
-        a = rem(list(a), list(map(int, self.f)), self.p)
-        v[: len(a)] = a
-        return v
-
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        p, d = self.p, self.d
-        if self.limbs == 1:
-            raw = np.convolve(a, b) % p
-            head = raw[:d].astype(np.float64)
-            if len(raw) > d:
-                tail = raw[d:].astype(np.float64)
-                head = head + tail @ self.rows[: len(tail)]
-            out = head % p
-            return out.astype(np.int64)
-        raw = convolve_mod(a, b, p)
+        d = self.d
+        raw = convolve_mod(a, b, self.p)
         return self._recombine(raw[d:].astype(np.float64) @ self.rows,
                                raw[:d])
 
@@ -317,23 +310,20 @@ class ModulusKernel:
 
 
 def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition of monic f: [(g_i, m_i)] with f = prod g_i^m_i.
+    """Squarefree decomposition of monic f: [(g_i, m_i)] with f = prod g_i^m_i,
+    the g_i squarefree and coprime, sorted by multiplicity.
 
-    Handles the characteristic-p branch (vanishing derivative) so it is
-    correct for arbitrary monic input.
+    The characteristic-p loop: c = gcd(f, f') and w = f / c, then
+    repeated gcds peel off the factors of each multiplicity prime to p;
+    what is left of c is a p-th power, whose p-th root goes round again
+    with every multiplicity scaled by p.  f' = 0 needs no branch of its
+    own: then c = f and w = 1, so the loop goes straight to the root.
     """
     f = monic(f, p)
     out: list[tuple[Poly, int]] = []
     scale = 1
     while degree(f) > 0:
-        df = deriv(f, p)
-        if not df:
-            # f is a p-th power: take the p-th root and recurse
-            root = [f[i] for i in range(0, len(f), p)]
-            for g, m in squarefree_parts(root, p):
-                out.append((g, m * p * scale))
-            return _merge_parts(out)
-        c = gcd(f, df, p)
+        c = gcd(f, deriv(f, p), p)
         w = divmod_(f, c, p)[0]
         m = 1
         while degree(w) > 0:
@@ -344,31 +334,20 @@ def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
             w = y
             c = divmod_(c, y, p)[0]
             m += 1
-        if degree(c) > 0:
-            root = [c[i] for i in range(0, len(c), p)]
-            f = root
-            scale *= p
-        else:
-            break
-    return _merge_parts(out)
-
-
-def _merge_parts(parts: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
-    merged: dict[tuple[int, ...], tuple[Poly, int]] = {}
-    for g, m in parts:
-        key = tuple(g)
-        if key in merged:
-            merged[key] = (g, merged[key][1] + m)
-        else:
-            merged[key] = (g, m)
-    return sorted(merged.values(), key=lambda t: (t[1], len(t[0]), tuple(t[0])))
+        f = [c[i] for i in range(0, len(c), p)]
+        scale *= p
+    # each multiplicity m p^k (p not dividing m) occurs at most once
+    return sorted(out, key=lambda part: part[1])
 
 
 def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     """{degree: number of irreducible factors} for squarefree monic f.
 
-    Baby-step giant-step splitting: Frobenius powers are combined in
-    blocks of ~sqrt(deg) so only one gcd per block is usually needed.
+    Baby-step giant-step splitting (von zur Gathen & Shoup 1992) at every
+    degree >= 2: Frobenius powers are combined in blocks of
+    s = isqrt(deg / 2) + 1 degrees, so only one gcd per block is usually
+    needed.  s is at most deg / 2, since only the last factor left can
+    have a larger degree.
     """
     d = degree(f)
     if d <= 0:
@@ -379,23 +358,7 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     ker = ModulusKernel(f, p)
     x = np.zeros(ker.d, dtype=np.int64)
     x[1] = 1
-
-    if d < 24:
-        h = x
-        rem_f = f
-        k = 0
-        while degree(rem_f) >= 2 * (k + 1):
-            k += 1
-            h = ker.powmod(h, p)
-            g = gcd(((h - x) % p).tolist(), rem_f, p)
-            if degree(g) > 0:
-                out[k] = degree(g) // k
-                rem_f = divmod_(rem_f, g, p)[0]
-        if degree(rem_f) > 0:
-            out[degree(rem_f)] = out.get(degree(rem_f), 0) + 1
-        return out
-
-    s = math.isqrt(d // 2) + 1
+    s = min(math.isqrt(d // 2) + 1, d // 2)
     baby = [x]
     for _ in range(s):
         baby.append(ker.powmod(baby[-1], p))  # baby[i] = x^(p^i)
@@ -408,25 +371,24 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         if j > 1:
             big = ker.compose(big, giant)  # x^(p^(j*s))
         # block of degrees (j-1)s+1 .. js: product of (big - baby[i])
-        prod = np.zeros(ker.d, dtype=np.int64)
-        prod[0] = 1
-        for i in range(s):
+        prod = (big - baby[0]) % p
+        for i in range(1, s):
             prod = ker.mulmod(prod, (big - baby[i]) % p)
         g = gcd(prod.tolist(), rem_f, p)
         if degree(g) > 0:
-            # split g by individual degree within the block
-            gg = g
+            rem_f = divmod_(rem_f, g, p)[0]
+            # split g by degree within the block, lowest first: once the
+            # lower degrees are out, what is left has degree js factors
             for i in range(s - 1, -1, -1):
-                k = j * s - i
-                if degree(gg) <= 0:
+                if degree(g) <= 0:
                     break
-                gi = gcd(((big - baby[i]) % p).tolist(), gg, p)
+                k = j * s - i
+                gi = gcd(((big - baby[i]) % p).tolist(), g, p) if i else g
                 if degree(gi) > 0:
                     if degree(gi) % k:
                         raise ArithmeticError("distinct-degree split failed")
                     out[k] = out.get(k, 0) + degree(gi) // k
-                    gg = divmod_(gg, gi, p)[0]
-            rem_f = divmod_(rem_f, g, p)[0]
+                    g = divmod_(g, gi, p)[0]
         if degree(rem_f) < 2 * (j * s + 1):
             break
     if degree(rem_f) > 0:

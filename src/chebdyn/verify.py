@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factor import factor_pattern_actual, factor_pattern_predicted
+from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
 from .ffield import make_field, nu, strip_ell
 from .graph import (DEFAULT_CAP, VerifyReport, build_graph, orbit_stats_order,
                     summarize, verify_structure)
@@ -32,13 +32,13 @@ def _row_key(r):
 
 
 def verify_instance(ell: int, p: int, n: int,
-                    pattern_level: int | None = None,
                     cap: int = DEFAULT_CAP) -> VerifyReport:
     """Brute force versus prediction for one instance.
 
     Builds the graph, compares summaries row for row, checks the point
     counts, the per-element orbit oracle, the structural shape, the
-    density, and the factorization pattern for every t in [0, p).
+    density, and the factorization pattern for every t in [0, p) at the
+    largest level m <= n with ell^m <= DEGREE_CAP (level 1 at least).
     """
     rep = VerifyReport(ell, p, n)
     ctx = make_field(p, n)
@@ -69,13 +69,12 @@ def verify_instance(ell: int, p: int, n: int,
             f"{rep.periodic} vs {(om + op_) // 2}")
 
     # per-element oracle: brute (pper, per) == order formula
-    ords, _branch = ctx.alpha_order_tables()
-    d0, rho_pred = strip_ell(ords, ell)
+    d0, rho_pred = strip_ell(g.divisor, ell)
     per_pred = np.zeros(g.q, dtype=np.int64)
     for dv in np.unique(d0):
         per_pred[d0 == dv] = c_of_d(int(dv), ell)
     ok_orbit = bool((rho_pred == g.pper).all() and (per_pred == g.per).all())
-    spot = all(orbit_stats_order(ctx.decode(i), ell, ctx)
+    spot = all(orbit_stats_order(ctx.decode(i), ell)
                == (int(g.pper[i]), int(g.per[i]))
                for i in range(0, g.q, max(1, g.q // 64)))
     rep.add("orbit statistics: brute == order formula (all vertices)",
@@ -89,18 +88,17 @@ def verify_instance(ell: int, p: int, n: int,
     rep.add("density == (omega- + omega+)/(2 q)",
             dens.numerator * 2 * g.q == (om + op_) * dens.denominator)
 
-    level = pattern_level if pattern_level is not None else n
-    max_level = level
-    while ell ** max_level > 4096 and max_level > 1:
-        max_level -= 1
+    level = n
+    while ell ** level > DEGREE_CAP and level > 1:
+        level -= 1
     mism = None
     for t in range(p):
-        pr = factor_pattern_predicted(ell, p, max_level, t)
-        ac = factor_pattern_actual(ell, p, max_level, t)
+        pr = factor_pattern_predicted(ell, p, level, t)
+        ac = factor_pattern_actual(ell, p, level, t)
         if pr != ac:
             mism = (t, pr.entries, ac.entries)
             break
-    rep.add(f"factor patterns at level {max_level}: predicted == actual "
+    rep.add(f"factor patterns at level {level}: predicted == actual "
             f"for all t in [0, {p})", mism is None,
             "" if mism is None else f"t={mism[0]}: {mism[1]} vs {mism[2]}")
 

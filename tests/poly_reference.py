@@ -1,6 +1,7 @@
 """List-polynomial helpers the tests use as plain references for
 `chebdyn.polys` and `chebdyn.cheb`: Horner evaluation and composition
-with no reduction, and the list form of a `ModulusKernel` residue."""
+with no reduction, and the conversions between a list polynomial and a
+`ModulusKernel` residue."""
 
 from __future__ import annotations
 
@@ -29,3 +30,11 @@ def compose(g: Poly, h: Poly, p: int) -> Poly:
 def to_list(v: np.ndarray) -> Poly:
     """A ModulusKernel residue vector as a trimmed coefficient list."""
     return polys.trim([int(c) for c in v])
+
+
+def lift(ker: polys.ModulusKernel, a: Poly) -> np.ndarray:
+    """a mod ker.f as a ModulusKernel residue vector of length ker.d."""
+    v = np.zeros(ker.d, dtype=np.int64)
+    a = polys.rem(list(a), list(map(int, ker.f)), ker.p)
+    v[: len(a)] = a
+    return v

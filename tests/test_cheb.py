@@ -2,8 +2,9 @@ import pytest
 import sympy
 
 from chebdyn import polys
-from chebdyn.cheb import (cheb_coeffs, cheb_eval, critical_factorization,
-                          disc_factored, iterate_coeffs, ramified_candidates)
+from chebdyn.cheb import (COEFF_DEGREE_CAP, cheb_coeffs, cheb_eval,
+                          critical_factorization, disc_factored,
+                          iterate_coeffs, ramified_candidates)
 from chebdyn.ffield import make_field
 from order_reference import QuadElem, lift_alpha
 from poly_reference import eval_at
@@ -31,7 +32,7 @@ def test_coeffs_small():
 
 def test_coeffs_cap():
     with pytest.raises(ValueError):
-        cheb_coeffs(10, 7, cap=9)
+        cheb_coeffs(COEFF_DEGREE_CAP + 1, 7)
 
 
 def test_eval_matches_coeffs():

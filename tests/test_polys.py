@@ -8,10 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcd
+from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd, gf_sqf_list,
+                                     gf_sqf_p)
 
 from chebdyn import polys
-from poly_reference import compose, to_list
+from poly_reference import compose, lift, to_list
 
 
 def test_gcd_examples():
@@ -84,14 +85,46 @@ def test_squarefree_and_ddf_against_construction():
     assert polys.distinct_degree_counts(by_mult[3], p) == {3: 1}
 
 
-def test_squarefree_pth_power_branch():
-    # (x + 1)^3 over F_3 has zero derivative
-    f = polys.mul(polys.mul([1, 1], [1, 1], 3), [1, 1], 3)
+def _sympy_sqf_parts(f, p):
+    """sympy's gf_sqf_list of monic f, as (ascending list, multiplicity)
+    pairs sorted by multiplicity (test-only oracle)."""
+    _, parts = gf_sqf_list([ZZ(c) for c in f[::-1]], p, ZZ)
+    return sorted((([int(c) for c in g[::-1]], m) for g, m in parts),
+                  key=lambda part: part[1])
+
+
+def _random_product(rng, p, mults, max_factors, max_deg):
+    """A product of up to max_factors random monic polynomials of degree
+    up to max_deg, each to a multiplicity drawn from mults."""
+    f = [1]
+    for _ in range(rng.randrange(1, max_factors + 1)):
+        g = [rng.randrange(p) for _ in range(rng.randrange(1, max_deg + 1))]
+        for _ in range(rng.choice(mults)):
+            f = polys.mul(f, g + [1], p)
+    return f
+
+
+def test_squarefree_parts_match_sympy():
+    # multiplicities divisible by p, and f(x^(p^k)), reach f' = 0, which
+    # the loop's p-th-root step handles
+    f = polys.mul(polys.mul([1, 1], [1, 1], 3), [1, 1], 3)  # (x + 1)^3
     assert polys.deriv(f, 3) == []
     assert polys.squarefree_parts(f, 3) == [([1, 1], 3)]
+    for p in (3, 5, 7):
+        rng = random.Random(p)
+        mults = (1, 2, p, p + 1, 2 * p, p * p)
+        cases = [_random_product(rng, p, mults, 3, 2) for _ in range(30)]
+        for k in (1, 2):
+            for _ in range(10):
+                f = _random_product(rng, p, (1, 2, p), 3, 2)
+                twisted = [0] * ((len(f) - 1) * p ** k + 1)
+                twisted[::p ** k] = f
+                cases.append(twisted)
+        for f in cases:
+            assert polys.squarefree_parts(f, p) == _sympy_sqf_parts(f, p)
 
 
-def test_ddf_large_degree_and_simple_path_agree():
+def test_ddf_counts_known_irreducibles():
     p = 7
     irred = monic_irreducibles(p, 3)
     f = [1]
@@ -102,6 +135,26 @@ def test_ddf_large_degree_and_simple_path_agree():
         want[d] = want.get(d, 0) + 1
     assert polys.degree(f) == 3 + 8 + 15
     assert polys.distinct_degree_counts(f, p) == want
+
+
+def test_ddf_counts_match_sympy():
+    # every degree 2..30 (one to four baby steps per block); the last two
+    # primes take the kernel's limb path
+    for p in (3, 7, 47, 10 ** 9 + 7, 10 ** 12 + 39):
+        rng = random.Random(p)
+        for d in range(2, 31):
+            while True:
+                f = [1]
+                while polys.degree(f) < d:
+                    k = rng.randrange(1, d - polys.degree(f) + 1)
+                    g = [rng.randrange(p) for _ in range(k)] + [1]
+                    f = polys.mul(f, g, p)
+                f_zz = [ZZ(c) for c in f[::-1]]
+                if gf_sqf_p(f_zz, p, ZZ):
+                    break
+            want = {deg: (len(h) - 1) // deg
+                    for h, deg in gf_ddf_zassenhaus(f_zz, p, ZZ)}
+            assert polys.distinct_degree_counts(f, p) == want, (p, d)
 
 
 def test_ddf_irreducible_detection():
@@ -139,13 +192,13 @@ def test_modulus_kernel_matches_scalar():
     f = [3, 0, 1, 7, 1]  # monic quartic
     ker = polys.ModulusKernel(f, p)
     a, b = [5, 2, 0, 9], [1, 30, 4, 4]
-    got = to_list(ker.mulmod(ker.lift(a), ker.lift(b)))
+    got = to_list(ker.mulmod(lift(ker, a), lift(ker, b)))
     want = polys.rem(polys.mul(a, b, p), f, p)
     assert got == want
-    got = to_list(ker.powmod(ker.lift(a), 97))
+    got = to_list(ker.powmod(lift(ker, a), 97))
     want = polys.powmod(a, 97, f, p)
     assert got == want
-    got = to_list(ker.compose(ker.lift(b), ker.lift(a)))
+    got = to_list(ker.compose(lift(ker, b), lift(ker, a)))
     want = polys.rem(compose(b, a, p), f, p)
     assert got == want
 
@@ -188,7 +241,7 @@ def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
     a, b = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
     e = data.draw(st.integers(0, 1 << 64), label="e")
     ker = polys.ModulusKernel(f, p)
-    A, B = ker.lift(a), ker.lift(b)
+    A, B = lift(ker, a), lift(ker, b)
     assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p), f, p)
     assert to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
     assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)

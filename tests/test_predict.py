@@ -143,7 +143,7 @@ def test_predict_weight_matches_enumeration_l2_d2():
         if d0 <= 2 or sp.d2 % d0 or sp.d1 % d0 == 0:
             continue
         want = predict_weight(sp, D2, int(g.pper[i]), 2, 1)
-        assert element_degree(ctx.decode(i), ctx) == want, (i, g.pper[i])
+        assert element_degree(ctx.decode(i)) == want, (i, g.pper[i])
         checked += 1
     assert checked > 20
 
