@@ -21,8 +21,8 @@ print(f"mu = {params.mu}, D1 = {params.d1}, D2 = {params.d2}, "
 print("\npreperiod | D1-side weight | D2-side weight")
 print(f"{0:9} | {1:14} | {1:14}")
 for rho in range(1, 6):
-    w1 = predict_weight(params, D1, rho, 3, 2)
-    w2 = predict_weight(params, D2, rho, 3, 2)
+    w1 = predict_weight(params, D1, rho, 2)
+    w2 = predict_weight(params, D2, rho, 2)
     print(f"{rho:9} | {w1:14} | {w2:14}")
 
 # sanity on an enumerable cousin: F_{5^6}, same mechanism
@@ -42,7 +42,7 @@ for i in range(ctx.q):
         branch = D2
     else:
         continue
-    if predict_weight(sp, branch, int(g.pper[i]), 3, 1) \
+    if predict_weight(sp, branch, int(g.pper[i]), 1) \
             != element_degree(ctx.decode(i)):
         bad += 1
 print(f"\nF_(5^6): weight formula vs Frobenius orbit mismatches: {bad}")

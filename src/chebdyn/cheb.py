@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import polys
-from .ffield import FactoredInt, FFElem, _cheb_ladder, factor_int, is_prime
+from .ffield import (FactoredInt, FFElem, _cheb_ladder, check_domain,
+                     factor_int)
 
 __all__ = [
     "cheb_eval",
@@ -61,8 +62,7 @@ def cheb_coeffs(d: int, p: int) -> list[int]:
 @lru_cache(maxsize=None)
 def iterate_coeffs(ell: int, n: int, p: int) -> tuple[int, ...]:
     """Coefficients of the n-fold iterate T_ell^n mod p, by composition."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_domain(ell, p, n)
     base = np.array(cheb_coeffs(ell, p), dtype=np.int64)
     cur = base
     for _ in range(n - 1):
@@ -95,10 +95,7 @@ class CriticalSplit:
 
 def critical_factorization(ell: int, p: int) -> CriticalSplit:
     """Exact factor shapes of T_ell(x) -+ 2 over F_p (p != ell, p odd)."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if p == ell or p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime different from ell")
+    check_domain(ell, p)
     t = cheb_coeffs(ell, p)
     if ell == 2:
         minus = (((p - 2, 1), 1), ((2, 1), 1))
@@ -185,10 +182,7 @@ def disc_factored(ell: int, n: int, t: int) -> SignedFactoredInt:
     (ell, n, t) = (2, 1, 2) where the vanishing atom has exponent 0 and
     x^2 - 4 is separable.
     """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_domain(ell, n=n)
     d_tot = ell ** n
     if ell % 2:
         e_m, e_p = (d_tot - 1) // 2, (d_tot - 1) // 2
@@ -215,8 +209,7 @@ def disc_factored(ell: int, n: int, t: int) -> SignedFactoredInt:
 def ramified_candidates(ell: int, t: int) -> frozenset[int]:
     """Primes dividing ell*(4 - t^2): the only possible prime divisors of
     disc(T_ell^n - t) for any n >= 1."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+    check_domain(ell)
     if t in (2, -2):
         raise ValueError("t = +-2: every discriminant in the tower vanishes")
     out = {ell}

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .factor import (decompose_prime, factor_pattern_actual,
                      factor_pattern_predicted)
-from .ffield import make_field
+from .ffield import FieldCtx, check_domain, make_field
 from .graph import DEFAULT_CAP, build_graph, export_dot, summarize
 from .predict import (periodic_density, predict_summary, structure_params,
                       tower_density, tower_limit)
@@ -98,8 +98,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if args.command == "graph":
-            ctx = make_field(args.p, args.n)
-            g = build_graph(args.ell, ctx, cap=args.cap)
+            check_domain(args.ell, args.p, args.n,
+                         min(args.cap, FieldCtx.TABLE_CAP))
+            g = build_graph(args.ell, make_field(args.p, args.n),
+                            cap=args.cap)
             s = summarize(g)
             if args.dot:
                 with open(args.dot, "w", encoding="utf-8") as fh:
@@ -134,9 +136,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0 if rep.ok else 1
 
         if args.command == "factor":
+            # the capped route first: it refuses before any work
+            actual = factor_pattern_actual(args.ell, args.p, args.n, args.t)
             predicted = factor_pattern_predicted(args.ell, args.p, args.n,
                                                  args.t)
-            actual = factor_pattern_actual(args.ell, args.p, args.n, args.t)
             agree = predicted == actual
             if args.format == "json":
                 _emit(_json({"predicted": predicted.to_json_obj(),

@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import polys
 from .cheb import iterate_coeffs, ramified_candidates
-from .ffield import alpha_order, is_prime, make_field, nu
+from .ffield import alpha_order, check_domain, is_prime, make_field, nu
 from .predict import D1, D2, structure_params
 
 __all__ = [
@@ -67,15 +67,6 @@ class FactorPattern:
             for d, m, c in self.entries) or "1"
 
 
-def _validate(ell: int, p: int) -> None:
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p = {p} must be an odd prime")
-    if p == ell:
-        raise ValueError("p must differ from ell")
-
-
 def factor_pattern_actual(ell: int, p: int, n: int, t: int) -> FactorPattern:
     """Pattern of T_ell^n(x) - t mod p by direct factorization.
 
@@ -83,11 +74,10 @@ def factor_pattern_actual(ell: int, p: int, n: int, t: int) -> FactorPattern:
     part; equal-degree splitting is never needed since only the pattern
     is reported.
     """
-    _validate(ell, p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ell ** n > DEGREE_CAP:
-        raise ValueError(f"degree {ell ** n} exceeds cap {DEGREE_CAP}")
+    check_domain(ell, p, n)
+    # ell >= 2, so ell^n >= 2^n > DEGREE_CAP once n >= its bit length
+    if n >= DEGREE_CAP.bit_length() or ell ** n > DEGREE_CAP:
+        raise ValueError(f"degree {ell}^{n} exceeds cap {DEGREE_CAP}")
     polys.limb_width(ell ** n, p)  # refuses a p beyond the kernel's bound
     f = list(iterate_coeffs(ell, n, p))
     f[0] = (f[0] - t) % p
@@ -116,12 +106,11 @@ class TClass:
 
 
 def classify_t(ell: int, p: int, t: int) -> TClass:
-    _validate(ell, p)
+    params = structure_params(ell, p, 1)  # checks the domain first
     tbar = t % p
     ordv, _ = alpha_order(make_field(p, 1).from_int(tbar))
     rho = nu(ordv, ell)
     d0 = ordv // ell ** rho
-    params = structure_params(ell, p, 1)
     if params.d1 % d0 == 0:
         branch = D1
     elif params.d2 % d0 == 0:
@@ -141,9 +130,7 @@ def _geom_sum(ell: int, kmax: int) -> int:
 def factor_pattern_predicted(ell: int, p: int, n: int, t: int) -> FactorPattern:
     """Pattern of T_ell^n(x) - t mod p from the closed-form case analysis:
     no polynomial arithmetic, only the class of t mod p."""
-    _validate(ell, p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_domain(ell, p, n)
     params = structure_params(ell, p, 1)
     v, mu = params.v, params.mu
     cls = classify_t(ell, p, t)
@@ -285,14 +272,11 @@ class DecompReport:
 def find_irreducibility_witness(ell: int, t: int) -> Optional[int]:
     """Smallest odd prime w != ell, w <= WITNESS_BOUND, with t of maximal
     preperiod mod w."""
+    check_domain(ell)
     w = 3
     while w <= WITNESS_BOUND:
-        if w != ell and is_prime(w):
-            try:
-                if all_iterates_irreducible(ell, w, t):
-                    return w
-            except ValueError:
-                pass
+        if w != ell and is_prime(w) and all_iterates_irreducible(ell, w, t):
+            return w
         w += 2
     return None
 
@@ -306,7 +290,7 @@ def decompose_prime(ell: int, t: int, p: int, max_level: int,
     must consist of irreducible iterates, certified through a witness
     prime at which t has maximal preperiod.
     """
-    _validate(ell, p)
+    check_domain(ell, p)
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     ram = ramified_candidates(ell, t)
@@ -345,7 +329,7 @@ def verify_reciprocity(ell: int, n: int, p: int) -> bool:
     ell^n.  For ell = 2 the t = 0 tower is used and the modulus is
     2^(n+2).  Returns True when the equivalence holds for this instance.
     """
-    _validate(ell, p)
+    check_domain(ell, p, n)
     if ell == 2:
         t, modulus = 0, 2 ** (n + 2)
     else:

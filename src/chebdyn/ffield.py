@@ -27,6 +27,7 @@ __all__ = [
     "MINUS",
     "PLUS",
     "is_prime",
+    "check_domain",
     "factor_int",
     "make_field",
     "element_degree",
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 FACTOR_LIMIT = 1 << 96
-TRIAL_BOUND = 10 ** 6
+TRIAL_BOUND = 1 << 12
 
 # Branch tags: which of p^n -+ 1 the order of a lifted root divides.
 MINUS = "minus"
@@ -215,6 +216,8 @@ def nu(x: int, ell: int) -> int:
     """Exponent of ell in the positive integer x."""
     if x <= 0:
         raise ValueError(f"nu needs a positive integer, got {x}")
+    if ell < 2:
+        raise ValueError(f"nu needs a base >= 2, got {ell}")
     k = 0
     while x % ell == 0:
         x //= ell
@@ -224,6 +227,8 @@ def nu(x: int, ell: int) -> int:
 
 def strip_ell(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise (prime-to-ell part, ell-valuation) of positive integers."""
+    if ell < 2:
+        raise ValueError(f"strip_ell needs a base >= 2, got {ell}")
     rest = values.copy()
     k = np.zeros(rest.shape, dtype=np.int64)
     while True:
@@ -385,8 +390,8 @@ class FieldCtx:
     def _matmod(self, M: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(M @ cols) mod p for integer matrices with entries in [0, p);
         the product runs in float64 BLAS, exact while n * p^2 <= 2^53:
-        the order tables (q <= TABLE_CAP) and the Frobenius map (n >= 2,
-        q < 2^52) stay below that."""
+        the order tables (q <= TABLE_CAP) and the Frobenius map (q < 2^52)
+        stay below that."""
         return (M.astype(np.float64) @ cols).astype(np.int64) % self.p
 
     def mul_matrix(self, h: "FFElem") -> np.ndarray:
@@ -404,19 +409,16 @@ class FieldCtx:
         """Permutation array f with f[i] = index of decode(i)^p."""
         f = self._cache.get("frob")
         if f is None:
-            if self.n == 1:
-                f = np.arange(self.q, dtype=np.int64)
-            else:
-                basis = []
-                for i in range(self.n):
-                    e = self.elem([0] * i + [1] + [0] * (self.n - 1 - i))
-                    basis.append((e ** self.p).coeffs)
-                fmt = np.array(basis, dtype=np.int64).T
-                f = np.empty(self.q, dtype=np.int64)
-                for lo in range(0, self.q, self.BLOCK):
-                    hi = min(lo + self.BLOCK, self.q)
-                    f[lo:hi] = self.encode_cols(
-                        self._matmod(fmt, self.coeff_cols(lo, hi)))
+            basis = []
+            for i in range(self.n):
+                e = self.elem([0] * i + [1] + [0] * (self.n - 1 - i))
+                basis.append((e ** self.p).coeffs)
+            fmt = np.array(basis, dtype=np.int64).T
+            f = np.empty(self.q, dtype=np.int64)
+            for lo in range(0, self.q, self.BLOCK):
+                hi = min(lo + self.BLOCK, self.q)
+                f[lo:hi] = self.encode_cols(
+                    self._matmod(fmt, self.coeff_cols(lo, hi)))
             f.setflags(write=False)
             self._cache["frob"] = f
         return f
@@ -586,21 +588,41 @@ class FFElem:
 # Public operations
 # ---------------------------------------------------------------------------
 
+def check_domain(ell: int | None = None, p: int | None = None,
+                 n: int | None = None, cap: int | None = None) -> None:
+    """Refuse (ValueError) an input outside the domain of the structure
+    theory: T_ell with ell prime acting on F_{p^n} with p an odd prime
+    other than ell, n >= 1 and, when a cap is given, q = p^n <= cap.
+
+    Arguments left as None are not checked (make_field has no ell).  The
+    public entry points call this before any other work.
+    Characteristic 2 is out: with p = 2 the values 2 and -2 collapse onto
+    0 and the three special vertices of the dynamics degenerate.
+    """
+    if ell is not None and not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not prime")
+    if p is not None:
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p = {p} must be an odd prime")
+        if p == ell:
+            raise ValueError(f"p = {p} must differ from ell")
+    if n is not None and n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
+    # p >= 3, so p^n > 2^n > cap once n >= cap.bit_length(): a huge n is
+    # refused without forming p^n
+    if cap is not None and (n >= cap.bit_length() or p ** n > cap):
+        raise ValueError(f"q = {p}^{n} exceeds the enumeration cap {cap}")
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, n: int) -> FieldCtx:
-    """Deterministic context for F_{p^n}; p an odd prime, n >= 1.
+    """Deterministic context for F_{p^n}; p an odd prime, n >= 1
+    (check_domain).
 
     The modulus is the lex-smallest monic irreducible of degree n and the
-    group orders p^n -+ 1 come pre-factored.  Characteristic 2 is rejected:
-    with p = 2 the values 2 and -2 collapse onto 0 and the three special
-    vertices of the dynamics degenerate.
+    group orders p^n -+ 1 come pre-factored.
     """
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p == 2:
-        raise ValueError("characteristic 2 is not supported (2 = -2 = 0)")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_domain(p=p, n=n)
     q = p ** n
     return FieldCtx(p, n, _lex_min_irreducible(p, n),
                     factor_int(q - 1), factor_int(q + 1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cheb import cheb_coeffs
 from .ffield import (MINUS, PLUS, Branch, FFElem, FieldCtx, alpha_order,
-                     factor_int, is_prime, nu, strip_ell)
+                     check_domain, factor_int, nu, strip_ell)
 from .predict import c_of_d, half_order
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
@@ -145,18 +145,10 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
     """Enumerate G(ell, p, n): successors by direct evaluation, orbit
     statistics by graph search, weights by Frobenius orbits, divisor
     classes from the order tables."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if ell == ctx.p:
-        raise ValueError("ell must differ from the field characteristic")
+    # the order tables would refuse above TABLE_CAP only after all the
+    # work below
+    check_domain(ell, ctx.p, ctx.n, min(cap, ctx.TABLE_CAP))
     q = ctx.q
-    if q > cap:
-        raise ValueError(f"q = {q} exceeds the enumeration cap {cap}")
-    if q > ctx.TABLE_CAP:
-        # the order tables would refuse only after all the work below
-        raise ValueError(
-            f"q = {q} exceeds the order-table cap {ctx.TABLE_CAP}")
-
     succ = _vector_succ(ctx, ell)
 
     # strip leaves round by round; what survives is the periodic core
@@ -223,8 +215,7 @@ def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
     No iteration of the map: the preperiod is the ell-valuation of
     ord(alpha) and the period is c of the prime-to-ell part.
     """
-    if ell == a.ctx.p:
-        raise ValueError("ell must differ from the field characteristic")
+    check_domain(ell, a.ctx.p)
     ordv, _ = alpha_order(a)
     rho = nu(ordv, ell)
     return rho, c_of_d(ordv // ell ** rho, ell)

@@ -239,7 +239,10 @@ class ModulusKernel:
         self.mask = self.radix - 1
         self.shifts = tuple(_limb_shifts(p, w))
         self.limbs = len(self.shifts)
-        self.rows = np.zeros((max(d - 1, 0), self.limbs * d))
+        self.rows = np.empty((max(d - 1, 0), self.limbs * d))
+        # rows are split into limbs 64 at a time: a split per row costs more
+        # than the row, and one split of all rows triples the peak memory
+        block = np.empty((min(d, 64), d), dtype=np.int64)
         base = row = (-self.f[:d]) % p  # x^d mod f
         for j in range(d - 1):
             if j:
@@ -251,16 +254,17 @@ class ModulusKernel:
                     acc = acc % p * self.radix + ((top >> shift)
                                                   & self.mask) * base
                 row = (np.concatenate(([0], row[:-1])) + acc) % p
-            self.rows[j] = self._split(row)
+            k = j % len(block)
+            block[k] = row
+            if k == len(block) - 1 or j == d - 2:
+                self.rows[j - k:j + 1] = self._split(block[:k + 1])
 
     def _split(self, m: np.ndarray) -> np.ndarray:
         """float64 limbs of a matrix of residues, side by side along the
-        last axis, top limb first; the matrix itself for one limb."""
-        if self.limbs == 1:
-            return m.astype(np.float64)
+        last axis, top limb first (one limb at shift 0 is the matrix)."""
         return np.concatenate([(m >> shift) & self.mask
                                for shift in self.shifts],
-                              axis=-1).astype(np.float64)
+                              axis=-1, dtype=np.float64)
 
     def _recombine(self, u: np.ndarray, head=0) -> np.ndarray:
         """(sum over limbs k of u_k B^(L-1-k)) + head mod p, as int64, for

@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .ffield import (MINUS, PLUS, FactoredInt, euler_phi, euler_phi_factored,
-                     factor_int, is_prime, nu)
+from .ffield import (MINUS, PLUS, FactoredInt, check_domain, euler_phi,
+                     euler_phi_factored, factor_int, is_prime, nu)
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
@@ -120,20 +120,8 @@ class StructureParams:
         }
 
 
-def _check_instance(ell: int, p: int, n: int) -> None:
-    """Refuse anything but primes ell != p, p odd, and n >= 1."""
-    if not is_prime(ell) or not is_prime(p):
-        raise ValueError("ell and p must be prime")
-    if p == ell:
-        raise ValueError("p must differ from ell")
-    if p == 2:
-        raise ValueError("p must be odd")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-
 def structure_params(ell: int, p: int, n: int) -> StructureParams:
-    _check_instance(ell, p, n)
+    check_domain(ell, p, n)
     q = p ** n
     lm, lp = nu(q - 1, ell), nu(q + 1, ell)
     mu = half_order(p, ell)
@@ -149,7 +137,7 @@ def structure_params(ell: int, p: int, n: int) -> StructureParams:
 
 def nu_2n(ell: int, p: int, n: int) -> int:
     """ell-valuation of p^(2n) - 1, via the two-case closed form."""
-    _check_instance(ell, p, n)
+    check_domain(ell, p, n)
     mu = half_order(p, ell)
     if n % mu:
         return 0
@@ -169,7 +157,7 @@ def weight_of_divisor(d: int, p: int, n: int) -> int:
 
 def predict_summary(ell: int, p: int, n: int) -> GraphSummary:
     """Divisor-class rows of G(ell,p,n) from the closed forms alone."""
-    params = structure_params(ell, p, n)
+    params = structure_params(ell, p, n)  # checks the domain first
     q = p ** n
     minus_divs = list(factor_int(q - 1).divisors())
     plus_divs = list(factor_int(q + 1).divisors())
@@ -211,10 +199,10 @@ def predict_summary(ell: int, p: int, n: int) -> GraphSummary:
 
 
 def predict_weight(params: StructureParams, branch: str, rho: int,
-                   ell: int, n: int) -> int:
-    """Weight of a strictly preperiodic vertex of G(ell,p,2*mu*ell^n)
-    attached to a cycle on the given base branch (D1 or D2), from its
-    preperiod rho alone.
+                   n: int) -> int:
+    """Weight of a strictly preperiodic vertex of G(ell,p,2*mu*ell^n),
+    ell = params.ell, attached to a cycle on the given base branch (D1 or
+    D2), from its preperiod rho alone.
 
     Covers the three closed-form cases: odd ell over D1, odd ell over D2,
     and ell = 2 over D2.  rho = 0 is rejected (periodic weights come from
@@ -225,7 +213,7 @@ def predict_weight(params: StructureParams, branch: str, rho: int,
     if rho < 1:
         raise ValueError("rho must be >= 1: formula covers strictly "
                          "preperiodic vertices only")
-    v, mu = params.v, params.mu
+    ell, v, mu = params.ell, params.v, params.mu
     if ell % 2 == 1:
         if rho <= v:
             return mu if branch == D1 else 2 * mu
@@ -255,8 +243,7 @@ def periodic_density(ell: int, p: int, n: int) -> Fraction:
 def tower_limit(ell: int) -> Fraction:
     """Limiting periodic density up the factorial-like tower of fields:
     1/2 for odd ell, 1/4 for ell = 2."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+    check_domain(ell)
     return Fraction(1, 4) if ell == 2 else Fraction(1, 2)
 
 

@@ -5,13 +5,16 @@ pattern sweep over all residues t.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
-from .ffield import make_field, nu, strip_ell
+from .ffield import FieldCtx, check_domain, make_field, strip_ell
 from .graph import (DEFAULT_CAP, VerifyReport, build_graph, orbit_stats_order,
                     summarize, verify_structure)
-from .predict import c_of_d, periodic_density, predict_summary
+from .predict import (c_of_d, periodic_density, predict_summary,
+                      structure_params)
 
 __all__ = ["VerifyReport", "verify_instance", "FIGURE_ERRATA"]
 
@@ -40,6 +43,7 @@ def verify_instance(ell: int, p: int, n: int,
     density, and the factorization pattern for every t in [0, p) at the
     largest level m <= n with ell^m <= DEGREE_CAP (level 1 at least).
     """
+    check_domain(ell, p, n, min(cap, FieldCtx.TABLE_CAP))
     rep = VerifyReport(ell, p, n)
     ctx = make_field(p, n)
     g = build_graph(ell, ctx, cap=cap)
@@ -61,12 +65,10 @@ def verify_instance(ell: int, p: int, n: int,
     rep.add(f"summary rows: enumerated == predicted "
             f"({len(enumerated.rows)} rows)", match, detail)
 
-    qm, qp = g.q - 1, g.q + 1
-    om = qm // ell ** nu(qm, ell)
-    op_ = qp // ell ** nu(qp, ell)
-    rep.add("periodic count == (omega- + omega+)/2",
-            rep.periodic == (om + op_) // 2,
-            f"{rep.periodic} vs {(om + op_) // 2}")
+    params = structure_params(ell, p, n)
+    want = (params.omega_minus + params.omega_plus) // 2
+    rep.add("periodic count == (omega- + omega+)/2", rep.periodic == want,
+            f"{rep.periodic} vs {want}")
 
     # per-element oracle: brute (pper, per) == order formula
     d0, rho_pred = strip_ell(g.divisor, ell)
@@ -84,9 +86,8 @@ def verify_instance(ell: int, p: int, n: int,
     rep.add("structure: cycles, tree roots, complete trees", sr.ok,
             sr.first_failure or "")
 
-    dens = periodic_density(ell, p, n)
     rep.add("density == (omega- + omega+)/(2 q)",
-            dens.numerator * 2 * g.q == (om + op_) * dens.denominator)
+            periodic_density(ell, p, n) == Fraction(rep.periodic, g.q))
 
     level = n
     while ell ** level > DEGREE_CAP and level > 1:

@@ -99,9 +99,9 @@ def test_criterion_03_weight_table_g_3_53_18():
     params = structure_params(3, 53, 1)
     assert (params.mu, params.d1, params.d2, params.v) == (1, 54, 52, 3)
     # preperiod 0 cells: weight of any periodic divisor class of D1 or D2
-    col_d1 = [1] + [predict_weight(params, D1, rho, 3, 2)
+    col_d1 = [1] + [predict_weight(params, D1, rho, 2)
                     for rho in range(1, 6)]
-    col_d2 = [1] + [predict_weight(params, D2, rho, 3, 2)
+    col_d2 = [1] + [predict_weight(params, D2, rho, 2)
                     for rho in range(1, 6)]
     assert col_d1 == [1, 1, 1, 1, 3, 9]
     assert col_d2 == [1, 2, 2, 2, 6, 18]
@@ -124,7 +124,7 @@ def test_criterion_03_weight_table_g_3_53_18():
                 branch = D2
             else:
                 continue  # cycle outside the D1/D2 family
-            want = predict_weight(sp, branch, int(g.pper[i]), 3, k)
+            want = predict_weight(sp, branch, int(g.pper[i]), k)
             assert element_degree(ctx.decode(i)) == want, (k, i)
             checked += 1
     assert checked >= 20

@@ -9,6 +9,7 @@ import pytest
 
 import chebdyn
 from chebdyn.cli import main
+from chebdyn.factor import DEGREE_CAP
 from chebdyn.ffield import is_prime
 from chebdyn.graph import DEFAULT_CAP
 
@@ -132,12 +133,23 @@ def test_refusal_exit_3(capsys):
     # boundary inputs run in a subprocess so that a hang fails the test
     env = dict(os.environ,
                PYTHONPATH=str(Path(chebdyn.__file__).resolve().parents[1]))
-    for argv in (["density", "--ell", "2", "--p", "3", "--n", "0"],
-                 ["density", "--ell", "2", "--p", "3", "--n", "-1"],
-                 ["density", "--ell", "3", "--p", "2"]):
+    # each refusal names the rule or the limit it applies
+    for argv, reason in (
+            (["density", "--ell", "2", "--p", "3", "--n", "0"], "n = 0 must"),
+            (["density", "--ell", "2", "--p", "3", "--n", "-1"], "n = -1 must"),
+            (["density", "--ell", "3", "--p", "2"], "odd prime"),
+            (["graph", "--ell", "3", "--p", "5", "--n", "300"],
+             f"5^300 exceeds the enumeration cap {DEFAULT_CAP}"),
+            (["verify", "--ell", "3", "--p", "5", "--n", "300"],
+             f"5^300 exceeds the enumeration cap {DEFAULT_CAP}"),
+            (["factor", "--ell", "3", "--p", "5", "--n", "20000", "--t", "2"],
+             f"degree 3^20000 exceeds cap {DEGREE_CAP}"),
+            (["graph", "--ell", "4", "--p", "5"], "ell = 4 is not prime")):
         proc = subprocess.run([sys.executable, "-m", "chebdyn.cli", *argv],
-                              env=env, capture_output=True, timeout=10)
+                              env=env, capture_output=True, text=True,
+                              timeout=10)
         assert proc.returncode == 3, (argv, proc.stderr)
+        assert reason in proc.stderr, (argv, proc.stderr)
 
 
 def test_refusal_one_past_the_cap_allocates_nothing(capsys):

@@ -105,8 +105,8 @@ def test_predict_summary_rows():
 
 def test_predict_weight_table_g_53_18():
     params = structure_params(3, 53, 1)
-    col_d1 = [predict_weight(params, D1, rho, 3, 2) for rho in range(1, 6)]
-    col_d2 = [predict_weight(params, D2, rho, 3, 2) for rho in range(1, 6)]
+    col_d1 = [predict_weight(params, D1, rho, 2) for rho in range(1, 6)]
+    col_d2 = [predict_weight(params, D2, rho, 2) for rho in range(1, 6)]
     assert col_d1 == [1, 1, 1, 3, 9]
     assert col_d2 == [2, 2, 2, 6, 18]
 
@@ -114,14 +114,14 @@ def test_predict_weight_table_g_53_18():
 def test_predict_weight_errors():
     params = structure_params(3, 53, 1)
     with pytest.raises(ValueError):
-        predict_weight(params, D1, 0, 3, 2)
+        predict_weight(params, D1, 0, 2)
     with pytest.raises(ValueError):
-        predict_weight(params, D1, 99, 3, 2)
+        predict_weight(params, D1, 99, 2)
     with pytest.raises(ValueError):
-        predict_weight(params, "D3", 1, 3, 2)
+        predict_weight(params, "D3", 1, 2)
     p2 = structure_params(2, 7, 1)
     with pytest.raises(ValueError):
-        predict_weight(p2, D1, 1, 2, 1)
+        predict_weight(p2, D1, 1, 1)
 
 
 def test_predict_weight_matches_enumeration_l2_d2():
@@ -142,7 +142,7 @@ def test_predict_weight_matches_enumeration_l2_d2():
             d0 //= 2
         if d0 <= 2 or sp.d2 % d0 or sp.d1 % d0 == 0:
             continue
-        want = predict_weight(sp, D2, int(g.pper[i]), 2, 1)
+        want = predict_weight(sp, D2, int(g.pper[i]), 1)
         assert element_degree(ctx.decode(i)) == want, (i, g.pper[i])
         checked += 1
     assert checked > 20
