@@ -19,10 +19,10 @@ from .ffield import (MINUS, PLUS, Branch, FactoredInt, FFElem, FieldCtx,
                      make_field)
 from .graph import (FuncGraph, build_graph, export_dot, orbit_stats_order,
                     summarize, verify_structure)
-from .predict import (D1, D2, StructureParams, c_of_d, half_order, nu_2n,
+from .predict import (D1, D2, StructureParams, half_order, nu_2n,
                       periodic_density, predict_summary, predict_weight,
                       structure_params, tower_density, tower_levels,
-                      tower_limit, weight_of_divisor)
+                      tower_limit)
 from .summary import GraphSummary, SummaryRow
 from .verify import FIGURE_ERRATA, VerifyReport, verify_instance
 
@@ -34,7 +34,7 @@ __all__ = [
     "GraphSummary", "LevelDecomp", "MINUS", "PLUS",
     "SignedFactoredInt", "StructureParams", "SummaryRow", "TClass",
     "VerifyReport", "all_iterates_irreducible", "alpha_order", "build_graph",
-    "c_of_d", "cheb_coeffs", "cheb_eval", "classify_t",
+    "cheb_coeffs", "cheb_eval", "classify_t",
     "critical_factorization", "decompose_prime", "disc_factored",
     "element_degree", "export_dot", "factor_int", "factor_pattern_actual",
     "factor_pattern_predicted", "find_irreducibility_witness", "half_order",
@@ -42,5 +42,5 @@ __all__ = [
     "nu_2n", "orbit_stats_order", "periodic_density", "predict_summary",
     "predict_weight", "ramified_candidates", "structure_params", "summarize",
     "tower_density", "tower_levels", "tower_limit", "verify_instance",
-    "verify_reciprocity", "verify_structure", "weight_of_divisor",
+    "verify_reciprocity", "verify_structure",
 ]

@@ -172,12 +172,24 @@ class FactoredInt:
                 return e
         return 0
 
-    def divisors(self) -> Iterator[int]:
-        """All positive divisors, ascending."""
-        divs = [1]
+    def divisors(self) -> Iterator["FactoredInt"]:
+        """All positive divisors, factored, in ascending order of value."""
+        divs: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
         for q, e in self.factors:
-            divs = [d * q ** k for d in divs for k in range(e + 1)]
-        yield from sorted(divs)
+            divs = [(v * q ** k, f + ((q, k),) if k else f)
+                    for v, f in divs for k in range(e + 1)]
+        for _, f in sorted(divs):
+            yield FactoredInt(f)
+
+    def phi(self) -> "FactoredInt":
+        """Euler's phi of this integer, factored."""
+        fm: dict[int, int] = {}
+        for q, e in self.factors:
+            if e > 1:
+                fm[q] = fm.get(q, 0) + e - 1
+            for r, s in _factor_below(q).factors:
+                fm[r] = fm.get(r, 0) + s
+        return FactoredInt(tuple(sorted(fm.items())))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -192,24 +204,16 @@ def factor_int(n: int) -> FactoredInt:
     if n < 0:
         raise ValueError("n must be positive")
     if n >= FACTOR_LIMIT:
-        raise ValueError(f"{n} exceeds the 2^96 factorization bound")
+        raise ValueError(f"a {n.bit_length()}-bit integer exceeds the 2^96 "
+                         "factorization bound")
     fm = _factor_map(n)
     return FactoredInt(tuple(sorted(fm.items())))
 
 
-def euler_phi_factored(d: int) -> FactoredInt:
-    """phi(d) in factored form."""
-    fm: dict[int, int] = {}
-    for q, e in factor_int(d).factors:
-        if e > 1:
-            fm[q] = fm.get(q, 0) + e - 1
-        for r, s in factor_int(q - 1).factors:
-            fm[r] = fm.get(r, 0) + s
-    return FactoredInt(tuple(sorted(fm.items())))
-
-
-def euler_phi(d: int) -> int:
-    return euler_phi_factored(d).value
+@lru_cache(maxsize=None)
+def _factor_below(q: int) -> FactoredInt:
+    """factor_int(q - 1), once per prime q."""
+    return factor_int(q - 1)
 
 
 def nu(x: int, ell: int) -> int:

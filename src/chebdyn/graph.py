@@ -16,8 +16,8 @@ import numpy as np
 
 from .cheb import cheb_coeffs
 from .ffield import (MINUS, PLUS, Branch, FFElem, FieldCtx, alpha_order,
-                     check_domain, factor_int, nu, strip_ell)
-from .predict import c_of_d, half_order
+                     check_domain, nu, strip_ell)
+from .predict import half_order, structure_params
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
@@ -218,15 +218,15 @@ def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
     check_domain(ell, a.ctx.p)
     ordv, _ = alpha_order(a)
     rho = nu(ordv, ell)
-    return rho, c_of_d(ordv // ell ** rho, ell)
+    return rho, half_order(ell, ordv // ell ** rho)
 
 
 def summarize(g: FuncGraph) -> GraphSummary:
     """Group vertices into divisor classes and report observed rows."""
-    q, ell = g.q, g.ell
-    lam_minus = nu(q - 1, ell)
-    lam_plus = nu(q + 1, ell)
-    max_side = MINUS if lam_minus >= lam_plus else PLUS
+    ell, ctx = g.ell, g.ctx
+    max_side = structure_params(ell, ctx.p, ctx.n).max_side
+    factored = {d.value: d for group in (ctx.order_minus, ctx.order_plus)
+                for d in group.divisors()}
 
     keys = g.divisor * 2 + g.branch
     order = np.argsort(keys, kind="stable")
@@ -250,12 +250,12 @@ def summarize(g: FuncGraph) -> GraphSummary:
                 raise ArithmeticError(f"mixed periods in class {ordv}")
             # one vertex of each cycle is its own minimum
             cycles = int((g.comp[idx] == idx).sum())
-            rows.append(SummaryRow(factor_int(ordv), br, len(idx), 0,
+            rows.append(SummaryRow(factored[ordv], br, len(idx), 0,
                                    int(pers[0]), int(wt[0]), cycles))
         else:
-            rows.append(SummaryRow(factor_int(ordv), br, len(idx),
+            rows.append(SummaryRow(factored[ordv], br, len(idx),
                                    int(pp[0]), None, int(wt[0]), None))
-    return GraphSummary(ell, g.ctx.p, g.ctx.n,
+    return GraphSummary(ell, ctx.p, ctx.n,
                         tuple(canonical_row_order(rows, ell)))
 
 
@@ -370,7 +370,8 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
     """
     q, ell, ctx = g.q, g.ell, g.ctx
     # indexed by branch
-    lam = np.array([nu(q - 1, ell), nu(q + 1, ell)], dtype=np.int16)
+    params = structure_params(ell, ctx.p, ctx.n)
+    lam = np.array([params.lambda_minus, params.lambda_plus], dtype=np.int16)
     lam_m = int(lam.max())
     report = VerifyReport(ell, ctx.p, ctx.n, periodic=g.periodic_count(), q=q)
     check = report.add

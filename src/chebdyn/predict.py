@@ -11,21 +11,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .ffield import (MINUS, PLUS, FactoredInt, check_domain, euler_phi,
-                     euler_phi_factored, factor_int, is_prime, nu)
+from .ffield import (MINUS, PLUS, FactoredInt, check_domain, factor_int,
+                     is_prime, nu)
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
     "StructureParams",
     "D1",
     "D2",
-    "c_of_d",
     "half_order",
     "structure_params",
     "nu_2n",
     "predict_summary",
     "predict_weight",
-    "weight_of_divisor",
     "periodic_density",
     "tower_limit",
     "tower_levels",
@@ -40,39 +38,33 @@ D2 = "D2"
 
 
 @lru_cache(maxsize=None)
-def half_order(base: int, modulus: int) -> int:
-    """Least k >= 1 with base^k = +-1 (mod modulus).
+def half_order(base: int, modulus: int | FactoredInt) -> int:
+    """Least k >= 1 with base^k = +-1 (mod modulus); 1 for modulus <= 2.
 
-    This is the order of base in (Z/modulus)^x modulo {+-1}.  Computed
-    from the full multiplicative order m (obtained by dividing primes out
-    of phi(modulus)): the answer is m/2 when base^(m/2) = -1, else m.
+    This is the order of base in (Z/modulus)^x modulo {+-1}: the cycle
+    length c(d) is half_order(ell, d), the weight of the divisor class d
+    is half_order(p, d) and mu is half_order(p, ell).  Computed from the
+    full multiplicative order m (obtained by dividing primes out of
+    phi(modulus)): the answer is m/2 when base^(m/2) = -1, else m.  A
+    factored modulus is not factored again.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if modulus <= 2:
+    if not isinstance(modulus, FactoredInt):
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+        modulus = factor_int(modulus)
+    mv = modulus.value
+    if mv <= 2:
         return 1
-    if math.gcd(base, modulus) != 1:
-        raise ValueError(f"gcd({base}, {modulus}) != 1")
-    phi = euler_phi_factored(modulus)
+    if math.gcd(base, mv) != 1:
+        raise ValueError(f"gcd({base}, {mv}) != 1")
+    phi = modulus.phi()
     m = phi.value
     for q in phi.primes:
-        while m % q == 0 and pow(base, m // q, modulus) == 1:
+        while m % q == 0 and pow(base, m // q, mv) == 1:
             m //= q
-    if m % 2 == 0 and pow(base, m // 2, modulus) == modulus - 1:
+    if m % 2 == 0 and pow(base, m // 2, mv) == mv - 1:
         return m // 2
     return m
-
-
-def c_of_d(d, ell: int) -> int:
-    """c(d): least k >= 1 with ell^k = +-1 (mod d); c(1) = c(2) = 1."""
-    dv = d.value if isinstance(d, FactoredInt) else int(d)
-    if dv < 1:
-        raise ValueError("d must be positive")
-    if dv <= 2:
-        return 1
-    if dv % ell == 0:
-        raise ValueError(f"gcd(d, ell) != 1 for d={dv}, ell={ell}")
-    return half_order(ell, dv)
 
 
 @dataclass(frozen=True)
@@ -144,53 +136,35 @@ def nu_2n(ell: int, p: int, n: int) -> int:
     return nu(p ** (2 * mu) - 1, ell) + nu(n, ell)
 
 
-def weight_of_divisor(d: int, p: int, n: int) -> int:
-    """Least m with d | p^m - 1 or d | p^m + 1; always a divisor of n."""
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        pm = p ** m
-        if (pm - 1) % d == 0 or (pm + 1) % d == 0:
-            return m
-    raise ArithmeticError(f"{d} does not divide p^n -+ 1")  # caller bug
-
-
 def predict_summary(ell: int, p: int, n: int) -> GraphSummary:
-    """Divisor-class rows of G(ell,p,n) from the closed forms alone."""
+    """Divisor-class rows of G(ell,p,n) from the closed forms alone.
+
+    Every row is read off one factorization each of p^n - 1 and p^n + 1:
+    the divisor d, its ell-valuation, phi(d), the period c(d) and the
+    weight, the least m with d | p^m -+ 1.
+    """
     params = structure_params(ell, p, n)  # checks the domain first
     q = p ** n
-    minus_divs = list(factor_int(q - 1).divisors())
-    plus_divs = list(factor_int(q + 1).divisors())
     rows: list[SummaryRow] = []
-    seen_small = set()
-    for branch, divs in ((MINUS, minus_divs), (PLUS, plus_divs)):
-        for d in divs:
-            if d <= 2:
-                # alpha = +-1 lives in both groups; tabulate once, on the
-                # side carrying the trees (lambda_m), minus on ties
-                if d in seen_small:
-                    continue
-                seen_small.add(d)
-                row_branch = params.max_side
-            else:
-                row_branch = branch
-            k = nu(d, ell)
-            points = 1 if d <= 2 else euler_phi(d) // 2
-            weight = weight_of_divisor(d, p, n)
+    for branch, group in ((MINUS, q - 1), (PLUS, q + 1)):
+        for d in factor_int(group).divisors():
+            dv = d.value
+            # alpha = +-1 lives in both groups; tabulate once, on the side
+            # carrying the trees (lambda_m), minus on ties
+            if dv <= 2 and branch == PLUS:
+                continue
+            k = d.nu(ell)
+            half_phi = 1 if dv <= 2 else d.phi().value // 2
+            period = cycles = None
             if k == 0:
-                period = c_of_d(factor_int(d), ell)
-                if d > 2:
-                    if (euler_phi(d) // 2) % period:
-                        raise ArithmeticError(
-                            f"cycle count phi({d})/(2*{period}) is not integral")
-                    cycles = euler_phi(d) // (2 * period)
-                else:
-                    cycles = 1
-                rows.append(SummaryRow(factor_int(d), row_branch, points,
-                                       0, period, weight, cycles))
-            else:
-                rows.append(SummaryRow(factor_int(d), row_branch, points,
-                                       k, None, weight, None))
+                period = half_order(ell, d)
+                if half_phi % period:
+                    raise ArithmeticError(
+                        f"cycle count phi({dv})/(2*{period}) is not integral")
+                cycles = half_phi // period
+            rows.append(SummaryRow(d, params.max_side if dv <= 2 else branch,
+                                   half_phi, k, period, half_order(p, d),
+                                   cycles))
     rows = canonical_row_order(rows, ell)
     out = GraphSummary(ell, p, n, tuple(rows))
     if out.total_points() != q:

@@ -13,7 +13,7 @@ from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
 from .ffield import FieldCtx, check_domain, make_field, strip_ell
 from .graph import (DEFAULT_CAP, VerifyReport, build_graph, orbit_stats_order,
                     summarize, verify_structure)
-from .predict import (c_of_d, periodic_density, predict_summary,
+from .predict import (half_order, periodic_density, predict_summary,
                       structure_params)
 
 __all__ = ["VerifyReport", "verify_instance", "FIGURE_ERRATA"]
@@ -74,7 +74,7 @@ def verify_instance(ell: int, p: int, n: int,
     d0, rho_pred = strip_ell(g.divisor, ell)
     per_pred = np.zeros(g.q, dtype=np.int64)
     for dv in np.unique(d0):
-        per_pred[d0 == dv] = c_of_d(int(dv), ell)
+        per_pred[d0 == dv] = half_order(ell, int(dv))
     ok_orbit = bool((rho_pred == g.pper).all() and (per_pred == g.per).all())
     spot = all(orbit_stats_order(ctx.decode(i), ell)
                == (int(g.pper[i]), int(g.per[i]))

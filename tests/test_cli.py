@@ -144,6 +144,8 @@ def test_refusal_exit_3(capsys):
              f"5^300 exceeds the enumeration cap {DEFAULT_CAP}"),
             (["factor", "--ell", "3", "--p", "5", "--n", "20000", "--t", "2"],
              f"degree 3^20000 exceeds cap {DEGREE_CAP}"),
+            (["predict", "--ell", "3", "--p", "5", "--n", "20000"],
+             "a 46439-bit integer exceeds the 2^96 factorization bound"),
             (["graph", "--ell", "4", "--p", "5"], "ell = 4 is not prime")):
         proc = subprocess.run([sys.executable, "-m", "chebdyn.cli", *argv],
                               env=env, capture_output=True, text=True,

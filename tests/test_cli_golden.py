@@ -16,6 +16,7 @@ CASES = {
     "graph_3_53_1": ["graph", "--ell", "3", "--p", "53", "--n", "1"],
     "graph_2_29_dot": ["graph", "--ell", "2", "--p", "29"],
     "predict_2_3_4": ["predict", "--ell", "2", "--p", "3", "--n", "4"],
+    "predict_3_13_25": ["predict", "--ell", "3", "--p", "13", "--n", "25"],
     "verify_3_53_1": ["verify", "--ell", "3", "--p", "53", "--n", "1"],
     "verify_2_3_4": ["verify", "--ell", "2", "--p", "3", "--n", "4"],
     "factor_2_13_2_105": ["factor", "--ell", "2", "--p", "13", "--n", "2",

@@ -1,8 +1,9 @@
 import pytest
+import sympy
 
 from chebdyn.ffield import (MINUS, PLUS, FactoredInt, FFElem, FieldCtx,
-                            alpha_order, element_degree, euler_phi,
-                            factor_int, is_prime, make_field)
+                            alpha_order, element_degree, factor_int,
+                            is_prime, make_field)
 from order_reference import (QuadElem, lift_alpha, mult_order,
                              reference_alpha_order)
 
@@ -49,7 +50,7 @@ def test_factor_int_errors():
         factor_int(0)
     with pytest.raises(ValueError):
         factor_int(-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"97-bit integer exceeds the 2\^96"):
         factor_int(1 << 96)
 
 
@@ -66,8 +67,26 @@ def test_factored_int_helpers():
     f = factor_int(360)
     assert f.value == 360
     assert f.nu(2) == 3 and f.nu(3) == 2 and f.nu(7) == 0
-    assert list(f.divisors())[:6] == [1, 2, 3, 4, 5, 6]
+    assert [d.value for d in f.divisors()][:6] == [1, 2, 3, 4, 5, 6]
     assert len(list(f.divisors())) == 24
+
+
+def test_divisors_are_factored_and_ascending():
+    for n in (360, 5 ** 40 - 1, 5 ** 40 + 1, 7 ** 30 - 1, 7 ** 30 + 1):
+        divs = list(factor_int(n).divisors())
+        assert [d.value for d in divs] == sympy.divisors(n), n
+        for d in divs:
+            assert d == factor_int(d.value), (n, d)
+
+
+def test_phi_matches_sympy_totient():
+    for d in range(1, 5001):
+        assert factor_int(d).phi().value == sympy.totient(d), d
+    for n in (5 ** 40 - 1, 5 ** 40 + 1, 7 ** 30 - 1, 7 ** 30 + 1):
+        for d in factor_int(n).divisors():
+            phi = d.phi()
+            assert phi.value == sympy.totient(d.value), (n, d)
+            assert phi == factor_int(phi.value), (n, d)
 
 
 def test_is_prime():
@@ -207,7 +226,7 @@ def test_trace_correspondence_counts():
             if d <= 2:
                 assert c == 1
             else:
-                assert c == euler_phi(d) // 2, (p, n, d)
+                assert c == factor_int(d).phi().value // 2, (p, n, d)
         total = sum(counts.values())
         assert total == ctx.q
 

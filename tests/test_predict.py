@@ -1,12 +1,15 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from chebdyn import ffield, predict
 from chebdyn.ffield import factor_int, is_prime
-from chebdyn.predict import (D1, D2, c_of_d, half_order, nu_2n,
-                             periodic_density, predict_summary,
-                             predict_weight, structure_params, tower_density,
-                             tower_levels, tower_limit, weight_of_divisor)
+from chebdyn.predict import (D1, D2, half_order, nu_2n, periodic_density,
+                             predict_summary, predict_weight,
+                             structure_params, tower_density, tower_levels,
+                             tower_limit)
 
 
 def brute_c(d, ell):
@@ -20,13 +23,13 @@ def brute_c(d, ell):
 
 
 def test_c_of_d_examples():
-    assert c_of_d(13, 3) == 3
-    assert c_of_d(1, 3) == 1
-    assert c_of_d(2, 3) == 1
-    assert c_of_d(41, 2) == 10
-    assert c_of_d(factor_int(52), 3) == 6
+    assert half_order(3, 13) == 3
+    assert half_order(3, 1) == 1
+    assert half_order(3, 2) == 1
+    assert half_order(2, 41) == 10
+    assert half_order(3, factor_int(52)) == 6
     with pytest.raises(ValueError):
-        c_of_d(9, 3)
+        half_order(3, 9)
 
 
 def test_c_of_d_brute_range():
@@ -34,7 +37,7 @@ def test_c_of_d_brute_range():
         for d in range(1, 10001):
             if d % ell == 0:
                 continue
-            assert c_of_d(d, ell) == brute_c(d, ell), (d, ell)
+            assert half_order(ell, d) == brute_c(d, ell), (d, ell)
 
 
 def test_structure_params_examples():
@@ -150,10 +153,71 @@ def test_predict_weight_matches_enumeration_l2_d2():
 
 def test_weight_of_divisor():
     # order-41 classes in F_3^4 live in degree 4; order-8 in degree 2
-    assert weight_of_divisor(41, 3, 4) == 4
-    assert weight_of_divisor(8, 3, 4) == 2
-    assert weight_of_divisor(5, 3, 4) == 2
-    assert weight_of_divisor(4, 3, 4) == 1
+    assert half_order(3, 41) == 4
+    assert half_order(3, 8) == 2
+    assert half_order(3, 5) == 2
+    assert half_order(3, 4) == 1
+
+
+def brute_weight(p, d):
+    """Least m >= 1 with p^m = +-1 (mod d)."""
+    m, x = 1, p % d
+    while x != 1 % d and x != (d - 1) % d:
+        x = x * p % d
+        m += 1
+    return m
+
+
+def test_half_order_is_the_weight_on_the_sweep_fields():
+    # the fields of the criterion-05 sweep: odd p <= 31, p^n <= 2^14
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        n = 1
+        while p ** n <= 2 ** 14:
+            for group in (p ** n - 1, p ** n + 1):
+                for d in factor_int(group).divisors():
+                    want = brute_weight(p, d.value)
+                    assert want <= n and n % want == 0, (p, n, d)
+                    assert half_order(p, d) == want, (p, n, d)
+                    assert half_order(p, d.value) == want, (p, n, d)
+                    checked += 1
+            n += 1
+    assert checked > 800
+
+
+def test_predict_summary_factors_only_the_two_group_orders(monkeypatch):
+    # p^n -+ 1 once each, then r - 1 once per prime r of either (through
+    # the memo behind FactoredInt.phi); 2 divides both, which leaves room
+    # for mu's modulus ell
+    ell, p, n = 3, 13, 25
+    bound = (2 + len(factor_int(p ** n - 1).factors)
+             + len(factor_int(p ** n + 1).factors))
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return factor_int(m)
+
+    monkeypatch.setattr(ffield, "factor_int", counting)
+    monkeypatch.setattr(predict, "factor_int", counting)
+    predict_summary(ell, p, n)
+    assert len(calls) <= bound, (len(calls), bound)
+    assert len(calls) == len(set(calls))
+
+
+def test_predict_summary_digests_are_pinned():
+    # sha256 of the sorted-key JSON, as computed before the summary read
+    # its rows off the two factored group orders
+    want = {
+        (3, 5, 40): "48d796e780556f8afa9f378b01381b2a"
+                    "bd3ccefc6f24873ddcea814caf96419e",
+        (3, 7, 30): "ca69080f1beffea44f7d94967c3b20c0"
+                    "07b9b797632f711cc99b96251913ab96",
+    }
+    for args, digest in want.items():
+        obj = predict_summary(*args).to_json_obj()
+        text = json.dumps(obj, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == digest, args
 
 
 def test_periodic_density():
