@@ -154,6 +154,14 @@ class FactoredInt:
                 raise ValueError(f"{q} is not prime")
             last = q
 
+    @classmethod
+    def _proven(cls, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
+        """A FactoredInt whose primes are all proven already, built without
+        proving them again (divisors and phi of a checked FactoredInt)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        return out
+
     @property
     def value(self) -> int:
         v = 1
@@ -179,7 +187,7 @@ class FactoredInt:
             divs = [(v * q ** k, f + ((q, k),) if k else f)
                     for v, f in divs for k in range(e + 1)]
         for _, f in sorted(divs):
-            yield FactoredInt(f)
+            yield FactoredInt._proven(f)
 
     def phi(self) -> "FactoredInt":
         """Euler's phi of this integer, factored."""
@@ -189,7 +197,7 @@ class FactoredInt:
                 fm[q] = fm.get(q, 0) + e - 1
             for r, s in _factor_below(q).factors:
                 fm[r] = fm.get(r, 0) + s
-        return FactoredInt(tuple(sorted(fm.items())))
+        return FactoredInt._proven(tuple(sorted(fm.items())))
 
     def __str__(self) -> str:
         if not self.factors:

@@ -4,7 +4,10 @@ Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
 plain Python; the ModulusKernel gives exact numpy-backed multiply-reduce,
 powering and composition for the Frobenius powers of the factoring
-sweeps, whose gcds and exact divisions stay on the exact list routines.
+sweeps.  gcd is one Euclid in two step engines: int64 numpy divisions
+with delayed reduction while the divisor is long and p < 2^31, the exact
+list loop for short divisors and every larger p.  Exact divisions stay
+on the list routines.
 Factoring has one path per step: the characteristic-p squarefree loop,
 whose p-th-root step also covers f' = 0, and the baby-step giant-step
 distinct-degree split at every degree >= 2.
@@ -98,14 +101,96 @@ def monic(a: Poly, p: int) -> Poly:
     return mul_scalar(a, pow(a[-1], -1, p), p)
 
 
-def gcd(a: Poly, b: Poly, p: int) -> Poly:
-    """Monic gcd by Euclid, each remainder taken in place."""
-    a = trim([c % p for c in a])
-    b = trim([c % p for c in b])
+# The Euclid in gcd divides on int64 numpy remainders while the divisor
+# has at least this degree, and on the list loop below it.  Measured per
+# gcd of random pairs of degree (d, d - 1) at p = 5 on a 2-core host (best
+# of 5 passes over 40 pairs): the list loop takes 5.4-6.3 ms at d = 243,
+# 1.7-1.9 ms at d = 125 and 0.38-0.41 ms at d = 49, against 1.7-2.2,
+# 1.1 and 0.37-0.42 ms for the numpy steps; at d = 27, 8 and 4 the list
+# loop wins (0.16 against 0.24, 0.03 against 0.08, 0.017 against 0.043
+# ms).  Factoring 37 criterion-07 cases of degree 64 and 243 took
+# 1.7-2.0 s with the handoff anywhere from 16 to 64, 2.2 s at 96, and
+# 2.7 s on the list loop alone.
+GCD_NUMPY_DEGREE = 32
+
+# A numpy division step leaves every remainder entry above -2^62 for
+# 2^62 // p^2 steps after a reduction mod p (see gcd).
+_STEP_BOUND = 1 << 62
+
+
+def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
+    """Monic gcd of two lists or int arrays of ints, by Euclid.
+
+    While the divisor b has degree at least GCD_NUMPY_DEGREE, each division
+    runs on an int64 numpy copy of the remainder with delayed reduction.
+    A step reduces only the leading coefficient, c = a[top] mod p / b[-1]
+    mod p, and subtracts c * b[:-1] from the slice below it unreduced.
+    The divisor holds residues in [0, p), so a step lowers an entry by at
+    most (p - 1)^2: reduced mod p every k = 2^62 // p^2 steps, and once at
+    the end of each division (which makes the next divisor residues
+    again), every entry stays in [-2^62, p) and int64 is exact.  k >= 1
+    needs p < 2^31; at larger p the list loop on Python ints runs the
+    whole Euclid, so the gcd is exact at every p.
+
+    The handoff is on the divisor's degree because a step costs one slice
+    update of that length.  numpy's fixed cost per call is paid back only
+    on long slices, so the short divisors at the end of the Euclid, and
+    every small-degree gcd, run on the list loop (GCD_NUMPY_DEGREE).
+    """
+    k = _STEP_BOUND // (p * p)
+    if k and min(len(a), len(b)) > GCD_NUMPY_DEGREE:
+        a, b = _np_euclid(_np_residues(a, p), _np_residues(b, p), p, k)
+    a, b = _residues(a, p), _residues(b, p)
     while b:
         _reduce(a, b, p)
         a, b = b, a
     return monic(a, p)
+
+
+def _residues(a: Poly | np.ndarray, p: int) -> Poly:
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
+    return trim([c % p for c in a])
+
+
+def _np_residues(a: Poly | np.ndarray, p: int) -> np.ndarray:
+    if not isinstance(a, np.ndarray):
+        a = _residues(a, p)
+    return _np_trim(np.asarray(a, dtype=np.int64) % p)
+
+
+def _np_trim(a: np.ndarray) -> np.ndarray:
+    n = len(a)
+    while n and not a.item(n - 1):
+        n -= 1
+    return a[:n]
+
+
+def _np_euclid(a: np.ndarray, b: np.ndarray, p: int,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Euclid's divisions on trimmed int64 residues, which it may
+    overwrite, while deg b >= GCD_NUMPY_DEGREE, reducing mod p every k
+    steps; returns the last (a, b), both trimmed residues."""
+    if len(a) < len(b):
+        a, b = b, a
+    buf = np.empty(len(b), dtype=np.int64)
+    while len(b) > GCD_NUMPY_DEGREE:
+        db = len(b) - 1
+        inv = pow(b.item(db), -1, p)
+        low, prod = b[:-1], buf[:db]
+        left = k
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a.item(top) % p * inv % p
+            if c:
+                if not left:
+                    a[:top] %= p
+                    left = k
+                part = a[top - db:top]
+                np.multiply(low, c, out=prod)
+                np.subtract(part, prod, out=part)
+                left -= 1
+        a, b = b, _np_trim(a[:db] % p)
+    return a, b
 
 
 def powmod(base: Poly, e: int, f: Poly, p: int) -> Poly:
@@ -378,7 +463,7 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         prod = (big - baby[0]) % p
         for i in range(1, s):
             prod = ker.mulmod(prod, (big - baby[i]) % p)
-        g = gcd(prod.tolist(), rem_f, p)
+        g = gcd(prod, rem_f, p)
         if degree(g) > 0:
             rem_f = divmod_(rem_f, g, p)[0]
             # split g by degree within the block, lowest first: once the
@@ -387,7 +472,7 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
                 if degree(g) <= 0:
                     break
                 k = j * s - i
-                gi = gcd(((big - baby[i]) % p).tolist(), g, p) if i else g
+                gi = gcd((big - baby[i]) % p, g, p) if i else g
                 if degree(gi) > 0:
                     if degree(gi) % k:
                         raise ArithmeticError("distinct-degree split failed")

@@ -1,6 +1,7 @@
 import pytest
 import sympy
 
+from chebdyn import ffield
 from chebdyn.ffield import (MINUS, PLUS, FactoredInt, FFElem, FieldCtx,
                             alpha_order, element_degree, factor_int,
                             is_prime, make_field)
@@ -77,6 +78,28 @@ def test_divisors_are_factored_and_ascending():
         assert [d.value for d in divs] == sympy.divisors(n), n
         for d in divs:
             assert d == factor_int(d.value), (n, d)
+
+
+def test_divisors_and_phi_prove_no_prime_again(monkeypatch):
+    # a divisor's primes are its parent's, and phi's are those and the
+    # primes of r - 1 (factored once per r), all proven already
+    f = factor_int(5 ** 40 - 1)
+    want = [(d, d.phi()) for d in f.divisors()]  # factors each r - 1 once
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(ffield, "is_prime", counting)
+    divs = list(f.divisors())
+    assert calls == []
+    phis = [d.phi() for d in divs]
+    assert calls == []
+    assert list(zip(divs, phis)) == want
+    # a FactoredInt built from outside still proves its primes
+    FactoredInt(((3, 1), (7, 2)))
+    assert calls == [3, 7]
 
 
 def test_phi_matches_sympy_totient():

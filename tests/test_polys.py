@@ -139,10 +139,13 @@ def test_ddf_counts_known_irreducibles():
 
 def test_ddf_counts_match_sympy():
     # every degree 2..30 (one to four baby steps per block); the last two
-    # primes take the kernel's limb path
-    for p in (3, 7, 47, 10 ** 9 + 7, 10 ** 12 + 39):
+    # primes take the kernel's limb path.  Degrees 48 and 64 send the
+    # block gcds through gcd's numpy steps, 32 puts them at the handoff.
+    long = (32, 48, 64)
+    for p, extra in ((3, long), (7, ()), (47, long), (10 ** 9 + 7, long),
+                     (10 ** 12 + 39, (48,))):
         rng = random.Random(p)
-        for d in range(2, 31):
+        for d in (*range(2, 31), *extra):
             while True:
                 f = [1]
                 while polys.degree(f) < d:
@@ -164,6 +167,15 @@ def test_ddf_irreducible_detection():
     assert polys.distinct_degree_counts(mod, 3) == {29: 1}
 
 
+def _sympy_gcd(a, b, p):
+    return [int(c) for c in gf_gcd(a[::-1], b[::-1], p, ZZ)[::-1]]
+
+
+def _random_poly(rng, p, d):
+    """A random polynomial of degree exactly d."""
+    return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+
+
 def test_gcd_matches_sympy():
     for p in (13, 10 ** 9 + 7, 10 ** 12 + 39):
         rng = random.Random(p)
@@ -173,8 +185,53 @@ def test_gcd_matches_sympy():
                               for _ in range(rng.randrange(1, 25))], p)
             b = polys.mul(g, [rng.randrange(p)
                               for _ in range(rng.randrange(1, 15))], p)
-            want = [int(c) for c in gf_gcd(a[::-1], b[::-1], p, ZZ)[::-1]]
+            assert polys.gcd(a, b, p) == _sympy_gcd(a, b, p), p
+    # long remainders: common factors up to degree 150 and cofactors up to
+    # 250 with independent degrees, so quotients are long and the numpy
+    # steps run many steps between reductions below 2^31
+    cross = polys.GCD_NUMPY_DEGREE
+    for p in (13, 10 ** 9 + 7, 2 ** 31 - 1, 10 ** 12 + 39):
+        rng = random.Random(p)
+        g = _random_poly(rng, p, 60)
+        pairs = [
+            (polys.mul(g, _random_poly(rng, p, 200), p), g),  # b | a
+            (_random_poly(rng, p, 180), _random_poly(rng, p, 90)),  # coprime
+            (_random_poly(rng, p, 120), _random_poly(rng, p, cross)),
+            (_random_poly(rng, p, 120), _random_poly(rng, p, cross - 1)),
+        ]
+        h = _random_poly(rng, p, 10)  # a common factor, divisor at cross
+        pairs.append((polys.mul(h, _random_poly(rng, p, 150), p),
+                      polys.mul(h, _random_poly(rng, p, cross - 10), p)))
+        for _ in range(4):
+            g = _random_poly(rng, p, rng.randrange(151))
+            pairs.append(tuple(
+                polys.mul(g, _random_poly(rng, p, rng.randrange(251)), p)
+                for _ in range(2)))
+        for a, b in pairs:
+            want = _sympy_gcd(a, b, p)
             assert polys.gcd(a, b, p) == want, p
+            assert polys.gcd(b, a, p) == want, p
+            arrays = np.array(a), np.array(b)
+            assert polys.gcd(*arrays, p) == want, p
+            assert [x.tolist() for x in arrays] == [a, b]  # not overwritten
+
+
+def test_gcd_numpy_steps_only_below_2_to_31(monkeypatch):
+    seen = []
+    np_euclid = polys._np_euclid
+
+    def spy(a, b, p, k):
+        seen.append(p)
+        return np_euclid(a, b, p, k)
+
+    monkeypatch.setattr(polys, "_np_euclid", spy)
+    for p in (prevprime(1 << 31), nextprime(1 << 31)):
+        rng = random.Random(p)
+        g = _random_poly(rng, p, 40)
+        a = polys.mul(g, _random_poly(rng, p, 100), p)
+        b = polys.mul(g, _random_poly(rng, p, 70), p)
+        assert polys.gcd(a, b, p) == _sympy_gcd(a, b, p)
+    assert seen == [prevprime(1 << 31)]
 
 
 def test_sqrt_monic():
@@ -245,6 +302,19 @@ def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
     assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p), f, p)
     assert to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
     assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
+
+
+@_HYPOTHESIS
+@given(data=st.data(), d=st.integers(1, 300),
+       rng=st.randoms(use_true_random=True))
+def test_gcd_exact_up_to_the_kernel_bound(data, d, rng):
+    p = data.draw(_prime_upto(_kernel_bound(d)), label="p")
+    e = data.draw(st.integers(0, d), label="common degree")
+    m = data.draw(st.integers(e, 300), label="deg b")
+    g = _random_poly(rng, p, e)
+    a = polys.mul(g, _random_poly(rng, p, d - e), p)
+    b = polys.mul(g, _random_poly(rng, p, m - e), p)
+    assert polys.gcd(a, b, p) == _sympy_gcd(a, b, p)
 
 
 @_HYPOTHESIS
