@@ -63,14 +63,14 @@ def cheb_coeffs(d: int, p: int) -> list[int]:
 def iterate_coeffs(ell: int, n: int, p: int) -> tuple[int, ...]:
     """Coefficients of the n-fold iterate T_ell^n mod p, by composition."""
     check_domain(ell, p, n)
-    base = np.array(cheb_coeffs(ell, p), dtype=np.int64)
-    cur = base
+    base = cheb_coeffs(ell, p)
+    cur = np.array(base, dtype=np.float64)
     for _ in range(n - 1):
         # Horner: T_ell(cur), top coefficient first
-        out = np.array([base[-1]], dtype=np.int64)
+        out = np.array(base[-1:], dtype=np.float64)
         for c in base[-2::-1]:
             out = polys.convolve_mod(out, cur, p)
-            out[0] = (out[0] + c) % p
+            out[0] = (int(out[0]) + c) % p
         cur = out
     return tuple(int(c) for c in cur)
 

@@ -2,12 +2,21 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
-plain Python; the ModulusKernel gives exact numpy-backed multiply-reduce,
-powering and composition for the Frobenius powers of the factoring
-sweeps.  gcd is one Euclid in two step engines: int64 numpy divisions
-with delayed reduction while the divisor is long and p < 2^31, the exact
-list loop for short divisors and every larger p.  Exact divisions stay
-on the list routines.
+plain Python.  The ModulusKernel gives exact multiply-reduce, powering
+and composition for the Frobenius powers of the factoring sweeps, on
+float64 vectors of residues from end to end.  Its one product,
+convolve_mod, multiplies a shorter factor of length m, split into limbs
+below B (B = p when residues go whole), by the other of length n.  It
+is the direct np.convolve below FFT_LENGTH, exact while every
+coefficient sum stays within 2^53, (m + 1) B p <= 2^53 (limb_width),
+and a rounded np.fft.rfft product of length 2^k from there on, exact
+while Percival's error bound stays below 1/2,
+m n ((B - 1) (p - 1) (16k + 3))^2 < 2^104 (fft_limb_width).  Sums are
+reduced as x - p floor(x / p), exact for integers 0 <= x <= 2^53 (_mod).
+gcd is one Euclid in two step engines: int64 numpy divisions with
+delayed reduction while the divisor is long and p < 2^31, the exact list
+loop for short divisors and every larger p; it is where kernel residues
+become ints.  Exact divisions stay on the list routines.
 Factoring has one path per step: the characteristic-p squarefree loop,
 whose p-th-root step also covers f' = 0, and the baby-step giant-step
 distinct-degree split at every degree >= 2.
@@ -119,7 +128,8 @@ _STEP_BOUND = 1 << 62
 
 
 def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
-    """Monic gcd of two lists or int arrays of ints, by Euclid.
+    """Monic gcd of two lists or numpy arrays of integers (ints, or the
+    float64 residues of a ModulusKernel), by Euclid.
 
     While the divisor b has degree at least GCD_NUMPY_DEGREE, each division
     runs on an int64 numpy copy of the remainder with delayed reduction.
@@ -149,7 +159,7 @@ def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
 
 def _residues(a: Poly | np.ndarray, p: int) -> Poly:
     if isinstance(a, np.ndarray):
-        a = a.tolist()
+        a = a.astype(np.int64).tolist()
     return trim([c % p for c in a])
 
 
@@ -241,41 +251,34 @@ def sqrt_monic(a: Poly, p: int) -> Poly:
 # numpy kernel for a fixed modulus
 # ---------------------------------------------------------------------------
 
-# Integers below these are exact in int64 and in float64 arithmetic.
-INT_EXACT = 1 << 63
+# Integers of absolute value up to 2^53 are exact in float64.
 FLOAT_EXACT = 1 << 53
 
+# convolve_mod multiplies through np.fft.rfft once the shorter factor has
+# at least this many coefficients, and by the direct np.convolve below it.
+# The transform length is the power of two N >= m + n - 1, so it doubles
+# at m = 513.  Measured on a 2-core host, one BLAS thread, two residue
+# vectors of length d at p in {3, 47, 10007} (median of 7 x 100 calls):
+# direct 31-32, 73-75, 99-106, 89-90, 103-112, 122-140 and 237-248 us at
+# d = 256, 512, 640, 672, 704, 768 and 1024, against 56, 73-80, 110-116,
+# 91-95, 99-105, 107-116 and 118-129 us through the rfft.
+FFT_LENGTH = 700
 
-def _limb_bits(terms: int, p: int, bound: int, refusal: str) -> int:
-    """The largest w with (terms + 1) 2^w p <= bound; ValueError(refusal)
-    when w < 1."""
-    w = (bound // ((terms + 1) * p)).bit_length() - 1
-    if w < 1:
-        raise ValueError(refusal)
-    return w
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for float64 integers 0 <= x <= 2^53 (or -p < x < 0, a
+    difference of two residues), as x - p floor(x / p).
 
-def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """np.convolve(a, b) % p, exact for int64 vectors of residues mod p.
-
-    Each output coefficient sums m = min(len(a), len(b)) products, so whole
-    residues are exact in int64 while m (p - 1)^2 < 2^63.  Above that the
-    shorter vector is split into limbs of w bits, the largest w with
-    (m + 1) 2^w p <= 2^63, and the limb products are recombined by
-    Horner's rule mod p, every partial sum staying below 2^63.
+    Exact: write x = kp + r with 0 <= r < p.  The correctly rounded
+    quotient is x / p itself when that is a float, and otherwise within
+    half an ulp of it, less than 2^-53 |x| / p <= 1 / p.  x / p is k when
+    r = 0 and otherwise lies at least 1 / p inside (k, k + 1), so the
+    floor is k; p k and x - p k are integers of size at most 2^53, so
+    both are exact.  np.fmod and the float % give the
+    same residues at a cost that grows with the quotient: on 4,095 entries
+    below 2^53 they took 0.4-1.4 ms and 70-95 us against 11-17 us here.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    m = len(a)
-    if m * (p - 1) ** 2 < INT_EXACT:
-        return np.convolve(a, b) % p
-    w = _limb_bits(m, p, INT_EXACT, f"p = {p} is too large for an exact "
-                   f"int64 convolution of length {m}")
-    mask = (1 << w) - 1
-    out = 0
-    for shift in _limb_shifts(p, w):
-        out = (out * (1 << w) + np.convolve((a >> shift) & mask, b)) % p
-    return out
+    return x - p * np.floor(x / p)
 
 
 def _limb_shifts(p: int, w: int) -> range:
@@ -283,91 +286,215 @@ def _limb_shifts(p: int, w: int) -> range:
     return range(((p - 1).bit_length() - 1) // w * w, -1, -w)
 
 
+def _limbs(x: np.ndarray, shifts: range) -> list[np.ndarray]:
+    """The limbs of float64 residues x at the given bit offsets, top limb
+    first; [x] itself for one limb at offset 0.  Scaling by a power of
+    two, floor and the subtraction are all exact on integers below 2^53."""
+    out = []
+    for shift in shifts[:-1]:
+        top = np.floor(x * 2.0 ** -shift)
+        out.append(top)
+        x = x - top * 2.0 ** shift
+    out.append(x)
+    return out
+
+
 def limb_width(d: int, p: int) -> int:
-    """Bits per limb of a ModulusKernel of degree d over F_p.
+    """Bits per limb for sums of d + 1 products of residues mod p.
 
     0 when (d + 1) p^2 <= 2^53 and residues are used whole; otherwise the
     largest w with (d + 1) 2^w p <= 2^53.  Raises ValueError when no w >= 1
-    is safe, that is when p > 2^52 / (d + 1).
+    is safe, that is when p > 2^52 / (d + 1).  This is the direct bound of
+    convolve_mod (d + 1 = the shorter length plus one Horner term) and of
+    the rows of a ModulusKernel of degree d.
     """
     if (d + 1) * p * p <= FLOAT_EXACT:
         return 0
-    return _limb_bits(
-        d, p, FLOAT_EXACT,
-        f"p = {p} exceeds the exact polynomial kernel's bound "
-        f"2^52 / (d + 1) = {(FLOAT_EXACT // 2) // (d + 1)} at degree {d}")
+    w = (FLOAT_EXACT // ((d + 1) * p)).bit_length() - 1
+    if w < 1:
+        raise ValueError(
+            f"p = {p} exceeds the exact polynomial kernel's bound "
+            f"2^52 / (d + 1) = {(FLOAT_EXACT // 2) // (d + 1)} at degree {d}")
+    return w
+
+
+def fft_limb_width(m: int, n: int, p: int) -> int | None:
+    """Bits per limb of the shorter factor in a rounded rfft product of
+    lengths m <= n over F_p; 0 for whole residues, None when no w >= 1 is
+    safe.
+
+    The transform has length N = 2^k >= m + n - 1, so the cyclic product
+    is the whole product.  Percival (Math. Comp. 72 (2003), Thm. 5.1)
+    bounds the error of every coefficient by
+        |x| |y| ((1 + e)^3k (1 + e sqrt 5)^(3k+1) (1 + b)^3k - 1),
+    |.| the Euclidean norm, e = 2^-53 the unit roundoff and b the error of
+    the twiddle factors.  With b <= 2e (numpy's pocketfft computes them to
+    about one ulp) the factor is below (16k + 3) 2^-53.  A limb below 2^w
+    and a residue below p give |x| |y| <= sqrt(m n) (2^w - 1) (p - 1), so
+    the error stays below 1/2, and rounding is exact, while
+        m n ((2^w - 1) (p - 1) (16k + 3))^2 < 2^104;
+    whole residues need the same with p - 1 in place of 2^w - 1.  The
+    bound also keeps the Horner sums of convolve_mod within 2^53.
+    """
+    c = 16 * (m + n - 2).bit_length() + 3
+    top = math.isqrt(((1 << 104) - 1) // (m * n * ((p - 1) * c) ** 2))
+    if top >= p - 1:
+        return 0
+    w = (top + 1).bit_length() - 1
+    return w or None
+
+
+def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The product of two float64 vectors of residues mod p, reduced mod p.
+
+    One float64 product with two engines, chosen by the shorter length m:
+    the direct np.convolve below FFT_LENGTH, exact while every coefficient
+    sum stays within 2^53 (limb_width(m, p)), and from FFT_LENGTH on a
+    rounded np.fft.rfft product, exact while its error stays below 1/2
+    (fft_limb_width; a p too large for any FFT limb takes the direct
+    engine).  When residues cannot be used whole, the shorter vector is
+    split into w-bit limbs, each multiplied by the other vector, and the
+    limb products are recombined by Horner's rule with every partial sum
+    at most (m + 1) 2^w p <= 2^53.
+    """
+    return _mod(_product(a, b, p), p)
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The exact product of convolve_mod before its last reduction: every
+    coefficient an integer in [0, 2^53], and at most m (p - 1)^2 when the
+    residues go whole."""
+    if len(a) > len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
+    w = fft_limb_width(m, n, p) if m >= FFT_LENGTH else None
+    fft = w is not None
+    if not fft:
+        w = limb_width(m, p)
+        if not w:
+            return np.convolve(a, b)
+    limbs = _limbs(a, _limb_shifts(p, w or (p - 1).bit_length()))
+    if fft:
+        size = 1 << (m + n - 2).bit_length()
+        fb = np.fft.rfft(b, size)
+        parts = [np.rint(np.fft.irfft(
+            (fb if limb is b else np.fft.rfft(limb, size)) * fb,
+            size)[:m + n - 1]) for limb in limbs]
+    else:
+        parts = [np.convolve(limb, b) for limb in limbs]
+    out = parts[0]
+    for part in parts[1:]:
+        out = _mod(out, p) * 2.0 ** w + part
+    return out
 
 
 class ModulusKernel:
     """Exact arithmetic in F_p[x]/(f) for a fixed monic f of degree d.
 
-    Products are exact int64 convolutions (convolve_mod); reduction is one
-    float64 vector-matrix product against precomputed rows of x^(d+j) mod
-    f, built in exact integers.  Every float64 sum has at most d + 1 terms,
-    each a residue below p times a value below B, so it is exact while
+    Residues are float64 vectors of length d, from end to end; gcd takes
+    them as they are and converts them to ints.  A product is
+    convolve_mod's one float64 product; reduction is one float64
+    vector-matrix product against precomputed rows of x^(d+j) mod f.
+    Every sum has at most d + 1 terms, each a residue below p times a
+    value below B, so it is exact, and _mod reduces it exactly, while
     (d + 1) B p <= 2^53.  When (d + 1) p^2 <= 2^53 the residues are used
     whole (B = p); above that the rows are split into limbs of w bits
     (B = 2^w, see limb_width) and the limb products are recombined by
-    Horner's rule mod p.  The constructor refuses (ValueError) where no
-    limb width is safe, p > 2^52 / (d + 1).
+    Horner's rule mod p.  While d^2 (p - 1)^3 <= 2^53 the product enters
+    the rows unreduced, so a mulmod reduces once.  The constructor
+    refuses (ValueError) where no limb width is safe, p > 2^52 / (d + 1).
     """
 
     def __init__(self, f: Poly, p: int):
         if not f or degree(f) < 1:
             raise ZeroDivisionError("zero or constant modulus")
         self.p = p
-        self.f = np.array(monic(f, p), dtype=np.int64)
+        self.f = np.array(monic(f, p), dtype=np.float64)
         self.d = len(f) - 1
         d = self.d
         w = limb_width(d, p) or (p - 1).bit_length()  # 0: one whole limb
-        self.radix = 1 << w
-        self.mask = self.radix - 1
-        self.shifts = tuple(_limb_shifts(p, w))
+        self.radix = 2.0 ** w
+        self.shifts = _limb_shifts(p, w)
         self.limbs = len(self.shifts)
+        # the product goes into the rows unreduced while d^2 (p - 1)^3 <=
+        # 2^53: d terms below d (p - 1)^2 times rows below p, plus the
+        # head, stay within 2^53 (and residues go whole on both engines)
+        self.lazy = d * d * (p - 1) ** 3 <= FLOAT_EXACT
+        self._powers = None  # (h, its baby steps, h^s) of compose
         self.rows = np.empty((max(d - 1, 0), self.limbs * d))
         # rows are split into limbs 64 at a time: a split per row costs more
         # than the row, and one split of all rows triples the peak memory
-        block = np.empty((min(d, 64), d), dtype=np.int64)
-        base = row = (-self.f[:d]) % p  # x^d mod f
+        block = np.empty((min(d, 64), d))
+        self.base = row = _mod(-self.f[:d], p)  # x^d mod f
+        self.mask = (1 << w) - 1
         for j in range(d - 1):
+            # whole residues add at most (p - 1)^2 a step, so a block of
+            # rows stays below (d + 1) p^2 <= 2^53 unreduced until it is
+            # stored; limb sums are reduced every step
             if j:
-                # x * row: shift up, fold top * base back in, with
-                # Horner's rule over the limbs of top (sums below 2 B p)
-                top = int(row[-1])
-                acc = (top >> self.shifts[0]) * base
-                for shift in self.shifts[1:]:
-                    acc = acc % p * self.radix + ((top >> shift)
-                                                  & self.mask) * base
-                row = (np.concatenate(([0], row[:-1])) + acc) % p
+                row = self._times_x(row)
+                if self.limbs > 1:
+                    row = _mod(row, p)
             k = j % len(block)
             block[k] = row
             if k == len(block) - 1 or j == d - 2:
-                self.rows[j - k:j + 1] = self._split(block[:k + 1])
+                rows = _mod(block[:k + 1], p)
+                self.rows[j - k:j + 1] = self._split(rows)
+                row = rows[-1]
+
+    def _times_x(self, r: np.ndarray) -> np.ndarray:
+        """x r mod f, unreduced: r shifted up, with top * (x^d mod f)
+        folded back in by Horner's rule over the limbs of top, so for a
+        residue r every entry stays below p + 2 B p."""
+        p, base = self.p, self.base
+        top = int(r[-1]) % p
+        acc = (top >> self.shifts[0]) * base
+        for shift in self.shifts[1:]:
+            acc = _mod(acc, p) * self.radix + ((top >> shift)
+                                               & self.mask) * base
+        return np.concatenate(([0.0], r[:-1])) + acc
 
     def _split(self, m: np.ndarray) -> np.ndarray:
-        """float64 limbs of a matrix of residues, side by side along the
-        last axis, top limb first (one limb at shift 0 is the matrix)."""
-        return np.concatenate([(m >> shift) & self.mask
-                               for shift in self.shifts],
-                              axis=-1, dtype=np.float64)
+        """The limbs of a matrix of residues side by side along the last
+        axis, top limb first (one limb at shift 0 is the matrix)."""
+        return np.concatenate(_limbs(m, self.shifts), axis=-1)
 
-    def _recombine(self, u: np.ndarray, head=0) -> np.ndarray:
-        """(sum over limbs k of u_k B^(L-1-k)) + head mod p, as int64, for
-        u holding the L limb products side by side along its last axis."""
+    def _recombine(self, u: np.ndarray, head=0.0) -> np.ndarray:
+        """(sum over limbs k of u_k B^(L-1-k)) + head mod p, for u holding
+        the L limb products side by side along its last axis."""
         d, p = self.d, self.p
         acc = u[..., :d]
         for k in range(1, self.limbs):
-            acc = acc % p * self.radix + u[..., k * d:(k + 1) * d]
-        return ((acc + head) % p).astype(np.int64)
+            acc = _mod(acc, p) * self.radix + u[..., k * d:(k + 1) * d]
+        return _mod(acc + head, p)
 
-    def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d = self.d
-        raw = convolve_mod(a, b, self.p)
-        return self._recombine(raw[d:].astype(np.float64) @ self.rows,
-                               raw[:d])
+    def mulmod(self, a: np.ndarray, b: np.ndarray,
+               c: np.ndarray | None = None) -> np.ndarray:
+        """a b mod f, or a b + c mod f for a residue c, which rides in the
+        one last reduction (every bound above has room for it)."""
+        d, p = self.d, self.p
+        raw = _product(a, b, p)
+        if not self.lazy:
+            raw = _mod(raw, p)
+        head = raw[:d] if c is None else raw[:d] + c
+        if self.limbs == 1:
+            return _mod(raw[d:] @ self.rows + head, p)
+        return self._recombine(raw[d:] @ self.rows, head)
+
+    def x_power(self, e: int) -> np.ndarray:
+        """x^e mod f, left to right: a squaring per bit of e, and each
+        multiplication by x a shift and one fold, with no product."""
+        r = np.zeros(self.d)
+        r[0] = 1
+        for i, bit in enumerate(bin(e)[2:]):
+            if i:
+                r = self.mulmod(r, r)
+            if bit == "1":
+                r = _mod(self._times_x(r), self.p)
+        return r
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
-        r = np.zeros(self.d, dtype=np.int64)
+        r = np.zeros(self.d)
         r[0] = 1
         b = a
         while e:
@@ -377,24 +504,33 @@ class ModulusKernel:
             e >>= 1
         return r
 
-    def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """g(h) mod f by Brent-Kung baby-step giant-step."""
-        p, d = self.p, self.d
-        # s <= d keeps each chunk sum plus the Horner term within d + 1
-        s = min(math.isqrt(d) + 1, d)
-        baby = np.zeros((s, d), dtype=np.int64)
-        baby[0, 0] = 1
-        for i in range(1, s):
-            baby[i] = self.mulmod(baby[i - 1], h)
-        hs = self.mulmod(baby[s - 1], h)
-        coeffs = np.zeros(((d + s - 1) // s) * s, dtype=np.int64)
+    def compose(self, g: np.ndarray, h: np.ndarray,
+                uses: int = 1) -> np.ndarray:
+        """g(h) mod f by Brent-Kung baby-step giant-step.
+
+        The powers h^i, i < s, are kept for the next call with an equal h.
+        They cost s products once, and each call pays about d / s more, so
+        s = isqrt(d uses) + 1 suits a caller that composes with h `uses`
+        times (s <= d keeps each chunk sum plus the Horner term within
+        d + 1 terms).
+        """
+        if self._powers is None or not np.array_equal(self._powers[0], h):
+            d = self.d
+            s = min(math.isqrt(d * max(uses, 1)) + 1, d)
+            baby = np.zeros((s, d))
+            baby[0, 0] = 1
+            for i in range(1, s):
+                baby[i] = self.mulmod(baby[i - 1], h)
+            hs = self.mulmod(baby[s - 1], h)
+            self._powers = (h.copy(), self._split(baby), hs)
+        _, table, hs = self._powers
+        d, s = self.d, len(table)
+        coeffs = np.zeros(((d + s - 1) // s) * s)
         coeffs[: len(g)] = g
-        chunks = coeffs.reshape(-1, s).astype(np.float64)
-        parts = self._recombine(chunks @ self._split(baby))
-        out = np.zeros(d, dtype=np.int64)
-        for part in parts[::-1]:
-            out = self.mulmod(out, hs)
-            out = (out + part) % p
+        parts = self._recombine(coeffs.reshape(-1, s) @ table)
+        out = parts[-1]
+        for part in parts[-2::-1]:
+            out = self.mulmod(out, hs, part)
         return out
 
 
@@ -435,8 +571,14 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     Baby-step giant-step splitting (von zur Gathen & Shoup 1992) at every
     degree >= 2: Frobenius powers are combined in blocks of
     s = isqrt(deg / 2) + 1 degrees, so only one gcd per block is usually
-    needed.  s is at most deg / 2, since only the last factor left can
-    have a larger degree.
+    needed.  Below degree 6 a block is one degree: once the linear
+    factors are out, at most one more block is left, and the first power
+    x^p with its gcd often settles the pattern, where s = 2 always
+    computes two powers.
+    The powers past x^p come by composing with x^p where that costs fewer
+    products than powering by p, which is at large p; the giant steps
+    compose with one h throughout, so ModulusKernel.compose builds the
+    powers of each h once.
     """
     d = degree(f)
     if d <= 0:
@@ -445,12 +587,17 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         return {1: 1}
     out: dict[int, int] = {}
     ker = ModulusKernel(f, p)
-    x = np.zeros(ker.d, dtype=np.int64)
+    x = np.zeros(ker.d)
     x[1] = 1
-    s = min(math.isqrt(d // 2) + 1, d // 2)
-    baby = [x]
-    for _ in range(s):
-        baby.append(ker.powmod(baby[-1], p))  # baby[i] = x^(p^i)
+    s = math.isqrt(d // 2) + 1 if d >= 6 else 1
+    # x^(p^(i+1)) is x^(p^i) composed with x^p: once the powers of x^p
+    # are in, a composition costs about isqrt(d) products, a power of p at
+    # least bit_length(p)
+    by_compose = math.isqrt(d) + 1 < p.bit_length()
+    baby = [x, ker.x_power(p)]  # baby[i] = x^(p^i)
+    while len(baby) <= s:
+        baby.append(ker.compose(baby[-1], baby[1], s - 1) if by_compose
+                    else ker.powmod(baby[-1], p))
     giant = baby[s]  # x^(p^s)
     rem_f = f
     j = 0
@@ -458,11 +605,12 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     while degree(rem_f) > 0 and j * s < degree(rem_f):
         j += 1
         if j > 1:
-            big = ker.compose(big, giant)  # x^(p^(j*s))
+            # x^(p^(j*s)), at most d / 2s times before the loop ends
+            big = ker.compose(big, giant, d // (2 * s))
         # block of degrees (j-1)s+1 .. js: product of (big - baby[i])
-        prod = (big - baby[0]) % p
+        prod = _mod(big - baby[0], p)
         for i in range(1, s):
-            prod = ker.mulmod(prod, (big - baby[i]) % p)
+            prod = ker.mulmod(prod, _mod(big - baby[i], p))
         g = gcd(prod, rem_f, p)
         if degree(g) > 0:
             rem_f = divmod_(rem_f, g, p)[0]
@@ -472,7 +620,7 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
                 if degree(g) <= 0:
                     break
                 k = j * s - i
-                gi = gcd((big - baby[i]) % p, g, p) if i else g
+                gi = gcd(_mod(big - baby[i], p), g, p) if i else g
                 if degree(gi) > 0:
                     if degree(gi) % k:
                         raise ArithmeticError("distinct-degree split failed")

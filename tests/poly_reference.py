@@ -34,7 +34,7 @@ def to_list(v: np.ndarray) -> Poly:
 
 def lift(ker: polys.ModulusKernel, a: Poly) -> np.ndarray:
     """a mod ker.f as a ModulusKernel residue vector of length ker.d."""
-    v = np.zeros(ker.d, dtype=np.int64)
+    v = np.zeros(ker.d)
     a = polys.rem(list(a), list(map(int, ker.f)), ker.p)
     v[: len(a)] = a
     return v

@@ -81,7 +81,9 @@ def test_defining_identity_through_lift():
 
 
 def test_iterate_coeffs_matches_direct():
-    for (ell, n, p) in ((2, 3, 5), (3, 2, 7), (2, 5, 3), (5, 2, 11), (3, 4, 13)):
+    # the last three run convolve_mod's rfft engine, the last one in limbs
+    for (ell, n, p) in ((2, 3, 5), (3, 2, 7), (2, 5, 3), (5, 2, 11), (3, 4, 13),
+                        (2, 11, 3), (3, 7, 47), (2, 10, 10 ** 9 + 7)):
         assert list(iterate_coeffs(ell, n, p)) == cheb_coeffs(ell ** n, p)
 
 

@@ -1,5 +1,6 @@
 import random
 from datetime import timedelta
+from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
@@ -293,15 +294,58 @@ _HYPOTHESIS = settings(max_examples=40, deadline=timedelta(seconds=10),
 @given(data=st.data(), d=st.sampled_from(range(1, 82)),
        rng=st.randoms(use_true_random=True))
 def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
+    # the handoff is drawn below, at and above d, so the kernel's products
+    # run on both engines of convolve_mod
+    handoff = data.draw(st.sampled_from(
+        (max(d - 1, 1), d, d + 1, polys.FFT_LENGTH)), label="handoff")
     p = data.draw(_prime_upto(_kernel_bound(d)), label="p")
     f = [rng.randrange(p) for _ in range(d)] + [1]
     a, b = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
     e = data.draw(st.integers(0, 1 << 64), label="e")
-    ker = polys.ModulusKernel(f, p)
-    A, B = lift(ker, a), lift(ker, b)
-    assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p), f, p)
-    assert to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
-    assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "FFT_LENGTH", handoff)
+        ker = polys.ModulusKernel(f, p)
+        A, B = lift(ker, a), lift(ker, b)
+        assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p),
+                                                      f, p)
+        assert to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
+        assert to_list(ker.x_power(e)) == polys.powmod([0, 1], e, f, p)
+        assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
+
+
+def test_modulus_kernel_unreduced_feed_at_its_bound():
+    # the product enters the rows unreduced while d^2 (p - 1)^3 <= 2^53;
+    # primes on both sides of that bound and past it, all entries p - 1
+    for d in (9, 81):
+        top = 1 + round(((1 << 53) / (d * d)) ** (1 / 3))
+        while d * d * (top - 1) ** 3 > 1 << 53:
+            top -= 1
+        for p in (prevprime(top + 1), nextprime(top), nextprime(8 * top)):
+            f = [p - 1] * d + [1]
+            a = [p - 1] * d
+            ker = polys.ModulusKernel(f, p)
+            assert ker.lazy == (p <= top)
+            A = lift(ker, a)
+            want = polys.rem(polys.mul(a, a, p), f, p)
+            assert to_list(ker.mulmod(A, A)) == want, (d, p)
+
+
+def test_modulus_kernel_above_the_fft_length():
+    # whole residues and limbs on the rfft engine, and a p beyond any FFT
+    # limb, which the direct engine takes
+    d = polys.FFT_LENGTH + 37
+    for p in (3, 10 ** 6 + 3, 10 ** 9 + 7, prevprime(_kernel_bound(d))):
+        rng = random.Random(p)
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        a, b = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
+        ker = polys.ModulusKernel(f, p)
+        A, B = lift(ker, a), lift(ker, b)
+        ab = polys.rem(polys.mul(a, b, p), f, p)
+        assert to_list(ker.mulmod(A, B)) == ab, p
+        assert to_list(ker.powmod(A, 3)) == polys.powmod(a, 3, f, p), p
+    assert polys.fft_limb_width(d, d, 3) == 0
+    assert polys.fft_limb_width(d, d, 10 ** 9 + 7) >= 1
+    assert polys.fft_limb_width(d, d, prevprime(_kernel_bound(d))) is None
 
 
 @_HYPOTHESIS
@@ -318,18 +362,66 @@ def test_gcd_exact_up_to_the_kernel_bound(data, d, rng):
 
 
 @_HYPOTHESIS
-@given(data=st.data(), m=st.sampled_from(range(1, 244)),
-       n=st.sampled_from(range(1, 244)), rng=st.randoms(use_true_random=True))
-def test_convolve_mod_exact(data, m, n, rng):
-    p = data.draw(_prime_upto((1 << 62) // (min(m, n) + 1)), label="p")
+@given(data=st.data(),
+       handoff=st.sampled_from((1, 2, 16, 100, polys.FFT_LENGTH)),
+       rng=st.randoms(use_true_random=True))
+def test_convolve_mod_exact(data, handoff, rng):
+    # the shorter length lands below, at or above the handoff, and p runs
+    # up to the direct engine's bound, past every FFT limb width
+    m = max(1, handoff + data.draw(st.sampled_from((-1, 0, 1)), label="m"))
+    n = data.draw(st.integers(m, m + 300), label="n")
+    p = data.draw(_prime_upto(_kernel_bound(m)), label="p")
     a = [rng.randrange(p) for _ in range(m)]
     b = [rng.randrange(p) for _ in range(n)]
-    got = polys.convolve_mod(np.array(a, dtype=np.int64),
-                             np.array(b, dtype=np.int64), p)
-    want = [sum(a[i] * b[k - i] for i in range(max(0, k - n + 1),
-                                               min(k, m - 1) + 1)) % p
-            for k in range(m + n - 1)]
-    assert got.tolist() == want
+    if data.draw(st.booleans(), label="swap"):
+        a, b = b, a
+    want = np.convolve(np.array(a, dtype=object),
+                       np.array(b, dtype=object)) % p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "FFT_LENGTH", handoff)
+        got = polys.convolve_mod(np.array(a, dtype=np.float64),
+                                 np.array(b, dtype=np.float64), p)
+    assert got.tolist() == want.tolist()
+
+
+def test_fft_limb_width_is_the_widest_under_its_bound():
+    # Percival's factor with twiddle error 2^-52 stays below the stated
+    # (16k + 3) 2^-53, and fft_limb_width is the widest limb under it
+    eps, root5 = Fraction(1, 1 << 53), Fraction(22360679775, 10 ** 10)
+    for k in range(1, 24):
+        factor = ((1 + eps) ** (3 * k) * (1 + eps * root5) ** (3 * k + 1)
+                  * (1 + 2 * eps) ** (3 * k) - 1)
+        assert factor < (16 * k + 3) * eps, k
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.choice((1, 2, 511, 512, 513, 4096, rng.randrange(1, 5000)))
+        n = m + rng.randrange(5000)
+        p = nextprime(rng.randrange(3, _kernel_bound(m)))
+        c = 16 * (m + n - 2).bit_length() + 3
+
+        def fits(top):  # limbs up to top keep the error under 1/2
+            return m * n * (top * (p - 1) * c) ** 2 < 1 << 104
+
+        w = polys.fft_limb_width(m, n, p)
+        if w == 0:
+            assert fits(p - 1)
+        elif w is None:
+            assert not fits(1)
+        else:
+            assert not fits(p - 1) and fits((1 << w) - 1), (m, n, p, w)
+            assert not fits((1 << (w + 1)) - 1), (m, n, p, w)
+
+
+def test_floor_reduction_exact_up_to_2_to_53():
+    rng = random.Random(53)
+    top = 1 << 53
+    for p in (3, 47, 10 ** 9 + 7, prevprime(1 << 40), prevprime(1 << 52),
+              nextprime(rng.randrange(1 << 30))):
+        xs = [0, 1, p - 1, p, p + 1, top - 1, top, top // p * p,
+              top // p * p - 1, *(rng.randrange(top + 1) for _ in range(2000)),
+              *(-rng.randrange(1, p) for _ in range(200))]  # differences
+        got = polys._mod(np.array(xs, dtype=np.float64), p)
+        assert got.tolist() == [x % p for x in xs], p
 
 
 def test_modulus_kernel_refuses_beyond_its_bound():
