@@ -61,8 +61,17 @@ def cheb_coeffs(d: int, p: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def iterate_coeffs(ell: int, n: int, p: int) -> tuple[int, ...]:
-    """Coefficients of the n-fold iterate T_ell^n mod p, by composition."""
+    """Coefficients of the n-fold iterate T_ell^n mod p, by composition.
+
+    The products have a shorter factor of at most ell^(n-1) + 1
+    coefficients, so they are exact for p <= 2^52 / (ell^(n-1) + 2)
+    (polys.limb_width); a larger p is refused before any work.
+    """
     check_domain(ell, p, n)
+    if n > 1 and 2 * p * (ell ** (n - 1) + 2) > polys.FLOAT_EXACT:
+        raise ValueError(
+            f"p = {p} exceeds iterate_coeffs's bound 2^52 / (ell^(n-1) + 2)"
+            f" at ell = {ell}, n = {n}")
     base = cheb_coeffs(ell, p)
     cur = np.array(base, dtype=np.float64)
     for _ in range(n - 1):

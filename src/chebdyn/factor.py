@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 # The largest ell^n factor_pattern_actual takes.  Near it, at t = 1, on a
-# 2-core host with one BLAS thread: (ell, p, n) = (2, 3, 12) 5.6-7.3 s,
-# (3, 5, 7) 9.3 s, (5, 3, 5) 2.2 s and (2, 11, 12) 39.7 s, against 27.0,
-# 35.6, 11.0 and 217.7 s with the int64 product.
+# 2-core host with one BLAS thread: (ell, p, n) = (2, 3, 12) 6.3-7.4 s,
+# (3, 5, 7) 9.5-9.9 s, (5, 3, 5) 2.6-3.2 s and (2, 11, 12) 46.5 s,
+# against 27.0, 35.6, 11.0 and 217.7 s with the int64 product.
 DEGREE_CAP = 1 << 12
 # Largest prime find_irreducibility_witness tries.
 WITNESS_BOUND = 1000

@@ -10,9 +10,10 @@ below B (B = p when residues go whole), by the other of length n.  It
 is the direct np.convolve below FFT_LENGTH, exact while every
 coefficient sum stays within 2^53, (m + 1) B p <= 2^53 (limb_width),
 and a rounded np.fft.rfft product of length 2^k from there on, exact
-while Percival's error bound stays below 1/2,
-m n ((B - 1) (p - 1) (16k + 3))^2 < 2^104 (fft_limb_width).  Sums are
-reduced as x - p floor(x / p), exact for integers 0 <= x <= 2^53 (_mod).
+while Percival's error bound, assumed to hold for numpy's transform,
+stays below 1/2, m n ((B - 1) (p - 1) (16k + 3))^2 < 2^104
+(fft_limb_width).  Sums are reduced as x - p floor(x / p), exact for
+integers 0 <= x <= 2^53 (_mod).
 gcd is one Euclid in two step engines: int64 numpy divisions with
 delayed reduction while the divisor is long and p < 2^31, the exact list
 loop for short divisors and every larger p; it is where kernel residues
@@ -261,7 +262,11 @@ FLOAT_EXACT = 1 << 53
 # vectors of length d at p in {3, 47, 10007} (median of 7 x 100 calls):
 # direct 31-32, 73-75, 99-106, 89-90, 103-112, 122-140 and 237-248 us at
 # d = 256, 512, 640, 672, 704, 768 and 1024, against 56, 73-80, 110-116,
-# 91-95, 99-105, 107-116 and 118-129 us through the rfft.
+# 91-95, 99-105, 107-116 and 118-129 us through the rfft.  On whole
+# factorings near the degree cap, factor_pattern_actual(ell, p, n, 1)
+# took 6.3-7.4 s at (2, 3, 12), 2.6-3.2 s at (5, 3, 5) and 46.5 s at
+# (2, 11, 12), against 7.0-7.8, 3.0-3.5 and 56.5 s with the direct
+# product only; (3, 5, 7) took 9.5-9.9 s either way.
 FFT_LENGTH = 700
 
 
@@ -328,8 +333,11 @@ def fft_limb_width(m: int, n: int, p: int) -> int | None:
     bounds the error of every coefficient by
         |x| |y| ((1 + e)^3k (1 + e sqrt 5)^(3k+1) (1 + b)^3k - 1),
     |.| the Euclidean norm, e = 2^-53 the unit roundoff and b the error of
-    the twiddle factors.  With b <= 2e (numpy's pocketfft computes them to
-    about one ulp) the factor is below (16k + 3) 2^-53.  A limb below 2^w
+    the twiddle factors.  The theorem is proved for a radix-2 Cooley-Tukey
+    complex FFT; that it holds for numpy's pocketfft real transforms,
+    whose twiddles are accurate to about one ulp, is an assumption, checked
+    by test on all-maximal inputs at transform lengths 2^11 to 2^13.
+    With b <= 2e the factor is below (16k + 3) 2^-53.  A limb below 2^w
     and a residue below p give |x| |y| <= sqrt(m n) (2^w - 1) (p - 1), so
     the error stays below 1/2, and rounding is exact, while
         m n ((2^w - 1) (p - 1) (16k + 3))^2 < 2^104;
@@ -481,18 +489,6 @@ class ModulusKernel:
             return _mod(raw[d:] @ self.rows + head, p)
         return self._recombine(raw[d:] @ self.rows, head)
 
-    def x_power(self, e: int) -> np.ndarray:
-        """x^e mod f, left to right: a squaring per bit of e, and each
-        multiplication by x a shift and one fold, with no product."""
-        r = np.zeros(self.d)
-        r[0] = 1
-        for i, bit in enumerate(bin(e)[2:]):
-            if i:
-                r = self.mulmod(r, r)
-            if bit == "1":
-                r = _mod(self._times_x(r), self.p)
-        return r
-
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
         r = np.zeros(self.d)
         r[0] = 1
@@ -504,19 +500,23 @@ class ModulusKernel:
             e >>= 1
         return r
 
-    def compose(self, g: np.ndarray, h: np.ndarray,
-                uses: int = 1) -> np.ndarray:
+    def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """g(h) mod f by Brent-Kung baby-step giant-step.
 
-        The powers h^i, i < s, are kept for the next call with an equal h.
-        They cost s products once, and each call pays about d / s more, so
-        s = isqrt(d uses) + 1 suits a caller that composes with h `uses`
-        times (s <= d keeps each chunk sum plus the Horner term within
-        d + 1 terms).
+        The powers h^i, i < s, are kept for the next call with an equal h:
+        both Frobenius loops of distinct_degree_counts compose with one h
+        up to about sqrt(d / 2) times in a row.  The powers cost s
+        products once and each call about d / s more, so s =
+        isqrt(d (isqrt(d / 2) + 1)) + 1 balances the two over such a run
+        (s <= d keeps each chunk sum plus the Horner term within d + 1
+        terms).  Against the one-call size s = isqrt(d) + 1, on a 2-core
+        host with one BLAS thread, factor_pattern_actual(ell, p, n, 1) at
+        (2, 3, 12) took 6.3-7.4 s against 9.4 s and at (3, 5, 7) 9.5-9.9
+        s against 12.4 s.
         """
         if self._powers is None or not np.array_equal(self._powers[0], h):
             d = self.d
-            s = min(math.isqrt(d * max(uses, 1)) + 1, d)
+            s = min(math.isqrt(d * (math.isqrt(d // 2) + 1)) + 1, d)
             baby = np.zeros((s, d))
             baby[0, 0] = 1
             for i in range(1, s):
@@ -575,8 +575,8 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     factors are out, at most one more block is left, and the first power
     x^p with its gcd often settles the pattern, where s = 2 always
     computes two powers.
-    The powers past x^p come by composing with x^p where that costs fewer
-    products than powering by p, which is at large p; the giant steps
+    The powers past x^p come by composing with x^p where that measures
+    faster than powering by p, which is at p > 4 deg; the giant steps
     compose with one h throughout, so ModulusKernel.compose builds the
     powers of each h once.
     """
@@ -590,13 +590,18 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     x = np.zeros(ker.d)
     x[1] = 1
     s = math.isqrt(d // 2) + 1 if d >= 6 else 1
-    # x^(p^(i+1)) is x^(p^i) composed with x^p: once the powers of x^p
-    # are in, a composition costs about isqrt(d) products, a power of p at
-    # least bit_length(p)
-    by_compose = math.isqrt(d) + 1 < p.bit_length()
-    baby = [x, ker.x_power(p)]  # baby[i] = x^(p^i)
+    # x^(p^(i+1)) is x^(p^i) composed with x^p, or its p-th power.
+    # Composing wins from p > 4d on at every degree measured.  Measured
+    # on a 2-core host, one BLAS thread, the s - 1 baby steps past x^p of
+    # random monic f (best of 5; of 2 at d >= 729), time composing / time
+    # powering, at p of 4, 6, 8, 10, 12 and 14 bits: d = 9 0.77, 0.62,
+    # 0.50, 0.41, 0.38, 0.32; d = 81 0.76, 0.75, 0.64, 0.82, 0.56, 0.50;
+    # d = 243 1.20, 0.83, 0.92, 0.73, 0.57, 0.55; d = 729 1.89, 1.62,
+    # 1.32, 1.06, 0.95, 0.74; d = 2048 2.27, 2.00, 1.40, 1.03, 1.12, 0.86.
+    by_compose = p > 4 * d
+    baby = [x, ker.powmod(x, p)]  # baby[i] = x^(p^i)
     while len(baby) <= s:
-        baby.append(ker.compose(baby[-1], baby[1], s - 1) if by_compose
+        baby.append(ker.compose(baby[-1], baby[1]) if by_compose
                     else ker.powmod(baby[-1], p))
     giant = baby[s]  # x^(p^s)
     rem_f = f
@@ -606,7 +611,7 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         j += 1
         if j > 1:
             # x^(p^(j*s)), at most d / 2s times before the loop ends
-            big = ker.compose(big, giant, d // (2 * s))
+            big = ker.compose(big, giant)
         # block of degrees (j-1)s+1 .. js: product of (big - baby[i])
         prod = _mod(big - baby[0], p)
         for i in range(1, s):

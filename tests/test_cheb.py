@@ -87,6 +87,21 @@ def test_iterate_coeffs_matches_direct():
         assert list(iterate_coeffs(ell, n, p)) == cheb_coeffs(ell ** n, p)
 
 
+def test_iterate_coeffs_refuses_beyond_its_bound(monkeypatch):
+    # at (2, 2) the shorter factor has 3 coefficients: exact up to 2^52 / 4
+    top = (1 << 52) // 4
+    p = sympy.prevprime(top + 1)
+    assert list(iterate_coeffs(2, 2, p)) == cheb_coeffs(4, p)
+    assert iterate_coeffs(2, 1, sympy.nextprime(1 << 60))  # no product
+
+    def no_product(*args):
+        raise AssertionError("refused after work began")
+
+    monkeypatch.setattr(polys, "convolve_mod", no_product)
+    with pytest.raises(ValueError, match="iterate_coeffs's bound"):
+        iterate_coeffs(2, 2, sympy.nextprime(top))
+
+
 def test_critical_factorization_l3():
     cs = critical_factorization(3, 53)
     assert cs.square_minus == [1, 1]    # T_3 - 2 = (x-2)(x+1)^2

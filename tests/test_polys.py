@@ -1,3 +1,4 @@
+import math
 import random
 from datetime import timedelta
 from fractions import Fraction
@@ -309,7 +310,6 @@ def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
         assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p),
                                                       f, p)
         assert to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
-        assert to_list(ker.x_power(e)) == polys.powmod([0, 1], e, f, p)
         assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
 
 
@@ -410,6 +410,30 @@ def test_fft_limb_width_is_the_widest_under_its_bound():
         else:
             assert not fits(p - 1) and fits((1 << w) - 1), (m, n, p, w)
             assert not fits((1 << (w + 1)) - 1), (m, n, p, w)
+
+
+def test_fft_rounding_margin_on_all_maximal_inputs():
+    # Percival's bound is proved for a radix-2 complex FFT; this checks the
+    # margin numpy's real transforms leave at the chosen widths, at the
+    # handoff and at degrees 2048 and 4096 (lengths 2^11, 2^12 and 2^13):
+    # every limb 2^w - 1 (every residue p - 1 when whole) against residues
+    # p - 1, the largest inputs the width allows
+    for d in (polys.FFT_LENGTH, 2048, 4096):
+        size = 1 << (2 * d - 2).bit_length()
+        c = 16 * (2 * d - 2).bit_length() + 3
+        whole = prevprime(math.isqrt((1 << 52) // (d * c)))
+        one_bit = prevprime((1 << 52) // (d * c))
+        for p in (3, whole, 10 ** 6 + 3, 10 ** 9 + 7, one_bit):
+            w = polys.fft_limb_width(d, d, p)
+            top = p - 1 if w == 0 else (1 << w) - 1
+            got = np.fft.irfft(np.fft.rfft(np.full(d, float(top)), size)
+                               * np.fft.rfft(np.full(d, float(p - 1)), size),
+                               size)[:2 * d - 1]
+            k = np.arange(1, 2 * d)
+            exact = top * (p - 1) * np.minimum(k, 2 * d - k).astype(float)
+            assert np.abs(got - exact).max() < 1 / 8, (d, p, w)
+    assert polys.fft_limb_width(4096, 4096, 3) == 0
+    assert polys.fft_limb_width(4096, 4096, one_bit) == 1
 
 
 def test_floor_reduction_exact_up_to_2_to_53():
