@@ -9,10 +9,7 @@ iterate arithmetic below cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from . import polys
 from .ffield import (FactoredInt, FFElem, _cheb_ladder, check_domain,
@@ -42,7 +39,11 @@ def cheb_eval(d: int, a: FFElem) -> FFElem:
 
 
 def cheb_coeffs(d: int, p: int) -> list[int]:
-    """Coefficients of T_d mod p via the three-term recurrence."""
+    """Coefficients of T_d mod p, ascending, by the explicit form (Lidl,
+    Mullen and Turnwald, Dickson Polynomials, 1993): T_d is the sum over
+    k <= d/2 of (-1)^k c_k x^(d-2k), with c_k = d/(d-k) binom(d-k, k) an
+    integer, so c_0 = 1 and c_k = c_(k-1) (d-2k+2)(d-2k+1) / (k (d-k))
+    divides exactly.  Python ints, each reduced mod p: exact at every p."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     if d > COEFF_DEGREE_CAP:
@@ -50,38 +51,22 @@ def cheb_coeffs(d: int, p: int) -> list[int]:
             f"degree {d} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
     if d == 0:
         return [2 % p]
-    prev, cur = [2 % p], [0, 1]
-    for _ in range(d - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] = (nxt[i] - c) % p
-        prev, cur = cur, nxt
-    return cur
+    out = [0] * (d + 1)
+    out[d] = c = 1
+    for k in range(1, d // 2 + 1):
+        c = c * (d - 2 * k + 2) * (d - 2 * k + 1) // (k * (d - k))
+        out[d - 2 * k] = (-c if k % 2 else c) % p
+    return out
 
 
-@lru_cache(maxsize=None)
 def iterate_coeffs(ell: int, n: int, p: int) -> tuple[int, ...]:
-    """Coefficients of the n-fold iterate T_ell^n mod p, by composition.
-
-    The products have a shorter factor of at most ell^(n-1) + 1
-    coefficients, so they are exact for p <= 2^52 / (ell^(n-1) + 2)
-    (polys.limb_width); a larger p is refused before any work.
-    """
+    """Coefficients of the n-fold iterate T_ell^n = T_(ell^n) mod p."""
     check_domain(ell, p, n)
-    if n > 1 and 2 * p * (ell ** (n - 1) + 2) > polys.FLOAT_EXACT:
+    # ell^n >= 2^n: a huge n is refused without forming ell^n
+    if n >= COEFF_DEGREE_CAP.bit_length() or ell ** n > COEFF_DEGREE_CAP:
         raise ValueError(
-            f"p = {p} exceeds iterate_coeffs's bound 2^52 / (ell^(n-1) + 2)"
-            f" at ell = {ell}, n = {n}")
-    base = cheb_coeffs(ell, p)
-    cur = np.array(base, dtype=np.float64)
-    for _ in range(n - 1):
-        # Horner: T_ell(cur), top coefficient first
-        out = np.array(base[-1:], dtype=np.float64)
-        for c in base[-2::-1]:
-            out = polys.convolve_mod(out, cur, p)
-            out[0] = (int(out[0]) + c) % p
-        cur = out
-    return tuple(int(c) for c in cur)
+            f"degree {ell}^{n} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
+    return tuple(cheb_coeffs(ell ** n, p))
 
 
 @dataclass(frozen=True)

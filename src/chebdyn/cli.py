@@ -15,7 +15,7 @@ from typing import Optional
 
 from .factor import (decompose_prime, factor_pattern_actual,
                      factor_pattern_predicted)
-from .ffield import FieldCtx, check_domain, make_field
+from .ffield import check_domain, make_field
 from .graph import DEFAULT_CAP, build_graph, export_dot, summarize
 from .predict import (periodic_density, predict_summary, structure_params,
                       tower_density, tower_limit)
@@ -98,8 +98,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if args.command == "graph":
-            check_domain(args.ell, args.p, args.n,
-                         min(args.cap, FieldCtx.TABLE_CAP))
+            check_domain(args.ell, args.p, args.n, args.cap)
             g = build_graph(args.ell, make_field(args.p, args.n),
                             cap=args.cap)
             s = summarize(g)
@@ -161,6 +160,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
 
         if args.command == "density":
+            check_domain(args.ell, args.p, args.n)
+            # printed in full, 2 p^n must fit Python's int-to-str limit;
+            # n > 3 limit is past it without forming p^n (3^n > 10^limit)
+            limit = sys.get_int_max_str_digits()
+            if limit and (args.n > 3 * limit
+                          or 2 * args.p ** args.n >= 10 ** limit):
+                raise ValueError(
+                    f"the density's denominator 2 * {args.p}^{args.n} has "
+                    f"more than {limit} digits, the limit of Python's "
+                    f"int-to-str conversion (sys.get_int_max_str_digits)")
             dens = periodic_density(args.ell, args.p, args.n)
             lim = tower_limit(args.ell)
             a, lam, tdens = tower_density(args.ell, args.p, min(args.n, 8))

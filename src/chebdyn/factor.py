@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import polys
-from .cheb import iterate_coeffs, ramified_candidates
+from .cheb import cheb_coeffs, ramified_candidates
 from .ffield import alpha_order, check_domain, is_prime, make_field, nu
 from .predict import D1, D2, structure_params
 
@@ -83,7 +83,7 @@ def factor_pattern_actual(ell: int, p: int, n: int, t: int) -> FactorPattern:
     if n >= DEGREE_CAP.bit_length() or ell ** n > DEGREE_CAP:
         raise ValueError(f"degree {ell}^{n} exceeds cap {DEGREE_CAP}")
     polys.limb_width(ell ** n, p)  # refuses a p beyond the kernel's bound
-    f = list(iterate_coeffs(ell, n, p))
+    f = cheb_coeffs(ell ** n, p)  # T_ell^n = T_(ell^n)
     f[0] = (f[0] - t) % p
     entries = []
     for part, mult in polys.squarefree_parts(f, p):

@@ -604,7 +604,8 @@ def check_domain(ell: int | None = None, p: int | None = None,
                  n: int | None = None, cap: int | None = None) -> None:
     """Refuse (ValueError) an input outside the domain of the structure
     theory: T_ell with ell prime acting on F_{p^n} with p an odd prime
-    other than ell, n >= 1 and, when a cap is given, q = p^n <= cap.
+    other than ell, n >= 1 and, when an enumeration cap is given, q = p^n
+    at most that cap and FieldCtx.TABLE_CAP, which the order tables need.
 
     Arguments left as None are not checked (make_field has no ell).  The
     public entry points call this before any other work.
@@ -620,6 +621,7 @@ def check_domain(ell: int | None = None, p: int | None = None,
             raise ValueError(f"p = {p} must differ from ell")
     if n is not None and n < 1:
         raise ValueError(f"n = {n} must be >= 1")
+    cap = None if cap is None else min(cap, FieldCtx.TABLE_CAP)
     # p >= 3, so p^n > 2^n > cap once n >= cap.bit_length(): a huge n is
     # refused without forming p^n
     if cap is not None and (n >= cap.bit_length() or p ** n > cap):

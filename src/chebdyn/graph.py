@@ -145,9 +145,9 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
     """Enumerate G(ell, p, n): successors by direct evaluation, orbit
     statistics by graph search, weights by Frobenius orbits, divisor
     classes from the order tables."""
-    # the order tables would refuse above TABLE_CAP only after all the
-    # work below
-    check_domain(ell, ctx.p, ctx.n, min(cap, ctx.TABLE_CAP))
+    # check_domain caps q at TABLE_CAP too: the order tables would refuse
+    # above it only after all the work below
+    check_domain(ell, ctx.p, ctx.n, cap)
     q = ctx.q
     succ = _vector_succ(ctx, ell)
 

@@ -5,7 +5,7 @@ zeros trimmed (the zero polynomial is []).  The scalar routines are
 plain Python.  The ModulusKernel gives exact multiply-reduce, powering
 and composition for the Frobenius powers of the factoring sweeps, on
 float64 vectors of residues from end to end.  Its one product,
-convolve_mod, multiplies a shorter factor of length m, split into limbs
+_product, multiplies a shorter factor of length m, split into limbs
 below B (B = p when residues go whole), by the other of length n.  It
 is the direct np.convolve below FFT_LENGTH, exact while every
 coefficient sum stays within 2^53, (m + 1) B p <= 2^53 (limb_width),
@@ -255,7 +255,7 @@ def sqrt_monic(a: Poly, p: int) -> Poly:
 # Integers of absolute value up to 2^53 are exact in float64.
 FLOAT_EXACT = 1 << 53
 
-# convolve_mod multiplies through np.fft.rfft once the shorter factor has
+# _product multiplies through np.fft.rfft once the shorter factor has
 # at least this many coefficients, and by the direct np.convolve below it.
 # The transform length is the power of two N >= m + n - 1, so it doubles
 # at m = 513.  Measured on a 2-core host, one BLAS thread, two residue
@@ -310,7 +310,7 @@ def limb_width(d: int, p: int) -> int:
     0 when (d + 1) p^2 <= 2^53 and residues are used whole; otherwise the
     largest w with (d + 1) 2^w p <= 2^53.  Raises ValueError when no w >= 1
     is safe, that is when p > 2^52 / (d + 1).  This is the direct bound of
-    convolve_mod (d + 1 = the shorter length plus one Horner term) and of
+    _product (d + 1 = the shorter length plus one Horner term) and of
     the rows of a ModulusKernel of degree d.
     """
     if (d + 1) * p * p <= FLOAT_EXACT:
@@ -342,7 +342,7 @@ def fft_limb_width(m: int, n: int, p: int) -> int | None:
     the error stays below 1/2, and rounding is exact, while
         m n ((2^w - 1) (p - 1) (16k + 3))^2 < 2^104;
     whole residues need the same with p - 1 in place of 2^w - 1.  The
-    bound also keeps the Horner sums of convolve_mod within 2^53.
+    bound also keeps the Horner sums of _product within 2^53.
     """
     c = 16 * (m + n - 2).bit_length() + 3
     top = math.isqrt(((1 << 104) - 1) // (m * n * ((p - 1) * c) ** 2))
@@ -352,8 +352,10 @@ def fft_limb_width(m: int, n: int, p: int) -> int | None:
     return w or None
 
 
-def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product of two float64 vectors of residues mod p, reduced mod p.
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The exact product of two float64 vectors of residues mod p, before
+    its reduction: every coefficient an integer in [0, 2^53], and at most
+    m (p - 1)^2 when the residues go whole.
 
     One float64 product with two engines, chosen by the shorter length m:
     the direct np.convolve below FFT_LENGTH, exact while every coefficient
@@ -365,13 +367,6 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     limb products are recombined by Horner's rule with every partial sum
     at most (m + 1) 2^w p <= 2^53.
     """
-    return _mod(_product(a, b, p), p)
-
-
-def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The exact product of convolve_mod before its last reduction: every
-    coefficient an integer in [0, 2^53], and at most m (p - 1)^2 when the
-    residues go whole."""
     if len(a) > len(b):
         a, b = b, a
     m, n = len(a), len(b)
@@ -401,7 +396,7 @@ class ModulusKernel:
 
     Residues are float64 vectors of length d, from end to end; gcd takes
     them as they are and converts them to ints.  A product is
-    convolve_mod's one float64 product; reduction is one float64
+    _product's one float64 product; reduction is one float64
     vector-matrix product against precomputed rows of x^(d+j) mod f.
     Every sum has at most d + 1 terms, each a residue below p times a
     value below B, so it is exact, and _mod reduces it exactly, while
@@ -490,14 +485,19 @@ class ModulusKernel:
         return self._recombine(raw[d:] @ self.rows, head)
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
-        r = np.zeros(self.d)
-        r[0] = 1
-        b = a
-        while e:
-            if e & 1:
-                r = self.mulmod(r, b)
-            b = self.mulmod(b, b)
-            e >>= 1
+        """a^e mod f, left to right from a: for e >= 1 that is
+        bit_length(e) - 1 squarings and popcount(e) - 1 products by a."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        if not e:
+            r = np.zeros(self.d)
+            r[0] = 1
+            return r
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, a)
         return r
 
     def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
-from .ffield import FieldCtx, check_domain, make_field, strip_ell
-from .graph import (DEFAULT_CAP, VerifyReport, build_graph, orbit_stats_order,
-                    summarize, verify_structure)
+from .ffield import check_domain, make_field, strip_ell
+from .graph import (DEFAULT_CAP, VerifyReport, build_graph, summarize,
+                    verify_structure)
 from .predict import (half_order, periodic_density, predict_summary,
                       structure_params)
 
@@ -43,10 +43,9 @@ def verify_instance(ell: int, p: int, n: int,
     density, and the factorization pattern for every t in [0, p) at the
     largest level m <= n with ell^m <= DEGREE_CAP (level 1 at least).
     """
-    check_domain(ell, p, n, min(cap, FieldCtx.TABLE_CAP))
+    check_domain(ell, p, n, cap)
     rep = VerifyReport(ell, p, n)
-    ctx = make_field(p, n)
-    g = build_graph(ell, ctx, cap=cap)
+    g = build_graph(ell, make_field(p, n), cap=cap)
     rep.q = g.q
     rep.periodic = g.periodic_count()
 
@@ -76,11 +75,8 @@ def verify_instance(ell: int, p: int, n: int,
     for dv in np.unique(d0):
         per_pred[d0 == dv] = half_order(ell, int(dv))
     ok_orbit = bool((rho_pred == g.pper).all() and (per_pred == g.per).all())
-    spot = all(orbit_stats_order(ctx.decode(i), ell)
-               == (int(g.pper[i]), int(g.per[i]))
-               for i in range(0, g.q, max(1, g.q // 64)))
     rep.add("orbit statistics: brute == order formula (all vertices)",
-            ok_orbit and spot)
+            ok_orbit)
 
     sr = verify_structure(g)
     rep.add("structure: cycles, tree roots, complete trees", sr.ok,

@@ -1,7 +1,8 @@
 """List-polynomial helpers the tests use as plain references for
 `chebdyn.polys` and `chebdyn.cheb`: Horner evaluation and composition
-with no reduction, and the conversions between a list polynomial and a
-`ModulusKernel` residue."""
+with no reduction, the Chebyshev coefficients by the three-term
+recurrence and the iterates by composition, and the conversions between
+a list polynomial and a `ModulusKernel` residue."""
 
 from __future__ import annotations
 
@@ -25,6 +26,24 @@ def compose(g: Poly, h: Poly, p: int) -> Poly:
     for c in reversed(g):
         out = polys.add(polys.mul(out, h, p), [c], p)
     return out
+
+
+def cheb_by_recurrence(top: int, p: int) -> list[Poly]:
+    """[T_0, ..., T_top] mod p by T_d+1 = x T_d - T_d-1, T_0 = 2, T_1 = x."""
+    out = [[2 % p], [0, 1]]
+    while len(out) <= top:
+        out.append(polys.sub([0] + out[-1], out[-2], p))
+    return out[:top + 1]
+
+
+def iterate_by_composition(ell: int, n: int, p: int) -> Poly:
+    """T_ell composed with itself n times over F_p, by exact Horner
+    composition on Python ints (polys.mul)."""
+    base = cheb_by_recurrence(ell, p)[ell]
+    cur = base
+    for _ in range(n - 1):
+        cur = compose(base, cur, p)
+    return cur
 
 
 def to_list(v: np.ndarray) -> Poly:

@@ -7,7 +7,8 @@ from chebdyn.cheb import (COEFF_DEGREE_CAP, cheb_coeffs, cheb_eval,
                           iterate_coeffs, ramified_candidates)
 from chebdyn.ffield import make_field
 from order_reference import QuadElem, lift_alpha
-from poly_reference import eval_at
+from poly_reference import (cheb_by_recurrence, eval_at,
+                            iterate_by_composition)
 
 
 def test_eval_examples():
@@ -80,26 +81,31 @@ def test_defining_identity_through_lift():
                     assert al ** d + al.inverse() ** d == want
 
 
+def test_coeffs_match_recurrence():
+    for p in (3, 7, 101, (1 << 61) - 1, sympy.nextprime(1 << 90)):
+        for d, want in enumerate(cheb_by_recurrence(300, p)):
+            assert cheb_coeffs(d, p) == want, (d, p)
+
+
 def test_iterate_coeffs_matches_direct():
-    # the last three run convolve_mod's rfft engine, the last one in limbs
-    for (ell, n, p) in ((2, 3, 5), (3, 2, 7), (2, 5, 3), (5, 2, 11), (3, 4, 13),
-                        (2, 11, 3), (3, 7, 47), (2, 10, 10 ** 9 + 7)):
-        assert list(iterate_coeffs(ell, n, p)) == cheb_coeffs(ell ** n, p)
+    # against exact composition, at degrees up to 2187 and p past 2^62
+    for (ell, n, p) in ((2, 3, 5), (3, 2, 7), (2, 5, 3), (5, 2, 11),
+                        (3, 4, 13), (2, 11, 3), (3, 7, 47),
+                        (2, 10, 10 ** 9 + 7), (2, 2, sympy.prevprime(1 << 50)),
+                        (3, 4, sympy.prevprime(1 << 51)),
+                        (2, 6, sympy.nextprime(1 << 62)),
+                        (2, 1, sympy.nextprime(1 << 60))):
+        want = iterate_by_composition(ell, n, p)
+        assert list(iterate_coeffs(ell, n, p)) == want, (ell, n, p)
 
 
-def test_iterate_coeffs_refuses_beyond_its_bound(monkeypatch):
-    # at (2, 2) the shorter factor has 3 coefficients: exact up to 2^52 / 4
-    top = (1 << 52) // 4
-    p = sympy.prevprime(top + 1)
-    assert list(iterate_coeffs(2, 2, p)) == cheb_coeffs(4, p)
-    assert iterate_coeffs(2, 1, sympy.nextprime(1 << 60))  # no product
-
-    def no_product(*args):
-        raise AssertionError("refused after work began")
-
-    monkeypatch.setattr(polys, "convolve_mod", no_product)
-    with pytest.raises(ValueError, match="iterate_coeffs's bound"):
-        iterate_coeffs(2, 2, sympy.nextprime(top))
+def test_iterate_coeffs_refuses_past_the_degree_cap():
+    # 7^(10^9) is never formed: the refusal comes at once
+    with pytest.raises(ValueError, match="exceeds the coefficient cap"):
+        iterate_coeffs(7, 10 ** 9, 5)
+    with pytest.raises(ValueError, match="exceeds the coefficient cap"):
+        iterate_coeffs(2, 17, 3)
+    assert len(iterate_coeffs(2, 16, 3)) == COEFF_DEGREE_CAP + 1
 
 
 def test_critical_factorization_l3():

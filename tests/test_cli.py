@@ -146,12 +146,16 @@ def test_refusal_exit_3(capsys):
              f"degree 3^20000 exceeds cap {DEGREE_CAP}"),
             (["predict", "--ell", "3", "--p", "5", "--n", "20000"],
              "a 46439-bit integer exceeds the 2^96 factorization bound"),
-            (["graph", "--ell", "4", "--p", "5"], "ell = 4 is not prime")):
+            (["graph", "--ell", "4", "--p", "5"], "ell = 4 is not prime"),
+            (["density", "--ell", "3", "--p", "53", "--n", "200000"],
+             f"2 * 53^200000 has more than {sys.get_int_max_str_digits()}"
+             f" digits")):
         proc = subprocess.run([sys.executable, "-m", "chebdyn.cli", *argv],
                               env=env, capture_output=True, text=True,
                               timeout=10)
         assert proc.returncode == 3, (argv, proc.stderr)
         assert reason in proc.stderr, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
 
 
 def test_refusal_one_past_the_cap_allocates_nothing(capsys):

@@ -262,6 +262,29 @@ def test_modulus_kernel_matches_scalar():
     assert got == want
 
 
+def test_modulus_kernel_powmod_counts_products():
+    # left to right from a: bit_length(e) - 1 squarings and popcount(e) - 1
+    # products by a, so 2, 9 and 20 mulmods at e = 3, 47 and 10007
+    p = 47
+    rng = random.Random(9)
+    f = [rng.randrange(p) for _ in range(9)] + [1]
+    a = [rng.randrange(p) for _ in range(9)]
+    ker = polys.ModulusKernel(f, p)
+    calls = []
+    mulmod = ker.mulmod
+
+    def counted(*args):
+        calls.append(1)
+        return mulmod(*args)
+
+    ker.mulmod = counted
+    for e, want in ((3, 2), (47, 9), (10007, 20)):
+        calls.clear()
+        got = to_list(ker.powmod(lift(ker, a), e))
+        assert len(calls) == want, e
+        assert got == polys.powmod(a, e, f, p), e
+
+
 def _compose_mod(g, h, f, p):
     """g(h) mod f by Horner on the exact list routines."""
     out = []
@@ -296,7 +319,7 @@ _HYPOTHESIS = settings(max_examples=40, deadline=timedelta(seconds=10),
        rng=st.randoms(use_true_random=True))
 def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
     # the handoff is drawn below, at and above d, so the kernel's products
-    # run on both engines of convolve_mod
+    # run on both engines of _product
     handoff = data.draw(st.sampled_from(
         (max(d - 1, 1), d, d + 1, polys.FFT_LENGTH)), label="handoff")
     p = data.draw(_prime_upto(_kernel_bound(d)), label="p")
@@ -379,8 +402,8 @@ def test_convolve_mod_exact(data, handoff, rng):
                        np.array(b, dtype=object)) % p
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polys, "FFT_LENGTH", handoff)
-        got = polys.convolve_mod(np.array(a, dtype=np.float64),
-                                 np.array(b, dtype=np.float64), p)
+        got = polys._mod(polys._product(np.array(a, dtype=np.float64),
+                                        np.array(b, dtype=np.float64), p), p)
     assert got.tolist() == want.tolist()
 
 
