@@ -297,13 +297,14 @@ class FieldCtx:
 
     # Order tables are built by one Chebyshev trace walk per side, a block
     # of exponents at a time, and keep 5 bytes per element (int32 orders,
-    # int8 branches); alpha_order_tables refuses above this size, which
-    # also keeps the walk's n * p^2 below 2^53.  alpha_order never builds
-    # the tables: it reads them when build_graph already has.  It is also
-    # the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
-    # graph` peaks near 87 bytes per vertex (396 MiB at G(2, 3, 14),
-    # q = 4.78 M), so 2^25 vertices take about 2.9 GB, under half of an
-    # 8 GB host, and 2^26 would not.
+    # int8 branches), the Frobenius map 4 (int32); alpha_order_tables and
+    # frobenius_indices refuse above this size, which also keeps the walk's
+    # n * p^2 below 2^53 and every index below 2^31.  alpha_order never
+    # builds the tables: it reads them when build_graph already has.  It is
+    # also the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
+    # graph` peaks near 58 bytes per vertex (262 MiB and 9.5-9.7 s at
+    # G(2, 3, 14), q = 4.78 M, on a 2-core host), so 2^25 vertices take
+    # about 1.9 GB, a quarter of an 8 GB host.
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -385,10 +386,9 @@ class FieldCtx:
     # int64 working set stays cache-sized, and no temporary grows with q.
     BLOCK = 1 << 15
 
-    def coeff_cols(self, lo: int, hi: int) -> np.ndarray:
-        """(n, hi - lo) int64 matrix whose column j is decode(lo + j)."""
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cols = np.empty((self.n, hi - lo), dtype=np.int64)
+    def coeff_cols(self, idx: np.ndarray) -> np.ndarray:
+        """(n, len(idx)) int64 matrix whose column j is decode(idx[j])."""
+        cols = np.empty((self.n, idx.size), dtype=np.int64)
         for i in range(self.n - 1):
             idx, cols[i] = np.divmod(idx, self.p)
         cols[-1] = idx
@@ -418,19 +418,23 @@ class FieldCtx:
         return np.array(rows, dtype=np.int64)
 
     def frobenius_indices(self) -> np.ndarray:
-        """Permutation array f with f[i] = index of decode(i)^p."""
+        """Read-only int32 permutation array f with f[i] = index of
+        decode(i)^p; refused above TABLE_CAP (< 2^31)."""
         f = self._cache.get("frob")
         if f is None:
+            if self.q > self.TABLE_CAP:
+                raise ValueError(
+                    f"q={self.q} exceeds the Frobenius-map cap {self.TABLE_CAP}")
             basis = []
             for i in range(self.n):
                 e = self.elem([0] * i + [1] + [0] * (self.n - 1 - i))
                 basis.append((e ** self.p).coeffs)
             fmt = np.array(basis, dtype=np.int64).T
-            f = np.empty(self.q, dtype=np.int64)
+            f = np.empty(self.q, dtype=np.int32)
             for lo in range(0, self.q, self.BLOCK):
                 hi = min(lo + self.BLOCK, self.q)
                 f[lo:hi] = self.encode_cols(
-                    self._matmod(fmt, self.coeff_cols(lo, hi)))
+                    self._matmod(fmt, self.coeff_cols(np.arange(lo, hi))))
             f.setflags(write=False)
             self._cache["frob"] = f
         return f

@@ -70,25 +70,51 @@ class FuncGraph:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def _vector_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
-    """succ array: T_ell evaluated at every field element, one block of
-    indices at a time in column-major (n, block) layout, so every
-    coefficient product runs over contiguous rows."""
-    p, q = ctx.p, ctx.q
+def _succ_and_weight(ctx: FieldCtx,
+                     ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(succ, weight) from one walk of the Frobenius permutation fr.
+
+    The walk gives each vertex its weight, the first m with fr^m(x) = x,
+    and marks the smallest index of each orbit.  T_ell has coefficients
+    in F_p, so T_ell(x^p) = T_ell(x)^p: T_ell is evaluated only at the
+    orbit minima, a block at a time in column-major (n, block) layout, and
+    n - 1 steps along fr carry each value round its orbit (an orbit of
+    length w | n revisits its entries with the same values).  At n = 1
+    every vertex is a minimum and fr is never built.
+    """
+    p, q, n = ctx.p, ctx.q, ctx.n
+    fr = ctx.frobenius_indices() if n > 1 else None
+    ar = np.arange(q, dtype=np.int32)
+    is_min, cur = np.ones(q, dtype=bool), ar
+    weight = np.full(q, n, dtype=np.int16)
+    for m in range(1, n):
+        cur = fr[cur]
+        is_min &= cur >= ar
+        weight[(cur == ar) & (weight == n)] = m
+    mins = np.flatnonzero(is_min)
+    del ar, is_min, cur
+
     coeffs = cheb_coeffs(ell, p)
     red = np.array(ctx._red, dtype=np.int64)
-    succ = np.empty(q, dtype=np.int64)
-    for lo in range(0, q, ctx.BLOCK):
-        hi = min(lo + ctx.BLOCK, q)
-        x = ctx.coeff_cols(lo, hi)
+    vals = np.empty(mins.size, dtype=np.int32)
+    for lo in range(0, mins.size, ctx.BLOCK):
+        x = ctx.coeff_cols(mins[lo:lo + ctx.BLOCK])
         # Horner; the first step multiplies by a constant
         acc = coeffs[-1] * x
         acc[0] += coeffs[-2]
         acc %= p
         for c in coeffs[-3::-1]:
             acc = _horner_step(acc, x, c, p, red)
-        succ[lo:hi] = ctx.encode_cols(acc)
-    return succ
+        vals[lo:lo + ctx.BLOCK] = ctx.encode_cols(acc)
+    succ = np.empty(q, dtype=np.int32)
+    succ[mins] = vals
+    r, v = mins, vals
+    for _ in range(n - 1):
+        r, v = fr[r], fr[v]
+        succ[r] = v
+    if n > 1 and not np.array_equal(fr[r], mins):
+        raise ArithmeticError("Frobenius orbit walk did not close")
+    return succ, weight
 
 
 def _horner_step(A: np.ndarray, B: np.ndarray, c: int, p: int,
@@ -126,9 +152,10 @@ def _cycle_min(succ: np.ndarray,
     minimum; on_cycle[i] says whether verts[i] lies on a cycle, that is,
     is a 2^k-th iterate of some vertex.
     """
-    pos = np.empty(succ.size, dtype=np.int64)
-    pos[verts] = np.arange(verts.size)
-    nxt = pos[succ[verts]]
+    pos = np.empty(succ.size, dtype=np.int32)
+    pos[verts] = np.arange(verts.size, dtype=np.int32)
+    # intp, or np.take would cast it on every call below
+    nxt = pos[succ[verts]].astype(np.intp)
     del pos
     low = verts.copy()
     span = 1
@@ -142,23 +169,22 @@ def _cycle_min(succ: np.ndarray,
 
 
 def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
-    """Enumerate G(ell, p, n): successors by direct evaluation, orbit
-    statistics by graph search, weights by Frobenius orbits, divisor
-    classes from the order tables."""
+    """Enumerate G(ell, p, n): successors by evaluation once per
+    Frobenius orbit, orbit statistics by graph search, weights by
+    Frobenius orbits, divisor classes from the order tables."""
     # check_domain caps q at TABLE_CAP too: the order tables would refuse
     # above it only after all the work below
     check_domain(ell, ctx.p, ctx.n, cap)
     q = ctx.q
-    succ = _vector_succ(ctx, ell)
+    succ, weight = _succ_and_weight(ctx, ell)
 
     # strip leaves round by round; what survives is the periodic core
     indeg = np.bincount(succ, minlength=q)
     alive = np.ones(q, dtype=bool)
-    frontier = np.flatnonzero((indeg == 0) & alive)
+    frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
         alive[frontier] = False
-        dec = np.bincount(succ[frontier], minlength=q)
-        indeg -= dec
+        np.subtract.at(indeg, succ[frontier], 1)
         frontier = np.flatnonzero((indeg == 0) & alive)
     del indeg
 
@@ -188,24 +214,8 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
         comp[level] = comp[up]
         rest = rest[~hit]
 
-    # weights: cycle lengths of the Frobenius permutation
-    weight = np.zeros(q, dtype=np.int16)
-    if ctx.n == 1:
-        weight[:] = 1
-    else:
-        fr = ctx.frobenius_indices()
-        ar = np.arange(q, dtype=np.int64)
-        cur = fr
-        for m in range(1, ctx.n + 1):
-            newly = (cur == ar) & (weight == 0)
-            weight[newly] = m
-            if m < ctx.n:
-                cur = fr[cur]
-        if (weight == 0).any():
-            raise ArithmeticError("Frobenius orbit walk missed vertices")
-
     ords, branch = ctx.alpha_order_tables()
-    return FuncGraph(ctx, ell, succ.astype(np.int32), pper, per, weight,
+    return FuncGraph(ctx, ell, succ, pper, per, weight,
                      ords, branch, comp)
 
 

@@ -1,18 +1,42 @@
-"""Vertex-by-vertex reference for `chebdyn.graph.verify_structure`.
+"""Reference versions of `chebdyn.graph` internals.
 
-This is the structure check as it was written before the array version:
-cycles are walked one successor at a time and every tree is searched
-breadth first from its root through a CSR predecessor list.  Tests
-require the array version to produce the same (name, ok) list on valid
-and corrupted graphs.
+`full_succ` evaluates T_ell at every field element, with no use of the
+Frobenius symmetry; tests require `build_graph(...).succ` to equal it.
+
+`reference_verify_structure` is the structure check as it was written
+before the array version: cycles are walked one successor at a time and
+every tree is searched breadth first from its root through a CSR
+predecessor list.  Tests require the array version to produce the same
+(name, ok) list on valid and corrupted graphs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from chebdyn.ffield import MINUS, PLUS, Branch, nu
-from chebdyn.graph import FuncGraph, VerifyReport
+from chebdyn.cheb import cheb_coeffs
+from chebdyn.ffield import MINUS, PLUS, Branch, FieldCtx, nu
+from chebdyn.graph import FuncGraph, VerifyReport, _horner_step
+
+
+def full_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
+    """T_ell evaluated at every field element, one block of indices at a
+    time in column-major (n, block) layout."""
+    p, q = ctx.p, ctx.q
+    coeffs = cheb_coeffs(ell, p)
+    red = np.array(ctx._red, dtype=np.int64)
+    succ = np.empty(q, dtype=np.int64)
+    for lo in range(0, q, ctx.BLOCK):
+        hi = min(lo + ctx.BLOCK, q)
+        x = ctx.coeff_cols(np.arange(lo, hi))
+        # Horner; the first step multiplies by a constant
+        acc = coeffs[-1] * x
+        acc[0] += coeffs[-2]
+        acc %= p
+        for c in coeffs[-3::-1]:
+            acc = _horner_step(acc, x, c, p, red)
+        succ[lo:hi] = ctx.encode_cols(acc)
+    return succ
 
 
 def predecessors(g: FuncGraph) -> tuple[np.ndarray, np.ndarray]:

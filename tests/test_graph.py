@@ -1,13 +1,22 @@
 import dataclasses
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chebdyn.ffield import make_field
+from chebdyn.cheb import cheb_coeffs
+from chebdyn.ffield import FieldCtx, element_degree, make_field
 from chebdyn.graph import (build_graph, export_dot, orbit_stats_order,
                            summarize, verify_structure)
 from chebdyn.predict import predict_summary
-from structure_reference import reference_verify_structure
+from structure_reference import full_succ, reference_verify_structure
+
+# the criterion-05 sweep (ell in {2,3,5,7}, odd p <= 31, p^n <= 2^14),
+# which holds G(3,5,4), G(7,3,4) and G(2,13,2), and G(2,3,10)
+SWEEP = [(ell, p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+         for n in range(1, 15) if p ** n <= 2 ** 14
+         for ell in (2, 3, 5, 7) if ell != p] + [(2, 3, 10)]
 
 
 def rows_tuple(summary):
@@ -39,6 +48,47 @@ def test_build_graph_errors():
         build_graph(4, make_field(5, 1))
     with pytest.raises(ValueError):
         build_graph(2, make_field(5, 3), cap=100)
+
+
+def test_succ_and_weight_equal_full_evaluation():
+    # successors filled round each Frobenius orbit equal T_ell evaluated
+    # at every vertex; at 200 vertices per field they equal T_ell by
+    # scalar Horner over FFElem, and the weights the orbit length of
+    # powering by p
+    for ell, p, n in SWEEP:
+        ctx = make_field(p, n)
+        g = build_graph(ell, ctx)
+        assert np.array_equal(g.succ, full_succ(ctx, ell)), (ell, p, n)
+        coeffs = [ctx.from_int(c) for c in cheb_coeffs(ell, p)]
+        for i in random.Random(ctx.q).sample(range(ctx.q), min(200, ctx.q)):
+            x, acc = ctx.decode(i), coeffs[-1]
+            for c in coeffs[-2::-1]:
+                acc = acc * x + c
+            assert g.succ[i] == acc.index, (ell, p, n, i)
+            assert g.weight[i] == element_degree(x), (ell, p, n, i)
+
+
+def test_build_graph_memory_per_vertex():
+    # G(2,3,12), q = 531441: the build's traced peak above the field's
+    # cached order tables and Frobenius map (38.7 bytes per vertex
+    # measured), and the int32 index arrays
+    ctx = make_field(3, 12)
+    ctx.alpha_order_tables()
+    fr = ctx.frobenius_indices()
+    tracemalloc.start()
+    try:
+        g = build_graph(2, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ctx.q <= 40, peak / ctx.q
+    assert g.succ.dtype == np.int32 and fr.dtype == np.int32
+
+
+def test_frobenius_indices_refused_above_the_cap():
+    ctx = make_field(3, 16)  # q = 43,046,721 > TABLE_CAP
+    with pytest.raises(ValueError, match=f"cap {FieldCtx.TABLE_CAP}"):
+        ctx.frobenius_indices()
 
 
 def test_orbit_stats_order_examples():
@@ -208,12 +258,7 @@ def _checks(rep):
 
 
 def test_verify_structure_matches_reference_on_sweep():
-    # the criterion-05 sweep (ell in {2,3,5,7}, odd p <= 31, p^n <= 2^14)
-    # and G(2,3,10)
-    cases = [(ell, p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-             for n in range(1, 15) if p ** n <= 2 ** 14
-             for ell in (2, 3, 5, 7) if ell != p] + [(2, 3, 10)]
-    for ell, p, n in cases:
+    for ell, p, n in SWEEP:
         g = build_graph(ell, make_field(p, n))
         rep, ref = verify_structure(g), reference_verify_structure(g)
         assert rep.ok and _checks(rep) == _checks(ref), (ell, p, n)

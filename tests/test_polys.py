@@ -415,11 +415,14 @@ def test_fft_limb_width_is_the_widest_under_its_bound():
         factor = ((1 + eps) ** (3 * k) * (1 + eps * root5) ** (3 * k + 1)
                   * (1 + 2 * eps) ** (3 * k) - 1)
         assert factor < (16 * k + 3) * eps, k
+    # p log-uniform below the kernel bound, so that each of the three
+    # outcomes (whole, limbs, no safe limb) is drawn often
     rng = random.Random(5)
+    outcomes = {"whole": 0, "limbs": 0, "none": 0}
     for _ in range(300):
         m = rng.choice((1, 2, 511, 512, 513, 4096, rng.randrange(1, 5000)))
         n = m + rng.randrange(5000)
-        p = nextprime(rng.randrange(3, _kernel_bound(m)))
+        p = nextprime(int(2 ** rng.uniform(1.6, math.log2(_kernel_bound(m)))))
         c = 16 * (m + n - 2).bit_length() + 3
 
         def fits(top):  # limbs up to top keep the error under 1/2
@@ -427,12 +430,16 @@ def test_fft_limb_width_is_the_widest_under_its_bound():
 
         w = polys.fft_limb_width(m, n, p)
         if w == 0:
+            outcomes["whole"] += 1
             assert fits(p - 1)
         elif w is None:
+            outcomes["none"] += 1
             assert not fits(1)
         else:
+            outcomes["limbs"] += 1
             assert not fits(p - 1) and fits((1 << w) - 1), (m, n, p, w)
             assert not fits((1 << (w + 1)) - 1), (m, n, p, w)
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_fft_rounding_margin_on_all_maximal_inputs():
