@@ -302,9 +302,9 @@ class FieldCtx:
     # n * p^2 below 2^53 and every index below 2^31.  alpha_order never
     # builds the tables: it reads them when build_graph already has.  It is
     # also the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
-    # graph` peaks near 58 bytes per vertex (262 MiB and 9.5-9.7 s at
-    # G(2, 3, 14), q = 4.78 M, on a 2-core host), so 2^25 vertices take
-    # about 1.9 GB, a quarter of an 8 GB host.
+    # graph` peaks near 54 bytes per vertex (248 MiB and 7.4-8.2 s at
+    # G(2, 3, 14), q = 4.78 M, on a 2-core host with one BLAS thread), so
+    # 2^25 vertices take about 1.8 GB, under a quarter of an 8 GB host.
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -473,10 +473,16 @@ class FieldCtx:
         for m, side, group in ((q + 1, 1, self.order_plus),
                                (q - 1, 0, self.order_minus)):
             a = self._full_order_trace(m, group)
+            powers = [(r, r ** j) for r, k in group.factors
+                      for j in range(1, k + 1)]
             for lo, cols in self._trace_walk(a, m // 2 + 1):
                 traces = self.encode_cols(cols)
-                e = np.arange(lo, lo + cols.shape[1], dtype=np.int64)
-                ords[traces] = m // np.gcd(e, m)
+                # gcd(e, m) for e = lo, lo + 1, ...: a factor r for each
+                # prime power r^j | m that divides e, so e = 0 gets m
+                g = np.ones(cols.shape[1], dtype=np.int64)
+                for r, rj in powers:
+                    g[(-lo) % rj::rj] *= r
+                ords[traces] = np.floor_divide(m, g, out=g)
                 branch[traces] = side
         if not (ords > 0).all():
             raise ArithmeticError("order walk left unassigned vertices")

@@ -231,40 +231,68 @@ def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
     return rho, half_order(ell, ordv // ell ** rho)
 
 
+def _divisor_classes(g: FuncGraph
+                     ) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """(orders, branches, order, starts): the divisor classes in ascending
+    order of (order, branch), class k holding the vertices
+    order[starts[k]:starts[k + 1]] in no set order."""
+    keys = g.divisor * 2 + g.branch
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    heads = keys[starts].tolist()
+    return [k // 2 for k in heads], [k % 2 for k in heads], order, starts
+
+
+def _class_ranges(a: np.ndarray, order: np.ndarray, starts: np.ndarray
+                  ) -> tuple[list[int], list[int]]:
+    """Least and greatest value of a over each class of _divisor_classes."""
+    a = a[order]
+    return (np.minimum.reduceat(a, starts).tolist(),
+            np.maximum.reduceat(a, starts).tolist())
+
+
 def summarize(g: FuncGraph) -> GraphSummary:
     """Group vertices into divisor classes and report observed rows."""
     ell, ctx = g.ell, g.ctx
     max_side = structure_params(ell, ctx.p, ctx.n).max_side
-    factored = {d.value: d for group in (ctx.order_minus, ctx.order_plus)
-                for d in group.divisors()}
+    # indexed by branch
+    factored = [{d.value: d for d in group.divisors()}
+                for group in (ctx.order_minus, ctx.order_plus)]
 
-    keys = g.divisor * 2 + g.branch
-    order = np.argsort(keys, kind="stable")
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    orders, sides, order, starts = _divisor_classes(g)
+    points = np.diff(starts, append=g.q).tolist()
+    pp_lo, pp_hi = _class_ranges(g.pper, order, starts)
+    wt_lo, wt_hi = _class_ranges(g.weight, order, starts)
+    per_lo, per_hi = _class_ranges(g.per, order, starts)
+    # one vertex of each cycle is its own minimum; counted by the class
+    # key of each minimum, which needs no q-sized gather
+    mins = np.flatnonzero(g.comp == np.arange(g.q, dtype=np.int32))
+    keys = 2 * np.array(orders) + np.array(sides)
+    cycles = np.bincount(
+        np.searchsorted(keys, g.divisor[mins] * 2 + g.branch[mins]),
+        minlength=keys.size).tolist()
     rows = []
-    for idx in np.split(order, cuts):
-        key = int(keys[idx[0]])
-        ordv = key // 2
-        br: Branch = MINUS if key % 2 == 0 else PLUS
-        if ordv <= 2:
-            br = max_side
-        pp = g.pper[idx]
-        wt = g.weight[idx]
-        if not (pp == pp[0]).all() or not (wt == wt[0]).all():
+    for k, (ordv, side) in enumerate(zip(orders, sides)):
+        if ordv not in factored[side]:
+            side_name = ("q - 1", "q + 1")[side]
+            raise ArithmeticError(
+                f"divisor class of order {ordv} does not divide its "
+                f"branch's {side_name} = {ctx.q - 1 + 2 * side}")
+        divisor = factored[side][ordv]
+        br: Branch = (MINUS, PLUS)[side] if ordv > 2 else max_side
+        if pp_lo[k] != pp_hi[k] or wt_lo[k] != wt_hi[k]:
             raise ArithmeticError(
                 f"divisor class {ordv} is not homogeneous: the structure "
                 "theory failed on this instance")
-        if pp[0] == 0:
-            pers = g.per[idx]
-            if not (pers == pers[0]).all():
+        if pp_lo[k] == 0:
+            if per_lo[k] != per_hi[k]:
                 raise ArithmeticError(f"mixed periods in class {ordv}")
-            # one vertex of each cycle is its own minimum
-            cycles = int((g.comp[idx] == idx).sum())
-            rows.append(SummaryRow(factored[ordv], br, len(idx), 0,
-                                   int(pers[0]), int(wt[0]), cycles))
+            rows.append(SummaryRow(divisor, br, points[k], 0, per_lo[k],
+                                   wt_lo[k], cycles[k]))
         else:
-            rows.append(SummaryRow(factored[ordv], br, len(idx),
-                                   int(pp[0]), None, int(wt[0]), None))
+            rows.append(SummaryRow(divisor, br, points[k], pp_lo[k], None,
+                                   wt_lo[k], None))
     return GraphSummary(ell, ctx.p, ctx.n,
                         tuple(canonical_row_order(rows, ell)))
 

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
-from .ffield import check_domain, make_field, strip_ell
-from .graph import (DEFAULT_CAP, VerifyReport, build_graph, summarize,
+from .ffield import check_domain, make_field, nu
+from .graph import (DEFAULT_CAP, VerifyReport, _class_ranges,
+                    _divisor_classes, build_graph, summarize,
                     verify_structure)
 from .predict import (half_order, periodic_density, predict_summary,
                       structure_params)
@@ -49,34 +48,43 @@ def verify_instance(ell: int, p: int, n: int,
     rep.q = g.q
     rep.periodic = g.periodic_count()
 
-    enumerated = summarize(g)
     predicted = predict_summary(ell, p, n)
-    match = enumerated.rows == predicted.rows
-    detail = ""
-    if not match:
-        got = {_row_key(r): r for r in enumerated.rows}
-        want = {_row_key(r): r for r in predicted.rows}
-        for k in sorted(set(got) | set(want)):
-            if got.get(k) != want.get(k):
-                detail = (f"first differing class {k}: enumerated "
-                          f"{got.get(k)}, predicted {want.get(k)}")
-                break
-    rep.add(f"summary rows: enumerated == predicted "
-            f"({len(enumerated.rows)} rows)", match, detail)
+    try:
+        enumerated = summarize(g)
+    except ArithmeticError as exc:
+        rep.add("summary rows: enumerated == predicted", False, str(exc))
+    else:
+        match = enumerated.rows == predicted.rows
+        detail = ""
+        if not match:
+            got = {_row_key(r): r for r in enumerated.rows}
+            want = {_row_key(r): r for r in predicted.rows}
+            for k in sorted(set(got) | set(want)):
+                if got.get(k) != want.get(k):
+                    detail = (f"first differing class {k}: enumerated "
+                              f"{got.get(k)}, predicted {want.get(k)}")
+                    break
+        rep.add(f"summary rows: enumerated == predicted "
+                f"({len(enumerated.rows)} rows)", match, detail)
 
     params = structure_params(ell, p, n)
     want = (params.omega_minus + params.omega_plus) // 2
     rep.add("periodic count == (omega- + omega+)/2", rep.periodic == want,
             f"{rep.periodic} vs {want}")
 
-    # per-element oracle: brute (pper, per) == order formula
-    d0, rho_pred = strip_ell(g.divisor, ell)
-    per_pred = np.zeros(g.q, dtype=np.int64)
-    for dv in np.unique(d0):
-        per_pred[d0 == dv] = half_order(ell, int(dv))
-    ok_orbit = bool((rho_pred == g.pper).all() and (per_pred == g.per).all())
+    # per-element oracle, class by class: brute (pper, per) == order
+    # formula
+    orders, _, order, starts = _divisor_classes(g)
+    rho = [nu(d, ell) for d in orders]
+    per = [half_order(ell, d // ell ** r) for d, r in zip(orders, rho)]
+    faults = [f"divisor class {d}: {name}s {lo} to {hi}, wanted {w}"
+              for name, values, want in (("preperiod", g.pper, rho),
+                                         ("period", g.per, per))
+              for d, w, lo, hi in zip(orders, want,
+                                      *_class_ranges(values, order, starts))
+              if not lo == hi == w]
     rep.add("orbit statistics: brute == order formula (all vertices)",
-            ok_orbit)
+            not faults, faults[0] if faults else "")
 
     sr = verify_structure(g)
     rep.add("structure: cycles, tree roots, complete trees", sr.ok,

@@ -8,12 +8,19 @@ lifts a root alpha of x^2 - a x + 1 into F_{p^n} (Tonelli-Shanks) or into
 the quadratic ring F_{p^n}[y]/(y^2 - a y + 1), and takes its order by
 dividing primes out of the group order while the power stays 1.  Tests
 require both package routes to agree with it.
+
+`walk_order_tables` keeps the package's walk but gives T_e(a) the order
+m // gcd(e, m) with one `np.gcd` per exponent, where the package forms the
+gcd from the prime powers of m; it is fast enough to check whole tables on
+fields too large for the per-element lift.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Union
+
+import numpy as np
 
 from chebdyn.ffield import MINUS, PLUS, Branch, FactoredInt, FFElem, FieldCtx
 
@@ -163,3 +170,19 @@ def reference_alpha_order(a: FFElem) -> tuple[int, Branch]:
     alpha, br = lift_alpha(a)
     group = a.ctx.order_minus if br == MINUS else a.ctx.order_plus
     return mult_order(alpha, group).value, br
+
+
+def walk_order_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(ord, branch) as `FieldCtx.alpha_order_tables`, from the package's
+    trace walk with the order of T_e(a) computed as m // gcd(e, m)."""
+    ords = np.zeros(ctx.q, dtype=np.int32)
+    branch = np.zeros(ctx.q, dtype=np.int8)
+    for m, side, group in ((ctx.q + 1, 1, ctx.order_plus),
+                           (ctx.q - 1, 0, ctx.order_minus)):
+        a = ctx._full_order_trace(m, group)
+        for lo, cols in ctx._trace_walk(a, m // 2 + 1):
+            traces = ctx.encode_cols(cols)
+            e = np.arange(lo, lo + cols.shape[1], dtype=np.int64)
+            ords[traces] = m // np.gcd(e, m)
+            branch[traces] = side
+    return ords, branch

@@ -6,7 +6,7 @@ from chebdyn.ffield import (MINUS, PLUS, FactoredInt, FFElem, FieldCtx,
                             alpha_order, element_degree, factor_int,
                             is_prime, make_field)
 from order_reference import (QuadElem, lift_alpha, mult_order,
-                             reference_alpha_order)
+                             reference_alpha_order, walk_order_tables)
 
 
 # -- integer factorization ---------------------------------------------------
@@ -346,3 +346,16 @@ def test_alpha_order_builds_no_table_between_2e7_and_table_cap():
         assert (factor_pattern_predicted(3, p, 2, t)
                 == factor_pattern_actual(3, p, 2, t)), t
     assert "alpha" not in make_field(p, 1)._cache
+
+
+def test_alpha_order_tables_match_gcd_formula():
+    # every table entry against m // gcd(e, m) on the same walk: q - 1 =
+    # 145006 and q + 1 walk three blocks, 3^10 + 1 and 7^6 -+ 1 carry
+    # repeated primes, and at 65537 the stride 2^16 is longer than a block
+    # while the last block holds only e = 2^15
+    for (p, n) in ((145007, 1), (3, 10), (7, 6), (65537, 1)):
+        ctx = make_field.__wrapped__(p, n)
+        ords, branch = ctx.alpha_order_tables()
+        want_ords, want_branch = walk_order_tables(ctx)
+        assert ords.tobytes() == want_ords.tobytes(), (p, n)
+        assert branch.tobytes() == want_branch.tobytes(), (p, n)

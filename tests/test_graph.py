@@ -127,6 +127,37 @@ def test_summarize_matches_figure_g_2_3_4():
     ]
 
 
+@pytest.mark.parametrize("name", ["pper", "weight", "per"])
+def test_summarize_refuses_one_odd_vertex_in_a_class(name):
+    # G(2, 3, 4): 41 on the plus side is a periodic class of 20 vertices,
+    # 80 on the minus side a tree class of 16; per is compared on periodic
+    # classes only.  One vertex at a time is changed, the class's smallest,
+    # a middle and its largest index.
+    g = build_graph(2, make_field(3, 4))
+    classes = [(41, 1)] if name == "per" else [(41, 1), (80, 0)]
+    for order, side in classes:
+        verts = np.flatnonzero((g.divisor == order) & (g.branch == side))
+        assert verts.size >= 16
+        for v in (verts[0], verts[verts.size // 2], verts[-1]):
+            arr = getattr(g, name).copy()
+            arr[v] += 1
+            with pytest.raises(ArithmeticError):
+                summarize(dataclasses.replace(g, **{name: arr}))
+
+
+def test_summarize_refuses_an_order_outside_its_branch():
+    # G(3, 53, 1): q - 1 = 52, q + 1 = 54
+    g = build_graph(3, make_field(53, 1))
+    divisor = g.divisor.copy()
+    divisor[divisor == 13] = 7
+    with pytest.raises(ArithmeticError, match=r"order 7 .* q - 1 = 52"):
+        summarize(dataclasses.replace(g, divisor=divisor))
+    branch = g.branch.copy()
+    branch[g.divisor == 27] = 0
+    with pytest.raises(ArithmeticError, match=r"order 27 .* q - 1 = 52"):
+        summarize(dataclasses.replace(g, branch=branch))
+
+
 def test_summarize_equals_predict_on_grid():
     for (ell, p, n) in ((2, 5, 2), (2, 7, 2), (3, 7, 2), (5, 3, 2),
                         (7, 3, 2), (3, 11, 1), (2, 31, 1), (5, 13, 1)):

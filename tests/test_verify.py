@@ -1,0 +1,53 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from chebdyn import verify
+from chebdyn.cli import main
+
+
+def _corrupt_build(monkeypatch, corrupt):
+    build = verify.build_graph
+    monkeypatch.setattr(verify, "build_graph",
+                        lambda *args, **kwargs: corrupt(build(*args, **kwargs)))
+
+
+def _check(rep, prefix):
+    found = [(ok, detail) for name, ok, detail in rep.checks
+             if name.startswith(prefix)]
+    assert len(found) == 1, rep.checks
+    return found[0]
+
+
+@pytest.mark.parametrize("order", [52, 27])
+def test_orbit_check_fails_on_one_changed_period(monkeypatch, order):
+    # G(3, 53, 1): 52 is a periodic class (period 6), 27 a tree class, whose
+    # periods summarize does not compare
+    def corrupt(g):
+        per = g.per.copy()
+        per[np.flatnonzero(g.divisor == order)[4]] += 1
+        return dataclasses.replace(g, per=per)
+
+    _corrupt_build(monkeypatch, corrupt)
+    rep = verify.verify_instance(3, 53, 1)
+    ok, detail = _check(rep, "orbit statistics")
+    assert not ok and f"divisor class {order}:" in detail
+    ok, detail = _check(rep, "summary rows")
+    assert ok == (order == 27)
+    if order == 52:
+        assert detail == "mixed periods in class 52"
+
+
+def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
+    def corrupt(g):
+        divisor = g.divisor.copy()
+        divisor[divisor == 13] = 7
+        return dataclasses.replace(g, divisor=divisor)
+
+    _corrupt_build(monkeypatch, corrupt)
+    code = main(["verify", "--ell", "3", "--p", "53", "--n", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("[FAIL] summary rows: enumerated == predicted: divisor class "
+            "of order 7 does not divide") in out
