@@ -31,4 +31,4 @@ print("closed-form prediction matches enumeration row for row:",
 
 # the one-stop checker runs every comparison at once
 report = verify_instance(3, 53, 1)
-print(report.summary_line())
+print(report.table_str())

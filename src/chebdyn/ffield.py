@@ -57,7 +57,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 2^96."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -300,7 +300,8 @@ class FieldCtx:
     # int8 branches), the Frobenius map 4 (int32); alpha_order_tables and
     # frobenius_indices refuse above this size, which also keeps the walk's
     # n * p^2 below 2^53 and every index below 2^31.  alpha_order never
-    # builds the tables: it reads them when build_graph already has.  It is
+    # builds the tables, and reads them only at n > 1 when build_graph
+    # already has: on a prime field it always takes the T_d ladder.  It is
     # also the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
     # graph` peaks near 54 bytes per vertex (248 MiB and 7.4-8.2 s at
     # G(2, 3, 14), q = 4.78 M, on a 2-core host with one BLAS thread), so
@@ -568,11 +569,7 @@ class FFElem:
         return FFElem(self.ctx, tuple(-a % p for a in self.coeffs))
 
     def __mul__(self, other: "FFElem") -> "FFElem":
-        n = self.ctx.n
-        if n == 1:
-            return FFElem(self.ctx,
-                          (self.coeffs[0] * other.coeffs[0] % self.ctx.p,))
-        raw = [0] * (2 * n - 1)
+        raw = [0] * (2 * self.ctx.n - 1)
         for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(other.coeffs):
@@ -698,12 +695,15 @@ def alpha_order(a: FFElem) -> tuple[int, Branch]:
     order is the least k dividing q -+ 1 with T_k(a) = 2: for each prime
     power r^e exactly dividing q -+ 1, T_r is applied to T_{(q-+1)/r^e}(a)
     until it reaches 2 (T_r . T_k = T_rk).  That is O(omega(q -+ 1) log q)
-    ring operations, on the plain residue when n = 1, and no table.  When
-    the context already holds its walk tables (build_graph builds them),
-    they are read instead.
+    ring operations, and no table.  On a prime field the ladder runs on
+    the plain residue and is always taken, so the factoring route's closed
+    form (classify_t) never reads the walk tables that label the graph.
+    On an extension field it runs on FFElem products, 0.2-1.8 ms a call
+    at q <= 2^14, so there the walk tables are read when build_graph has
+    built them.
     """
     ctx = a.ctx
-    tables = ctx._cache.get("alpha")
+    tables = ctx._cache.get("alpha") if ctx.n > 1 else None
     if tables is not None:
         ords, branch = tables
         i = a.index

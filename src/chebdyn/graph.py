@@ -325,21 +325,17 @@ class VerifyReport:
                 return f"{name}: {detail}"
         return None
 
-    def summary_line(self) -> str:
-        if self.ok:
-            return f"{self.periodic} periodic / {self.q}; all rows match"
-        first = next(d or n for n, ok, d in self.checks if not ok)
-        return f"{self.periodic} periodic / {self.q}; MISMATCH: {first}"
-
-    def lines(self) -> list[str]:
-        out = [f"verify l={self.ell} p={self.p} n={self.n}"]
+    def table_str(self) -> str:
+        """One line per check and per note, then the verdict."""
+        lines = [f"verify l={self.ell} p={self.p} n={self.n}"]
         for name, ok, detail in self.checks:
             tag = "ok " if ok else "FAIL"
-            out.append(f"  [{tag}] {name}" + (f": {detail}" if detail else ""))
-        for note in self.notes:
-            out.append(f"  [note] {note}")
-        out.append(self.summary_line())
-        return out
+            lines.append(f"  [{tag}] {name}" + (f": {detail}" if detail else ""))
+        lines += [f"  [note] {note}" for note in self.notes]
+        verdict = ("all rows match" if self.ok else "MISMATCH: " + next(
+            d or n for n, ok, d in self.checks if not ok))
+        lines.append(f"{self.periodic} periodic / {self.q}; {verdict}")
+        return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
         return {

@@ -202,6 +202,29 @@ def test_determinism(capsys):
     assert out1 == out2
 
 
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    # main parses every call with the same parser: no option of one call
+    # may leak into the next
+    from chebdyn.cli import build_parser
+    assert build_parser() is build_parser()
+    golden = (Path(__file__).parent / "golden" /
+              "graph_3_53_1.table.out").read_text()
+    argv = ["graph", "--ell", "3", "--p", "53"]
+    dot_path = tmp_path / "g.gv"
+    assert run(capsys, argv + ["--dot", str(dot_path)])[0] == 0
+    dot_path.unlink()
+    assert run(capsys, argv)[:2] == (0, golden)
+    assert not dot_path.exists()
+    assert run(capsys, ["graph", "--ell", "3", "--badflag"])[0] == 2
+    assert run(capsys, argv)[:2] == (0, golden)
+    out_path = tmp_path / "summary.txt"
+    assert run(capsys, argv + ["--out", str(out_path)])[:2] == (0, "")
+    assert out_path.read_text() == golden
+    out_path.unlink()
+    assert run(capsys, argv)[:2] == (0, golden)
+    assert not out_path.exists()
+
+
 def test_public_names_resolve():
     assert len(chebdyn.__all__) == len(set(chebdyn.__all__))
     for name in chebdyn.__all__:

@@ -336,6 +336,32 @@ def test_alpha_order_ladder_matches_walk_tables():
         assert got == want, (p, n)
 
 
+def test_closed_form_route_ignores_the_walk_tables():
+    # build_graph leaves the walk tables that label the graph on the
+    # shared context; with one vertex's order changed in them, the
+    # closed-form route on a prime field must still give the T_d ladder's
+    # answer, or verify would check the tables against themselves
+    from chebdyn.factor import classify_t
+    from chebdyn.graph import build_graph, orbit_stats_order
+    ell, p, i = 3, 53, 5
+    fresh = make_field.__wrapped__(p, 1).from_int(i)
+    want = (alpha_order(fresh), classify_t(ell, p, i),
+            orbit_stats_order(fresh, ell))
+    ctx = make_field(p, 1)
+    build_graph(ell, ctx)
+    ords, branch = ctx._cache["alpha"]
+    bad = ords.copy()
+    bad[i] = ords[i] // ell
+    ctx._cache["alpha"] = (bad, branch)
+    try:
+        a = ctx.from_int(i)
+        got = (alpha_order(a), classify_t(ell, p, i),
+               orbit_stats_order(a, ell))
+    finally:
+        ctx._cache["alpha"] = (ords, branch)
+    assert got == want
+
+
 def test_alpha_order_builds_no_table_between_2e7_and_table_cap():
     # one walk table at p ~ 3e7 would need about 2.8 GB; the closed-form
     # route must answer from single orders and leave no table behind
