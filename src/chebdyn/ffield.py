@@ -303,9 +303,9 @@ class FieldCtx:
     # builds the tables, and reads them only at n > 1 when build_graph
     # already has: on a prime field it always takes the T_d ladder.  It is
     # also the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
-    # graph` peaks near 54 bytes per vertex (248 MiB and 7.4-8.2 s at
+    # graph` peaks near 51 bytes per vertex (234 MiB and 4.0-5.5 s at
     # G(2, 3, 14), q = 4.78 M, on a 2-core host with one BLAS thread), so
-    # 2^25 vertices take about 1.8 GB, under a quarter of an 8 GB host.
+    # 2^25 vertices take about 1.7 GB, under a quarter of an 8 GB host.
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -402,9 +402,9 @@ class FieldCtx:
 
     def _matmod(self, M: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(M @ cols) mod p for integer matrices with entries in [0, p);
-        the product runs in float64 BLAS, exact while n * p^2 <= 2^53:
-        the order tables (q <= TABLE_CAP) and the Frobenius map (q < 2^52)
-        stay below that."""
+        the product runs in float64 BLAS, exact while n * p^2 <= 2^53,
+        which the Frobenius map (q <= TABLE_CAP), its only caller, stays
+        below."""
         return (M.astype(np.float64) @ cols).astype(np.int64) % self.p
 
     def mul_matrix(self, h: "FFElem") -> np.ndarray:
@@ -512,29 +512,36 @@ class FieldCtx:
 
         T_{h+j} = T_h T_j - T_{h-j}: the first block doubles up from
         (T_0, T_1), and every later block is T_lo times the first block
-        minus T_lo, T_{lo-1}, ... read back off the block before it."""
+        minus T_lo, T_{lo-1}, ... read back off the block before it.
+
+        The blocks are kept as float64 residues, and each one is reduced
+        once, by polys._mod: before that reduction an entry is a product
+        sum of at most n(p - 1)^2 less a residue, so it lies in
+        (-p, n(p - 1)^2], exact in float64 and in _mod's domain while
+        n(p - 1)^2 + p <= 2^53, which TABLE_CAP guarantees.  The columns
+        are yielded as int64."""
 
         def extend(prev: np.ndarray, take: int) -> np.ndarray:
             # T_lo .. T_{lo+take-1}, prev ending with T_{lo-2}, T_{lo-1}
             h = a * self.elem(prev[:, -1]) - self.elem(prev[:, -2])  # T_lo
-            block = self._matmod(self.mul_matrix(h).T, base[:, :take])
+            block = self.mul_matrix(h).T.astype(np.float64) @ base[:, :take]
             block[:, 0] = h.coeffs  # T_lo T_0 - T_lo
             block[:, 1:] -= prev[:, :-take:-1]  # T_{lo-1} .. T_{lo-take+1}
-            return block % self.p
+            return polys._mod(block, self.p)
 
         size = min(count, self.BLOCK)
-        base = np.zeros((self.n, size), dtype=np.int64)
+        base = np.zeros((self.n, size))
         base[0, 0], base[:, 1] = 2, a.coeffs
         done = 2
         while done < size:
             take = min(done, size - done)
             base[:, done:done + take] = extend(base[:, :done], take)
             done += take
-        yield 0, base
+        yield 0, base.astype(np.int64)
         prev = base
         for lo in range(size, count, size):
             prev = extend(prev, min(size, count - lo))
-            yield lo, prev
+            yield lo, prev.astype(np.int64)
 
 
 class FFElem:

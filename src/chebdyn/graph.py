@@ -1,10 +1,14 @@
 """Build and analyze the functional graph of T_ell on F_{p^n}.
 
 The graph lives in flat numpy arrays keyed by the canonical element
-index.  Preperiods and periods are found by brute force (in-degree
-peeling, pointer jumping on the cycles and level sweeps up the trees),
-completely independently of the multiplicative-order route, so the two
-can check each other.
+index.  Preperiods and periods are found by brute force, completely
+independently of the multiplicative-order route, so the two can check
+each other: in-degree peeling leaves the cycles, pointer jumping labels
+each cycle by its least index, and level sweeps climb the trees.  The
+jumping contracts as it goes.  With F(v) the least index among the
+iterates of v and low(v) the least of v's first four, F(v) = F(low(v))
+and F(u) = min(low(u), F(low(succ^4(u)))), so the window minima alone
+carry the rest of the search (_cycle_min).
 """
 
 from __future__ import annotations
@@ -142,30 +146,111 @@ def _horner_step(A: np.ndarray, B: np.ndarray, c: int, p: int,
     return head
 
 
-def _cycle_min(succ: np.ndarray,
-               verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointer jumping (Wyllie 1979) over verts, a vertex set closed
-    under succ.
+# _cycle_min hands a level of at most this many vertices to plain
+# pointer jumping.  Medians of 9 timings (2-core host, one BLAS thread):
+# on verify_sweep's 97 cores of 1-2,197 vertices, 3.40 ms in all with no
+# handoff, 1.82 ms from 256, 1.66 ms from 1024, 1.64 ms from 4096; on
+# graph_large's cores of 80-97 k vertices and G(2, 3, 12)'s of 149 k,
+# every threshold up to 4096 fell within the spread of the repeats, and
+# 16384 was 10-20% slower on G(2, 3, 10) and G(2, 3, 12).
+_JUMP_BELOW = 1 << 12
 
-    Returns (low, on_cycle): low[i] is the smallest index among the first
-    2^k >= len(verts) iterates of verts[i], so on a cycle it is the cycle
-    minimum; on_cycle[i] says whether verts[i] lies on a cycle, that is,
-    is a 2^k-th iterate of some vertex.
+
+def _cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """F over verts, a sorted vertex set closed under succ: F(v) is the
+    least index among v, succ(v), succ^2(v), ..., the cycle minimum when
+    v lies on a cycle.
+
+    Pointer jumping (Wyllie 1979) on contracted levels, the sparse
+    ruling-set idea of list ranking (Reid-Miller 1994).  A level holds
+    vertices u with a pointer P(u) and a value V(u), both iterates of u
+    and V(u) a vertex of the level, such that
+        F(u) = min(V(u), F(P(u)))  and  F(u) = F(V(u));
+    the first level is verts with P = succ and V(u) = u.  Two jumping
+    rounds give the window minimum low(u) = min(V(u), ..., V(P^3(u))),
+    and with psi(u) = low(P^4(u))
+        F(u) = F(low(u))  and  F(u) = min(low(u), F(psi(u))):
+    every value passed before low(u) is at least low(u) >= F(low(u)), and
+    F(P^4(u)) = F(low(P^4(u))).  So the window minima, with pointer psi
+    and value low, form the next level, about 0.4 of this one when the
+    indices fall in no order, and F unwinds by one gather a level.
+
+    On a cycle of P the recurrences alone do not pin F down.  What does
+    is that the walk from u up to P(u) holds F(u) only if V(u) = F(u),
+    true on the first level and kept by each contraction.  So plain
+    jumping on the last level, until its rounds span the level, gives F
+    exactly; and since each level's P jumps at least 4 times as far as
+    the last one's, once P reaches len(verts) steps of succ, past every
+    iterate, V is F already.
+
+    Levels of at most _JUMP_BELOW vertices are jumped to the end.  On
+    monotone cycles, and on fixed points, the window minima keep nearly
+    every vertex and only the growing jump ends the contraction: at most
+    ceil(log_4(len(verts))) levels of two rounds each, the rounds of plain
+    jumping over len(verts), plus one contraction a level.
     """
+    size = verts.size
     pos = np.empty(succ.size, dtype=np.int32)
-    pos[verts] = np.arange(verts.size, dtype=np.int32)
-    # intp, or np.take would cast it on every call below
-    nxt = pos[succ[verts]].astype(np.intp)
+    pos[verts] = np.arange(size, dtype=np.int32)
+    # positions keep the order of indices, since verts is sorted; intp,
+    # or every gather below would cast its indices
+    ptr = pos[succ[verts]].astype(np.intp)
     del pos
-    low = verts.copy()
-    span = 1
-    while span < verts.size:
-        np.minimum(low, np.take(low, nxt), out=low)
-        nxt = np.take(nxt, nxt)
-        span *= 2
-    on_cycle = np.zeros(verts.size, dtype=bool)
-    on_cycle[nxt] = True
-    return low, on_cycle
+    val = np.arange(size)
+    # each array is deleted once spent, so that a level holds no more than
+    # plain jumping would
+    levels = []
+    stride = 1
+    while ptr.size > _JUMP_BELOW and stride < size:
+        low = val[ptr]
+        np.minimum(low, val, out=low)
+        del val
+        ptr = ptr[ptr]
+        np.minimum(low, low[ptr], out=low)
+        ptr = ptr[ptr]
+        stride *= 4
+        # the window minima, renumbered in order, are the next level
+        mark = np.zeros(ptr.size, dtype=bool)
+        mark[low] = True
+        keep = np.flatnonzero(mark)
+        del mark
+        ahead = ptr[keep]
+        rank = np.empty(ptr.size, dtype=np.intp)
+        del ptr
+        rank[keep] = np.arange(keep.size)
+        low = rank[low]
+        del rank
+        val, ptr = low[keep], low[ahead]
+        del ahead
+        levels.append((low, keep))
+        del low, keep
+    if stride < size:
+        span = 1
+        while span < val.size:
+            np.minimum(val, val[ptr], out=val)
+            ptr = ptr[ptr]
+            span *= 2
+    del ptr
+    while levels:
+        low, keep = levels.pop()
+        val = keep[val][low]
+    return verts[val]
+
+
+def _peel(succ: np.ndarray, alive: np.ndarray, indeg: np.ndarray) -> None:
+    """Strip the vertices of no predecessor from alive, round by round,
+    until only its cycles remain.
+
+    alive masks a vertex set closed under succ and indeg counts each
+    vertex's predecessors in it; both are updated in place.  A round per
+    tree level, and the trees of G(ell, p, n) are at most
+    lambda <= log_ell(q + 1) high.
+    """
+    frontier = np.flatnonzero((indeg == 0) & alive)
+    while frontier.size:
+        alive[frontier] = False
+        np.subtract.at(indeg, succ[frontier], 1)
+        frontier = np.flatnonzero((indeg == 0) & alive)
 
 
 def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
@@ -178,29 +263,24 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
     q = ctx.q
     succ, weight = _succ_and_weight(ctx, ell)
 
-    # strip leaves round by round; what survives is the periodic core
-    indeg = np.bincount(succ, minlength=q)
     alive = np.ones(q, dtype=bool)
-    frontier = np.flatnonzero(indeg == 0)
-    while frontier.size:
-        alive[frontier] = False
-        np.subtract.at(indeg, succ[frontier], 1)
-        frontier = np.flatnonzero((indeg == 0) & alive)
-    del indeg
+    _peel(succ, alive, np.bincount(succ, minlength=q))
+    core = np.flatnonzero(alive)
+    del alive
 
     # every cycle vertex is labelled by its cycle's smallest index
-    core = np.flatnonzero(alive)
-    low, _ = _cycle_min(succ, core)
+    low = _cycle_min(succ, core)
     comp = np.full(q, -1, dtype=np.int32)
     comp[core] = low
     per = np.zeros(q, dtype=np.int32)
     per[core] = np.bincount(low)[low]
+    pper = np.full(q, -1, dtype=np.int16)
+    pper[core] = 0
+    del core, low
 
     # level sweeps: a vertex whose successor sits at depth d - 1 has
     # depth d and inherits its successor's period and component
-    pper = np.full(q, -1, dtype=np.int16)
-    pper[core] = 0
-    rest = np.flatnonzero(~alive)
+    rest = np.flatnonzero(pper < 0)
     depth = 0
     while rest.size:
         depth += 1
@@ -431,8 +511,8 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
     if bad.size:
         faults.append(f"core vertex {core[bad[0]]} has {core_preds[bad[0]]} "
                       "core predecessors, wanted 1")
-    # pointer jumping needs a set closed under succ: add what the core
-    # leads to
+    # the peel and pointer jumping need a set closed under succ: add what
+    # the core leads to
     verts = core
     if leaving.size:
         closed = in_core.copy()
@@ -442,11 +522,12 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
             nxt = np.unique(succ[new])
             new = nxt[~closed[nxt]]
         verts = np.flatnonzero(closed)
-    low, cyc = _cycle_min(succ, verts)
+    on_cycle = np.zeros(q, dtype=bool)
+    on_cycle[verts] = True
+    _peel(succ, on_cycle, np.bincount(succ[verts], minlength=q))
+    low = _cycle_min(succ, verts)
     cmin = np.full(q, -1, dtype=np.int32)
     cmin[verts] = low
-    on_cycle = np.zeros(q, dtype=bool)
-    on_cycle[verts[cyc]] = True
     bad = np.flatnonzero(comp[core] != low[in_core[verts]])
     if bad.size:
         v = int(core[bad[0]])

@@ -3,6 +3,9 @@
 `full_succ` evaluates T_ell at every field element, with no use of the
 Frobenius symmetry; tests require `build_graph(...).succ` to equal it.
 
+`reference_cycle_min` walks each successor path one step at a time;
+tests require `graph._cycle_min` to equal it.
+
 `reference_verify_structure` is the structure check as it was written
 before the array version: cycles are walked one successor at a time and
 every tree is searched breadth first from its root through a CSR
@@ -37,6 +40,79 @@ def full_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
             acc = _horner_step(acc, x, c, p, red)
         succ[lo:hi] = ctx.encode_cols(acc)
     return succ
+
+
+def reference_cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """For each v in verts, a vertex set closed under succ, the smallest
+    index among v, succ(v), succ^2(v), ...
+
+    Each unresolved vertex starts a walk that stops at a resolved vertex
+    or at its own path, whose repeat closes a cycle; the cycle takes its
+    minimum, and the path before it is resolved backwards by
+    F(u) = min(u, F(succ(u))).
+    """
+    low: dict[int, int] = {}
+    for start in verts.tolist():
+        path, seen = [], {}
+        u = start
+        while u not in low and u not in seen:
+            seen[u] = len(path)
+            path.append(u)
+            u = int(succ[u])
+        if u in seen:
+            cycle = path[seen[u]:]
+            m = min(cycle)
+            for c in cycle:
+                low[c] = m
+            path = path[:seen[u]]
+        for v in reversed(path):
+            low[v] = min(v, low[int(succ[v])])
+    return np.array([low[v] for v in verts.tolist()], dtype=np.int64)
+
+
+SHAPES = ("long_cycle", "short_cycles", "fixed_points", "rho",
+          "increasing", "decreasing")
+
+
+def functional_graph(shape: str, size: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(succ, verts): a functional graph of the given shape on size
+    vertices, placed at sorted random indices verts below 1.5 size + 1;
+    the indices outside verts point anywhere.
+
+    A rho draws a random map, so its vertices lie on tails and on
+    cycles; increasing and decreasing cycles step through verts in and
+    against index order.
+    """
+    rng = np.random.default_rng(seed)
+    at = np.arange(size)
+    if shape == "long_cycle":
+        order = rng.permutation(size)
+        f = np.empty(size, dtype=np.int64)
+        f[order] = np.roll(order, -1)
+    elif shape == "short_cycles":
+        order = rng.permutation(size)
+        f = np.empty(size, dtype=np.int64)
+        lo = 0
+        while lo < size:
+            cycle = order[lo:lo + int(rng.integers(1, 9))]
+            f[cycle] = np.roll(cycle, -1)
+            lo += cycle.size
+    elif shape == "fixed_points":
+        f = at
+    elif shape == "rho":
+        f = rng.integers(0, size, size)
+    elif shape == "increasing":
+        f = (at + 1) % size
+    elif shape == "decreasing":
+        f = (at - 1) % size
+    else:
+        raise ValueError(f"unknown shape {shape}")
+    q = size + size // 2 + 1
+    verts = np.sort(rng.choice(q, size, replace=False))
+    succ = rng.integers(0, q, q).astype(np.int32)
+    succ[verts] = verts[f]
+    return succ, verts
 
 
 def predecessors(g: FuncGraph) -> tuple[np.ndarray, np.ndarray]:

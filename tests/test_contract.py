@@ -23,6 +23,7 @@ from chebdyn import (classify_t, critical_factorization, disc_factored,
                      factor_pattern_actual, factor_pattern_predicted,
                      make_field, nu_2n, orbit_stats_order, predict_summary,
                      ramified_candidates, structure_params)
+from chebdyn.cli import main
 from chebdyn.ffield import nu, strip_ell
 
 # A refusal comes before any work; accepted calls get room for the work
@@ -130,3 +131,32 @@ def test_valuation_refuses_a_base_below_2(base):
             nu(12, base)
         with pytest.raises(ValueError, match="base >= 2"):
             strip_ell(np.array([12, 5]), base)
+
+
+# (ell, p, n) with T_ell^n of degree 4, 9 and 5
+T_OUTSIDE_INSTANCES = ((2, 13, 2), (3, 7, 2), (5, 11, 1))
+
+
+@pytest.mark.parametrize("ell,p,n", T_OUTSIDE_INSTANCES)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(t=st.integers(-10 ** 40, 10 ** 40))
+def test_t_outside_the_residues_is_read_mod_p(ell, p, n, t):
+    # T_ell^n(x) - t mod p depends on t mod p alone, on both routes; the
+    # examples below are drawn every run, past int64 at 10^30
+    for big in (t, -1, -p, p, 3 * p + 2, 10 ** 30):
+        with budget(WORK_BUDGET_S):
+            assert (factor_pattern_actual(ell, p, n, big)
+                    == factor_pattern_actual(ell, p, n, big % p)), big
+            assert (factor_pattern_predicted(ell, p, n, big)
+                    == factor_pattern_predicted(ell, p, n, big % p)), big
+
+
+@pytest.mark.parametrize("ell,p,n", T_OUTSIDE_INSTANCES)
+def test_cli_factor_reads_t_mod_p(ell, p, n, capsys):
+    outs = []
+    for t in (-1, p - 1):
+        code = main(["factor", "--ell", str(ell), "--p", str(p), "--n",
+                     str(n), "--t", str(t), "--format", "json"])
+        assert code == 0, t
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

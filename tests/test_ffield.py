@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import sympy
 
@@ -372,6 +373,38 @@ def test_alpha_order_builds_no_table_between_2e7_and_table_cap():
         assert (factor_pattern_predicted(3, p, 2, t)
                 == factor_pattern_actual(3, p, 2, t)), t
     assert "alpha" not in make_field(p, 1)._cache
+
+
+def test_trace_walk_matches_the_ladder():
+    # the walk's columns against T_e(a) from the scalar pair ladder, at
+    # the block seams (e = lo - 1, lo, lo + 1), the first two exponents
+    # and the last; q - 1 = 145006 and q + 1 walk three blocks, 65537
+    # ends on a one-column block, and (3, 10), (7, 6) are extension
+    # fields.  T_{lo+1} = T_lo T_1 - T_{lo-1} is where an unreduced
+    # subtraction would show
+    for (p, n) in ((145007, 1), (65537, 1), (3, 10), (7, 6)):
+        ctx = make_field.__wrapped__(p, n)
+        for m, group in ((ctx.q + 1, ctx.order_plus),
+                         (ctx.q - 1, ctx.order_minus)):
+            a = ctx._full_order_trace(m, group)
+            t, two, pp = ffield._ladder_operands(a, ctx)
+            count = m // 2 + 1
+            blocks = list(ctx._trace_walk(a, count))
+            want = {0, 1, count - 1}
+            for lo, _ in blocks:
+                want |= {lo - 1, lo, lo + 1}
+            want = {e for e in want if 0 <= e < count}
+            checked = 0
+            for lo, cols in blocks:
+                assert cols.dtype == np.int64
+                for e in sorted(want):
+                    if lo <= e < lo + cols.shape[1]:
+                        ref = ffield._cheb_ladder(e, t, two, pp)
+                        ref = (ref,) if n == 1 else ref.coeffs
+                        assert tuple(cols[:, e - lo].tolist()) == ref, (
+                            p, n, m, e)
+                        checked += 1
+            assert checked == len(want), (p, n, m)
 
 
 def test_alpha_order_tables_match_gcd_formula():

@@ -4,13 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.ffield import FieldCtx, element_degree, make_field
-from chebdyn.graph import (build_graph, export_dot, orbit_stats_order,
-                           summarize, verify_structure)
+from chebdyn.graph import (_JUMP_BELOW, _cycle_min, build_graph, export_dot,
+                           orbit_stats_order, summarize, verify_structure)
 from chebdyn.predict import predict_summary
-from structure_reference import full_succ, reference_verify_structure
+from structure_reference import (SHAPES, full_succ, functional_graph,
+                                 reference_cycle_min,
+                                 reference_verify_structure)
 
 # the criterion-05 sweep (ell in {2,3,5,7}, odd p <= 31, p^n <= 2^14),
 # which holds G(3,5,4), G(7,3,4) and G(2,13,2), and G(2,3,10)
@@ -70,7 +74,7 @@ def test_succ_and_weight_equal_full_evaluation():
 
 def test_build_graph_memory_per_vertex():
     # G(2,3,12), q = 531441: the build's traced peak above the field's
-    # cached order tables and Frobenius map (38.7 bytes per vertex
+    # cached order tables and Frobenius map (32.9 bytes per vertex
     # measured), and the int32 index arrays
     ctx = make_field(3, 12)
     ctx.alpha_order_tables()
@@ -81,8 +85,45 @@ def test_build_graph_memory_per_vertex():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / ctx.q <= 40, peak / ctx.q
+    assert peak / ctx.q <= 36, peak / ctx.q
     assert g.succ.dtype == np.int32 and fr.dtype == np.int32
+
+
+def test_verify_structure_memory_per_vertex():
+    # G(2,3,12): the structure check's traced peak above the built graph,
+    # 62.9 bytes per vertex measured; 63.2 when the cycle marks were the
+    # 2^K-th iterates of plain pointer jumping, and the bound leaves 1.3%
+    # above that
+    g = build_graph(2, make_field(3, 12))
+    tracemalloc.start()
+    try:
+        rep = verify_structure(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak / g.q <= 64, peak / g.q
+
+
+# sizes on both sides of the handoff to plain jumping; 17 and 1025 are
+# one past a power of two, where plain jumping needs its last round
+CYCLE_MIN_SIZES = (1, 2, 3, 5, 17, 1025, _JUMP_BELOW - 1, _JUMP_BELOW,
+                   _JUMP_BELOW + 1, 4 * _JUMP_BELOW + 3, 5 * _JUMP_BELOW)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=12, deadline=None)
+@given(size=st.sampled_from(CYCLE_MIN_SIZES), seed=st.integers(0, 2 ** 32 - 1))
+@example(size=17, seed=0)
+@example(size=_JUMP_BELOW + 1, seed=0)
+@example(size=5 * _JUMP_BELOW, seed=0)
+def test_cycle_min_matches_cycle_walk(shape, size, seed):
+    # monotone cycles and fixed points keep nearly every vertex at each
+    # contraction, so only the growing jump ends it; a rho puts tails in
+    # verts, as verify_structure does on a corrupted core
+    succ, verts = functional_graph(shape, size, seed)
+    got = _cycle_min(succ, verts)
+    assert np.array_equal(got, reference_cycle_min(succ, verts)), (shape, size)
 
 
 def test_frobenius_indices_refused_above_the_cap():

@@ -1,0 +1,144 @@
+"""Committed mutants: each one is a small fault that some test must catch.
+
+A mutant is a whole replacement of one package function, compiled from
+that function's own source with one named edit and applied with
+monkeypatch, so the package source is never touched; the edit must match
+the source exactly once, so a mutant cannot silently stop applying when
+the code moves.  Each mutant names its detector, the smallest check that
+kills it: the check passes on the package and fails (an AssertionError,
+or the package's own ArithmeticError) on the mutant.  After DeMillo,
+Lipton and Sayward, "Hints on test data selection: help for the
+practicing programmer", IEEE Computer 11(4), 1978.
+"""
+
+import __future__
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+
+import test_ffield
+from chebdyn import graph
+from chebdyn.ffield import FieldCtx, make_field
+from order_reference import walk_order_tables
+from structure_reference import (full_succ, functional_graph,
+                                 reference_cycle_min)
+
+
+def mutant(func, edits):
+    """func recompiled from its source with each (old, new) edit made."""
+    src = textwrap.dedent(inspect.getsource(func))
+    for old, new in edits:
+        assert src.count(old) == 1, (func.__qualname__, old)
+        src = src.replace(old, new)
+    code = compile(src, inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    namespace = dict(func.__globals__)
+    exec(code, namespace)
+    return namespace[func.__name__]
+
+
+# -- detectors ---------------------------------------------------------------
+
+def succ_equals_full_evaluation():
+    """Successors round the Frobenius orbits against T_ell at every
+    element, on fresh fields with orbits of length 2, 3 and 4."""
+    for ell, p, n in ((2, 3, 4), (3, 5, 3), (5, 7, 2)):
+        ctx = make_field.__wrapped__(p, n)
+        got = graph.build_graph(ell, ctx).succ
+        assert np.array_equal(got, full_succ(ctx, ell)), (ell, p, n)
+
+
+def order_tables_equal_gcd_formula():
+    """The order tables against m // gcd(e, m) on the same walk, at a
+    field whose walk runs three blocks a side."""
+    ctx = make_field.__wrapped__(145007, 1)
+    ords, branch = ctx.alpha_order_tables()
+    want_ords, want_branch = walk_order_tables(ctx)
+    assert ords.tobytes() == want_ords.tobytes()
+    assert branch.tobytes() == want_branch.tobytes()
+
+
+def cycle_min_equals_cycle_walk():
+    """_cycle_min against the sequential walk: a cycle one past a power
+    of two, below the handoff, and a long cycle and a rho above it."""
+    for shape, size in (("increasing", 17),
+                        ("long_cycle", 5 * graph._JUMP_BELOW),
+                        ("rho", graph._JUMP_BELOW + 1)):
+        succ, verts = functional_graph(shape, size, 0)
+        got = graph._cycle_min(succ, verts)
+        assert np.array_equal(got, reference_cycle_min(succ, verts)), (
+            shape, size)
+
+
+trace_walk_matches_the_ladder = test_ffield.test_trace_walk_matches_the_ladder
+
+DETECTORS = (succ_equals_full_evaluation, order_tables_equal_gcd_formula,
+             cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder)
+
+# -- mutants -----------------------------------------------------------------
+
+_CLOSURE_CHECK = "    if n > 1 and not np.array_equal(fr[r], mins):\n"
+
+MUTANTS = {
+    # the orbit walk steps by Frobenius squared
+    "frobenius_walk_squared": (
+        graph, "_succ_and_weight",
+        [("    r, v = mins, vals\n", "    r, v = mins, vals\n    fr = fr[fr]\n")],
+        succ_equals_full_evaluation),
+    # the successors of one orbit whose values leave F_p, rotated a step
+    "one_orbit_rotated": (
+        graph, "_succ_and_weight",
+        [(_CLOSURE_CHECK,
+          "    k = np.flatnonzero((weight[mins] == n) & (weight[vals] > 1))[0]\n"
+          "    orbit = [int(mins[k])]\n"
+          "    for _ in range(n - 1):\n"
+          "        orbit.append(int(fr[orbit[-1]]))\n"
+          "    succ[orbit] = np.roll(succ[orbit], 1)\n" + _CLOSURE_CHECK)],
+        succ_equals_full_evaluation),
+    # gcd(e, m) strides started at lo instead of at the first multiple
+    "order_stride_from_lo": (
+        FieldCtx, "_build_alpha_tables",
+        [("g[(-lo) % rj::rj] *= r", "g[lo % rj::rj] *= r")],
+        order_tables_equal_gcd_formula),
+    # the walk reduces before subtracting T_{lo-1}, T_{lo-2}, ...
+    "walk_minus_prev_unreduced": (
+        FieldCtx, "_trace_walk",
+        [("block = self.mul_matrix(h).T.astype(np.float64) @ base[:, :take]",
+          "block = polys._mod(self.mul_matrix(h).T.astype(np.float64)"
+          " @ base[:, :take], self.p)"),
+         ("return polys._mod(block, self.p)", "return block")],
+        trace_walk_matches_the_ladder),
+    # psi(u) read from u's own window, not from the window 4 steps on
+    "psi_from_own_window": (
+        graph, "_cycle_min",
+        [("val, ptr = low[keep], low[ahead]",
+          "val, ptr = low[keep], low[keep]")],
+        cycle_min_equals_cycle_walk),
+    # the first level's minima never unwound onto its vertices
+    "unwinding_level_skipped": (
+        graph, "_cycle_min",
+        [("    while levels:\n", "    while len(levels) > 1:\n")],
+        cycle_min_equals_cycle_walk),
+    # plain jumping after the handoff one round short at 2^k + 1 vertices
+    "handoff_jumps_one_short": (
+        graph, "_cycle_min",
+        [("        while span < val.size:\n",
+          "        while span < val.size - 1:\n")],
+        cycle_min_equals_cycle_walk),
+}
+
+
+@pytest.mark.parametrize("detector", DETECTORS, ids=lambda d: d.__name__)
+def test_detector_passes_on_the_package(detector):
+    detector()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_killed(name, monkeypatch):
+    owner, attr, edits, detector = MUTANTS[name]
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), edits))
+    with pytest.raises((AssertionError, ArithmeticError)):
+        detector()
