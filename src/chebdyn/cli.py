@@ -26,6 +26,18 @@ from .predict import (periodic_density, predict_summary, structure_params,
 from .verify import verify_instance
 
 
+def _check_printable(what: str, base: int, exp: int, coef: int = 1) -> None:
+    """Refuse (ValueError) what, the integer coef * base^exp with base >= 2,
+    when it may have more digits than Python's int-to-str conversion
+    allows; past 2^(4 limit) the power is never formed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (exp * (base.bit_length() - 1) >= 4 * limit
+                  or coef * base ** exp >= 10 ** limit):
+        raise ValueError(
+            f"{what} has more than {limit} digits, the limit of Python's "
+            "int-to-str conversion (sys.get_int_max_str_digits)")
+
+
 def _graph(args):
     check_domain(args.ell, args.p, args.n, args.cap)
     g = build_graph(args.ell, make_field(args.p, args.n), cap=args.cap)
@@ -37,8 +49,9 @@ def _graph(args):
 
 
 def _predict(args):
-    params = structure_params(args.ell, args.p, args.n)
+    # the summary first: it refuses a p^n past the factoring bound unformed
     s = predict_summary(args.ell, args.p, args.n)
+    params = structure_params(args.ell, args.p, args.n)
     head = (f"mu={params.mu} D1={params.d1} D2={params.d2} v={params.v} "
             f"lambda-=({params.lambda_minus}) omega-=({params.omega_minus}) "
             f"lambda+=({params.lambda_plus}) omega+=({params.omega_plus})")
@@ -65,20 +78,19 @@ def _factor(args):
 
 
 def _decompose(args):
+    check_domain(args.ell, args.p)
+    # a residue degree of level L is at most ell^L, printed in full
+    _check_printable(f"the degree bound {args.ell}^{args.max_level} of "
+                     f"level {args.max_level}", args.ell, args.max_level)
     rep = decompose_prime(args.ell, args.t, args.p, args.max_level)
     return rep.to_json_obj(), rep.table_str(), 0
 
 
 def _density(args):
     check_domain(args.ell, args.p, args.n)
-    # printed in full, 2 p^n must fit Python's int-to-str limit;
-    # n > 3 limit is past it without forming p^n (3^n > 10^limit)
-    limit = sys.get_int_max_str_digits()
-    if limit and (args.n > 3 * limit or 2 * args.p ** args.n >= 10 ** limit):
-        raise ValueError(
-            f"the density's denominator 2 * {args.p}^{args.n} has more "
-            f"than {limit} digits, the limit of Python's int-to-str "
-            f"conversion (sys.get_int_max_str_digits)")
+    # the denominator 2 p^n is printed in full
+    _check_printable(f"the density's denominator 2 * {args.p}^{args.n}",
+                     args.p, args.n, 2)
     dens = periodic_density(args.ell, args.p, args.n)
     lim = tower_limit(args.ell)
     level = min(args.n, 8)

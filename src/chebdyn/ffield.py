@@ -400,13 +400,6 @@ class FieldCtx:
         matrix."""
         return np.array(self._pow_p, dtype=np.int64) @ cols
 
-    def _matmod(self, M: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(M @ cols) mod p for integer matrices with entries in [0, p);
-        the product runs in float64 BLAS, exact while n * p^2 <= 2^53,
-        which the Frobenius map (q <= TABLE_CAP), its only caller, stays
-        below."""
-        return (M.astype(np.float64) @ cols).astype(np.int64) % self.p
-
     def mul_matrix(self, h: "FFElem") -> np.ndarray:
         """(n, n) matrix M with row_vec(a) @ M = row_vec(a * h)."""
         rows = []
@@ -420,7 +413,9 @@ class FieldCtx:
 
     def frobenius_indices(self) -> np.ndarray:
         """Read-only int32 permutation array f with f[i] = index of
-        decode(i)^p; refused above TABLE_CAP (< 2^31)."""
+        decode(i)^p; refused above TABLE_CAP (< 2^31).  x -> x^p is
+        F_p-linear: a float64 product with the basis images, reduced by
+        polys._mod as in the trace walk."""
         f = self._cache.get("frob")
         if f is None:
             if self.q > self.TABLE_CAP:
@@ -430,12 +425,12 @@ class FieldCtx:
             for i in range(self.n):
                 e = self.elem([0] * i + [1] + [0] * (self.n - 1 - i))
                 basis.append((e ** self.p).coeffs)
-            fmt = np.array(basis, dtype=np.int64).T
+            fmt = np.array(basis, dtype=np.float64).T
             f = np.empty(self.q, dtype=np.int32)
             for lo in range(0, self.q, self.BLOCK):
                 hi = min(lo + self.BLOCK, self.q)
-                f[lo:hi] = self.encode_cols(
-                    self._matmod(fmt, self.coeff_cols(np.arange(lo, hi))))
+                f[lo:hi] = self.encode_cols(polys._mod(
+                    fmt @ self.coeff_cols(np.arange(lo, hi)), self.p))
             f.setflags(write=False)
             self._cache["frob"] = f
         return f

@@ -427,60 +427,30 @@ class VerifyReport:
         }
 
 
-def _tree_faults(g: FuncGraph, indeg: np.ndarray, roots: np.ndarray,
-                 height: int, arity: int, depth0: int, cid: int) -> list[str]:
-    """First fault of the tree over each root, "" for none.
-
-    The iterated predecessors of roots[i] must form a complete arity-ary
-    tree of the given height whose vertices have component cid and
-    preperiod depth0 plus their depth in the tree.  One sweep over succ
-    per level carries the root's position up to the next level.
-    """
-    faults = [""] * roots.size
-    owner = np.full(g.q, -1, dtype=np.int32)
-    level, lab = roots, np.arange(roots.size)
-    for depth in range(height + 1):
-        want = arity if depth < height else 0
-        found = indeg[level]
-        bad_count = found != want
-        bad_label = (g.pper[level] != depth0 + depth) | (g.comp[level] != cid)
-        hits = np.flatnonzero(bad_count | bad_label)
-        tree_hit, first = np.unique(lab[hits], return_index=True)
-        for t, i in zip(tree_hit.tolist(), hits[first].tolist()):
-            v = int(level[i])
-            if faults[t]:
-                continue
-            if bad_count[i]:
-                faults[t] = (f"vertex {v} at depth {depth0 + depth} has "
-                             f"{found[i]} tree children, wanted {want}")
-            else:
-                faults[t] = (f"vertex {v} has preperiod {g.pper[v]} and "
-                             f"comp {g.comp[v]}, wanted {depth0 + depth} "
-                             f"and {cid}")
-        if depth == height:
-            break
-        owner[level] = lab
-        kids = np.flatnonzero(owner[g.succ] >= 0)
-        lab = owner[g.succ[kids]]
-        owner[level] = -1
-        level = kids
-    return faults
-
-
 def verify_structure(g: FuncGraph) -> VerifyReport:
     """Check the predicted shape with whole-array predicates.
 
     Per component: exactly one cycle.  The core (pper == 0) must be
     closed under succ, succ must permute it, and comp must be the cycle
-    minimum there.  Every other vertex inherits comp and pper - 1 from
-    its successor, so pper is its distance to the cycle.  With H the
-    ell-valuation of q -+ 1 on the component's side, a cycle vertex has
-    ell - 1 tree roots if H >= 1 and none otherwise, and a tree vertex
-    has ell predecessors below depth H and none at depth H: complete
-    ell-ary trees of height H - 1.  For odd ell the fixed vertices +-2
-    carry (ell-1)/2 roots of trees of height lambda_m - 1; for ell = 2 the
-    edges (2,2), (-2,2), (0,-2) exist and 0 roots a complete binary tree
-    of height lambda_m - 2.
+    minimum there.  With H the ell-valuation of q -+ 1 on a component's
+    side, a generic cycle vertex has ell - 1 tree roots if H >= 1 and none
+    otherwise; for odd ell the fixed vertices +-2 carry (ell-1)/2, and for
+    ell = 2 the edges (2,2), (-2,2), (0,-2) exist.
+
+    One rule covers every tree vertex but -2 when ell = 2, whose one
+    child is the edge (0,-2).  With height H, or lambda_m when its label
+    is special (+-2, or 0 when ell = 2), it has ell children below depth
+    H and none at H, and it inherits comp and pper - 1 from its
+    successor, on a cycle the recomputed minimum standing in for comp.
+
+    A fault is keyed by a label: the vertex's own for a root or child
+    count or a depth, its successor's for what it inherits.  A generic
+    label names its component's check, a special one the special tree
+    the vertex lies in, whose root (below +-2, or 0 when ell = 2) a walk
+    along succ meets within lambda_m + 1 steps.  No fault of a broken
+    tree is lost to that bound: up the path from its root, the first
+    fault is at depth lambda_m at the latest, a child-count fault there
+    if the path runs deeper, and every label before it is special.
     """
     q, ell, ctx = g.q, g.ell, g.ctx
     # indexed by branch
@@ -489,13 +459,14 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
     lam_m = int(lam.max())
     report = VerifyReport(ell, ctx.p, ctx.n, periodic=g.periodic_count(), q=q)
     check = report.add
-    succ, pper = g.succ, g.pper
-    comp = g.comp
+    succ, pper, comp = g.succ, g.pper, g.comp
     indeg = np.bincount(succ, minlength=q)
-    two = ctx.from_int(2).index
-    minus_two = ctx.from_int(-2).index
-    zero = ctx.from_int(0).index
+    two, minus_two, zero = (ctx.from_int(k).index for k in (2, -2, 0))
     special = [two, minus_two, zero] if ell == 2 else [two, minus_two]
+
+    def is_special(x: np.ndarray) -> np.ndarray:
+        # a compare per special vertex: np.isin takes 40 times as long
+        return np.logical_or.reduce([x == s for s in special])
 
     # one cycle per component
     in_core = pper == 0
@@ -534,6 +505,79 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
         faults.append(f"core vertex {v} has comp {comp[v]}, wanted its "
                       f"cycle minimum {cmin[v]}")
     check("one cycle per component", not faults, faults[0] if faults else "")
+    del low, verts
+
+    # generic components: one check per comp label on the non-special
+    # core, in the order of the label's first vertex, keyed by the cycle
+    # minimum recomputed there
+    core_rest = core[~is_special(core)]
+    first = np.full(q, core_rest.size)
+    np.minimum.at(first, np.clip(comp[core_rest], 0, q - 1),
+                  np.arange(core_rest.size))
+    heads = core_rest[np.sort(first[first < core_rest.size])]
+    del core_rest, first
+
+    # the fault table: the first fault of each generic label, keyed
+    # (False, label), and of each special tree, keyed (True, its root)
+    first_fault: dict[tuple[bool, int], str] = {}
+
+    def note(hits, keys, at, describe):
+        # hits index keys and the vertices at
+        if not hits.size:
+            return
+        keys = keys[hits]
+        walk = is_special(keys)
+        v, root = at[hits[walk]], np.full(np.count_nonzero(walk), -1)
+        for _ in range(lam_m + 1):
+            found = (root < 0) & ((v == zero) if ell == 2 else
+                                  is_special(succ[v]) & ~is_special(v))
+            root[found] = v[found]
+            v = succ[v]
+        for tree, k, at_k in ((False, keys[~walk], hits[~walk]),
+                              (True, root, hits[walk])):
+            k, first = np.unique(k, return_index=True)
+            for key, i in zip(k.tolist(), at_k[first].tolist()):
+                first_fault.setdefault((tree, key), describe(i))
+
+    # a generic cycle vertex has ell - 1 tree roots if H >= 1, none if
+    # H = 0; the roots over +-2 are counted by name
+    on_core_cycle = on_cycle[core]
+    cycle = core[on_core_cycle]
+    key = cmin[cycle]
+    roots = (indeg[core] - core_preds)[on_core_cycle]
+    del core, core_preds, on_core_cycle
+    want = np.where(lam >= 1, ell - 1, 0)[g.branch[key]]
+    note(np.flatnonzero((roots != want) & ~is_special(cycle)), key,
+         cycle, lambda i: f"cycle vertex {cycle[i]}: {roots[i]} tree roots, "
+                          f"wanted {want[i]}")
+    del cycle, key, roots
+    # a tree vertex has ell children below its height and none at it
+    tree = np.flatnonzero(~in_core)
+    del in_core
+    depth, label = pper[tree], comp[tree]
+    height = lam[g.branch[np.clip(label, 0, q - 1)]]
+    height[is_special(label)] = lam_m
+    kids = indeg[tree]
+    del indeg
+    want = np.where(depth < height, ell, 0)
+    bad = (depth > height) | (kids != want)
+    if ell == 2:
+        bad[tree == minus_two] = False
+    note(np.flatnonzero(bad), label, tree,
+         lambda i: (f"vertex {tree[i]} at depth {depth[i]}, wanted at "
+                    f"most {height[i]}") if depth[i] > height[i] else
+                   (f"vertex {tree[i]} at depth {depth[i]} has {kids[i]} "
+                    f"tree children, wanted {want[i]}"))
+    del bad
+    # and inherits comp and pper - 1 from its successor; on a cycle the
+    # recomputed minimum stands in for comp
+    up = succ[tree]
+    up_label = np.where(on_cycle[up], cmin[up], comp[up])
+    up_depth = pper[up] + 1
+    note(np.flatnonzero((depth != up_depth) | (label != up_label)), up_label,
+         tree, lambda i: f"vertex {tree[i]} has preperiod {depth[i]} and "
+                         f"comp {label[i]}, wanted {up_depth[i]} and "
+                         f"{up_label[i]} from its successor {up[i]}")
 
     if ell == 2:
         check("edge (2,2)", int(succ[two]) == two, "2 is not fixed")
@@ -541,8 +585,7 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
               "-2 does not map to 2")
         check("edge (0,-2)", int(succ[zero]) == minus_two,
               "0 does not map to -2")
-        fault, = _tree_faults(g, indeg, np.array([zero]), lam_m - 2, 2, 2,
-                              two)
+        fault = first_fault.get((True, zero), "")
         check(f"0 roots a complete binary tree of height {lam_m - 2}",
               not fault, fault)
     else:
@@ -555,75 +598,20 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
             if not check(f"{name} has {want} tree roots", roots.size == want,
                          f"found {roots.size}"):
                 continue
-            tree_faults = _tree_faults(g, indeg, roots, lam_m - 1, ell, 1, vtx)
-            for r, fault in zip(roots.tolist(), tree_faults):
+            for r in roots.tolist():
+                fault = first_fault.get((True, r), "")
                 if not check(f"tree at {r} over {name} complete "
                              f"(height {lam_m - 1})", not fault, fault):
                     break
 
-    # generic components: one check per comp label on the non-special
-    # core, in the order of the label's first vertex, keyed by the cycle
-    # minimum recomputed there
-    rest = in_core.copy()
-    rest[special] = False
-    core_rest = np.flatnonzero(rest)
-    first = np.full(q, core_rest.size)
-    np.minimum.at(first, np.clip(comp[core_rest], 0, q - 1),
-                  np.arange(core_rest.size))
-    heads = core_rest[np.sort(first[first < core_rest.size])]
-    del rest, core_rest, first
-    head_keys = cmin[heads]
-    is_head_key = np.zeros(q, dtype=bool)
-    is_head_key[head_keys] = True
-    first_fault: dict[int, str] = {}
-
-    def blame(bad: np.ndarray, keys: np.ndarray, describe) -> None:
-        hits = np.flatnonzero(bad)
-        hits = hits[(keys[hits] >= 0) & (keys[hits] < q)]
-        hits = hits[is_head_key[keys[hits]]]
-        hit_keys, at = np.unique(keys[hits], return_index=True)
-        for k, i in zip(hit_keys.tolist(), hits[at].tolist()):
-            first_fault.setdefault(k, describe(i))
-
-    # a cycle vertex has ell - 1 tree roots if H >= 1, none if H = 0
-    on_core_cycle = on_cycle[core]
-    cycle = core[on_core_cycle]
-    key = cmin[cycle]
-    roots = (indeg[core] - core_preds)[on_core_cycle]
-    want = np.where(lam[g.branch[key]] >= 1, ell - 1, 0)
-    blame(roots != want, key,
-          lambda i: f"cycle vertex {cycle[i]}: {roots[i]} tree roots, "
-                    f"wanted {want[i]}")
-    # a tree vertex has ell children below depth H and none at depth H
-    tree = np.flatnonzero(~in_core)
-    depth = pper[tree]
-    label = comp[tree]
-    height = lam[g.branch[np.clip(label, 0, q - 1)]]
-    kids = indeg[tree]
-    want = np.where(depth < height, ell, 0)
-    blame((depth > height) | (kids != want), label,
-          lambda i: (f"vertex {tree[i]} at depth {depth[i]}, wanted at "
-                     f"most {height[i]}") if depth[i] > height[i] else
-                    (f"vertex {tree[i]} at depth {depth[i]} has {kids[i]} "
-                     f"tree children, wanted {want[i]}"))
-    # and inherits comp and pper - 1 from its successor; on a cycle the
-    # recomputed minimum stands in for comp
-    up = succ[tree]
-    up_label = np.where(on_cycle[up], cmin[up], comp[up])
-    up_depth = pper[up] + 1
-    blame((depth != up_depth) | (label != up_label), up_label,
-          lambda i: f"vertex {tree[i]} has preperiod {depth[i]} and comp "
-                    f"{label[i]}, wanted {up_depth[i]} and {up_label[i]} "
-                    f"from its successor {up[i]}")
-
-    for v, k, closes, dv in zip(heads.tolist(), head_keys.tolist(),
+    for v, k, closes, dv in zip(heads.tolist(), cmin[heads].tolist(),
                                 on_cycle[heads].tolist(),
                                 g.divisor[heads].tolist()):
         if not closes:
             check(f"cycle walk from {v} closes", False,
                   "successor walk never returned to its start")
             continue
-        fault = first_fault.get(k, "")
+        fault = first_fault.get((False, k), "")
         check(f"component of {k} (divisor {dv}) trees complete", not fault,
               fault)
     return report

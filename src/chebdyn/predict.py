@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .ffield import (MINUS, PLUS, FactoredInt, check_domain, factor_int,
-                     is_prime, nu)
+from .ffield import (FACTOR_LIMIT, MINUS, PLUS, FactoredInt, check_domain,
+                     factor_int, is_prime, nu)
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
@@ -143,7 +143,11 @@ def predict_summary(ell: int, p: int, n: int) -> GraphSummary:
     the divisor d, its ell-valuation, phi(d), the period c(d) and the
     weight, the least m with d | p^m -+ 1.
     """
-    params = structure_params(ell, p, n)  # checks the domain first
+    check_domain(ell, p, n)
+    # p >= 3 and 3^61 > 2^96: a larger n is refused without forming p^n
+    if n >= 61 or p ** n + 1 >= FACTOR_LIMIT:
+        raise ValueError(f"{p}^{n} + 1 exceeds the 2^96 factorization bound")
+    params = structure_params(ell, p, n)
     q = p ** n
     rows: list[SummaryRow] = []
     for branch, group in ((MINUS, q - 1), (PLUS, q + 1)):

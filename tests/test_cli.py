@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -113,6 +114,22 @@ def test_decompose_table_and_refusal(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_unbounded_sizes_refused_before_the_work(capsys):
+    # p^n is never formed past the factoring bound, and the level loop
+    # never starts when its degrees could not be printed: both were hangs
+    limit = sys.get_int_max_str_digits()
+    for argv, reason in (
+            (["predict", "--ell", "3", "--p", "13", "--n", "100000000"],
+             "13^100000000 + 1 exceeds the 2^96 factorization bound"),
+            (["decompose", "--ell", "2", "--t", "105", "--p", "13",
+              "--max-level", "1000000"],
+             f"2^1000000 of level 1000000 has more than {limit} digits")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 3 and reason in err, (argv, err)
+
+
 def test_density(capsys):
     code, out, _ = run(capsys, ["density", "--ell", "3", "--p", "53", "--n", "1"])
     assert code == 0
@@ -145,7 +162,7 @@ def test_refusal_exit_3(capsys):
             (["factor", "--ell", "3", "--p", "5", "--n", "20000", "--t", "2"],
              f"degree 3^20000 exceeds cap {DEGREE_CAP}"),
             (["predict", "--ell", "3", "--p", "5", "--n", "20000"],
-             "a 46439-bit integer exceeds the 2^96 factorization bound"),
+             "5^20000 + 1 exceeds the 2^96 factorization bound"),
             (["graph", "--ell", "4", "--p", "5"], "ell = 4 is not prime"),
             (["density", "--ell", "3", "--p", "53", "--n", "200000"],
              f"2 * 53^200000 has more than {sys.get_int_max_str_digits()}"

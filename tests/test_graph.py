@@ -91,9 +91,9 @@ def test_build_graph_memory_per_vertex():
 
 def test_verify_structure_memory_per_vertex():
     # G(2,3,12): the structure check's traced peak above the built graph,
-    # 62.9 bytes per vertex measured; 63.2 when the cycle marks were the
-    # 2^K-th iterates of plain pointer jumping, and the bound leaves 1.3%
-    # above that
+    # 40.2 bytes per vertex measured with one rule for every tree (62.9
+    # with a level-by-level search of the special trees), and the bound
+    # leaves 3% above that
     g = build_graph(2, make_field(3, 12))
     tracemalloc.start()
     try:
@@ -102,7 +102,7 @@ def test_verify_structure_memory_per_vertex():
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert peak / g.q <= 64, peak / g.q
+    assert peak / g.q <= 41.5, peak / g.q
 
 
 # sizes on both sides of the handoff to plain jumping; 17 and 1025 are
@@ -396,22 +396,101 @@ def _break_special_edge(g):
     g.succ[special] = np.flatnonzero(_generic(g) & (g.pper == 0))[0]
 
 
+# corruptions of the trees over +-2, and of 0's tree when ell = 2
+
+def _special_tree(g):
+    return ~_generic(g) & (g.pper >= (2 if g.ell == 2 else 1))
+
+
+def _special_leaves(g):
+    indeg = np.bincount(g.succ, minlength=g.q)
+    return np.flatnonzero(_special_tree(g) & (indeg == 0))
+
+
+def _move_special_tree_edge(g):
+    v = int(np.flatnonzero(_special_tree(g)
+                           & (g.pper >= (4 if g.ell == 2 else 2)))[0])
+    targets = np.flatnonzero(_special_tree(g) & (g.pper == g.pper[v] - 1)
+                             & (np.arange(g.q) != g.succ[v]))
+    g.succ[v] = targets[-1]
+
+
+def _give_special_leaf_a_child(g):
+    leaves = _special_leaves(g)
+    g.succ[leaves[-1]] = leaves[0]
+
+
+def _hang_chain_under_special_leaf(g):
+    # for odd ell the chain's last vertex lies lambda_m + 2 steps of succ
+    # from its tree's root, past the structure check's walk
+    leaves = _special_leaves(g)
+    chain = leaves[[0, -1, -2, -3]]
+    g.succ[chain[1:]] = chain[:-1]
+
+
+def _special_leaf_to_generic_tree(g):
+    leaf = _special_leaves(g)[0]
+    g.succ[leaf] = np.flatnonzero(_generic(g)
+                                  & (g.pper == g.pper[leaf] - 1))[0]
+
+
+def _generic_leaf_to_special_tree(g):
+    indeg = np.bincount(g.succ, minlength=g.q)
+    leaf = np.flatnonzero(_generic(g) & (g.pper >= 1) & (indeg == 0))[-1]
+    g.succ[leaf] = np.flatnonzero(_special_tree(g) & (indeg > 0))[-1]
+
+
+def _move_root_of_two_onto_minus_two(g):
+    # when ell = 2 the root of 2 is -2 itself, which becomes a fixed point
+    ctx = g.ctx
+    two, minus_two = ctx.from_int(2).index, ctx.from_int(-2).index
+    roots = np.flatnonzero(g.succ == two)
+    g.succ[roots[roots != two][0]] = minus_two
+
+
 CORRUPTIONS = {f.__name__[1:]: f for f in (
     _move_tree_edge, _give_leaf_a_child, _split_cycle, _relabel_cycle_vertex,
     _lift_cycle_vertex, _sink_tree_root, _break_special_edge)}
+SPECIAL_CORRUPTIONS = {f.__name__[1:]: f for f in (
+    _move_special_tree_edge, _give_special_leaf_a_child,
+    _hang_chain_under_special_leaf, _special_leaf_to_generic_tree,
+    _generic_leaf_to_special_tree, _move_root_of_two_onto_minus_two)}
+# lambda_m = 3 at (2, 41) gives 0 two leaf children, nothing two deep
+# below it and two special leaves in all; lambda_m = 1 at (7, 113)
+# makes every special tree vertex a leaf
+SPECIAL_CASES = [(kind, ell, p) for kind in sorted(SPECIAL_CORRUPTIONS)
+                 for ell, p in ((2, 81), (2, 41), (2, 97), (3, 73),
+                                (3, 109), (5, 101), (7, 113))
+                 if (kind, ell, p) not in {
+                     ("move_special_tree_edge", 2, 41),
+                     ("move_special_tree_edge", 7, 113),
+                     ("hang_chain_under_special_leaf", 2, 41),
+                     ("generic_leaf_to_special_tree", 7, 113)}]
+
+
+def corrupted(kind, ell, p):
+    """G(ell, p, 1), or G(2, 3, 4) for p = 81, with the named corruption
+    made to copies of its arrays."""
+    ctx = make_field(3, 4) if p == 81 else make_field(p, 1)
+    g = build_graph(ell, ctx)
+    g = dataclasses.replace(g, succ=g.succ.copy(), pper=g.pper.copy(),
+                            comp=g.comp.copy())
+    {**CORRUPTIONS, **SPECIAL_CORRUPTIONS}[kind](g)
+    return g
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("ell,p", [(2, 81), (2, 41), (3, 73), (5, 101)])
 def test_verify_structure_corruptions_match_reference(kind, ell, p):
-    ctx = make_field(3, 4) if p == 81 else make_field(p, 1)
-    g = build_graph(ell, ctx)
-    g = dataclasses.replace(g, succ=g.succ.copy(), pper=g.pper.copy(),
-                            comp=g.comp.copy())
-    CORRUPTIONS[kind](g)
-    rep, ref = verify_structure(g), reference_verify_structure(g)
+    g = corrupted(kind, ell, p)
+    rep = verify_structure(g)
     assert not rep.ok and rep.first_failure
-    assert _checks(rep) == _checks(ref)
+    assert _checks(rep) == _checks(reference_verify_structure(g))
+
+
+@pytest.mark.parametrize("kind,ell,p", SPECIAL_CASES)
+def test_verify_structure_special_corruptions_match_reference(kind, ell, p):
+    test_verify_structure_corruptions_match_reference(kind, ell, p)
 
 
 def test_verify_structure_checks_labels_the_reference_trusted():
@@ -431,6 +510,21 @@ def test_verify_structure_checks_labels_the_reference_trusted():
                 rep = verify_structure(bad)
                 assert not rep.ok, (ell, p, deep, field)
                 assert f"vertex {deep} " in rep.first_failure
+
+
+def test_verify_structure_keeps_labels_apart_from_special_roots():
+    # a generic tree vertex relabelled with the index of a root of 2:
+    # only its own component fails, and the tree over that root, whose
+    # check reads faults keyed by the same index, stays whole
+    g = build_graph(5, make_field(101, 1))
+    root = int(np.flatnonzero((g.succ == 2) & (np.arange(g.q) != 2))[0])
+    v = int(np.flatnonzero(_generic(g) & (g.pper >= 1))[0])
+    comp = g.comp.copy()
+    comp[v] = root
+    rep = verify_structure(dataclasses.replace(g, comp=comp))
+    failed = [(name, detail) for name, ok, detail in rep.checks if not ok]
+    assert len(failed) == 1 and f"vertex {v} " in failed[0][1], failed
+    assert failed[0][0].startswith(f"component of {g.comp[v]} "), failed
 
 
 def test_export_dot_f3():

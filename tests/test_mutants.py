@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 import test_ffield
+import test_graph
 from chebdyn import graph
 from chebdyn.ffield import FieldCtx, make_field
 from order_reference import walk_order_tables
 from structure_reference import (full_succ, functional_graph,
-                                 reference_cycle_min)
+                                 reference_cycle_min,
+                                 reference_verify_structure)
 
 
 def mutant(func, edits):
@@ -73,10 +75,29 @@ def cycle_min_equals_cycle_walk():
             shape, size)
 
 
+def special_trees_pass_at_f53():
+    """G(3, 53, 1) passes the structure check: its trees over +-2 have
+    the height lambda_m = lambda_+ = 3, and +-2 lie on the minus side,
+    where lambda_- = 0."""
+    g = graph.build_graph(3, make_field(53, 1))
+    assert graph.verify_structure(g).ok
+
+
+def special_corruptions_match_reference():
+    """The (name, ok) checks of every corruption of a special tree equal
+    the vertex-by-vertex reference's."""
+    for kind, ell, p in test_graph.SPECIAL_CASES:
+        g = test_graph.corrupted(kind, ell, p)
+        got = test_graph._checks(graph.verify_structure(g))
+        assert got == test_graph._checks(reference_verify_structure(g)), (
+            kind, ell, p)
+
+
 trace_walk_matches_the_ladder = test_ffield.test_trace_walk_matches_the_ladder
 
 DETECTORS = (succ_equals_full_evaluation, order_tables_equal_gcd_formula,
-             cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder)
+             cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
+             special_trees_pass_at_f53, special_corruptions_match_reference)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -128,6 +149,17 @@ MUTANTS = {
         [("        while span < val.size:\n",
           "        while span < val.size - 1:\n")],
         cycle_min_equals_cycle_walk),
+    # the trees over +-2 given the height of their branch, not lambda_m
+    "special_height_from_branch": (
+        graph, "verify_structure",
+        [("    height[is_special(label)] = lam_m\n", "")],
+        special_trees_pass_at_f53),
+    # a special tree's faults keyed one step past its root, to the vertex
+    # the tree hangs from (+-2, or -2 above 0), which no tree check reads
+    "special_fault_past_its_root": (
+        graph, "verify_structure",
+        [("root[found] = v[found]", "root[found] = succ[v[found]]")],
+        special_corruptions_match_reference),
 }
 
 
