@@ -26,6 +26,17 @@ from .predict import (periodic_density, predict_summary, structure_params,
 from .verify import verify_instance
 
 
+# The deepest tower level `chebdyn decompose` reports.  A level's report
+# grows with the level (about L entries of up to L log10(ell) digits), so
+# the output grows as the cube of the level count.  Measured on a 2-core
+# host, interpreter start included, the slowest probe (ell = 431, t = 105,
+# p = 13) took 0.31 s for the table and 0.43 s for --format json at 128
+# levels, and 0.44 and 0.69 s at 200; at ell = 2, 14,284 levels took
+# 3.9 s and printed 31.2 MB, and at ell = 5 (t = 105, p = 13) 1,000
+# levels printed 128 MB.
+MAX_LEVEL = 128
+
+
 def _check_printable(what: str, base: int, exp: int, coef: int = 1) -> None:
     """Refuse (ValueError) what, the integer coef * base^exp with base >= 2,
     when it may have more digits than Python's int-to-str conversion
@@ -82,6 +93,9 @@ def _decompose(args):
     # a residue degree of level L is at most ell^L, printed in full
     _check_printable(f"the degree bound {args.ell}^{args.max_level} of "
                      f"level {args.max_level}", args.ell, args.max_level)
+    if args.max_level > MAX_LEVEL:
+        raise ValueError(f"--max-level {args.max_level} exceeds the limit "
+                         f"{MAX_LEVEL}")
     rep = decompose_prime(args.ell, args.t, args.p, args.max_level)
     return rep.to_json_obj(), rep.table_str(), 0
 

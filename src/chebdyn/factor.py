@@ -29,9 +29,10 @@ __all__ = [
 ]
 
 # The largest ell^n factor_pattern_actual takes.  Near it, at t = 1, on a
-# 2-core host with one BLAS thread: (ell, p, n) = (2, 3, 12) 6.3-7.4 s,
-# (3, 5, 7) 9.5-9.9 s, (5, 3, 5) 2.6-3.2 s and (2, 11, 12) 46.5 s,
-# against 27.0, 35.6, 11.0 and 217.7 s with the int64 product.
+# 2-core host with one BLAS thread (one fresh process per run):
+# (ell, p, n) = (2, 3, 12) 3.2 s, (3, 5, 7) 4.2 s, (5, 3, 5) 1.7 s and
+# (2, 11, 12) 41.0 s, against 4.0-4.3, 5.2-6.5, 2.4 and 41.6-42.0 s with
+# a distinct-degree split of one gcd per block.
 DEGREE_CAP = 1 << 12
 # Largest prime find_irreducibility_witness tries.
 WITNESS_BOUND = 1000

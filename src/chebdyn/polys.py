@@ -20,7 +20,12 @@ loop for short divisors and every larger p; it is where kernel residues
 become ints.  Exact divisions stay on the list routines.
 Factoring has one path per step: the characteristic-p squarefree loop,
 whose p-th-root step also covers f' = 0, and the baby-step giant-step
-distinct-degree split at every degree >= 2.
+distinct-degree split at every degree >= 2, by one tree over the degree
+range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
+when e | k = js - i, so one gcd with the product of every V_k, k <= K,
+holds all the factors of degree <= K and leaves one irreducible or none,
+and each node's gcd with its left labels' product holds exactly its
+factors of degree in the left range (distinct_degree_counts).
 """
 
 from __future__ import annotations
@@ -568,13 +573,41 @@ def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
 def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     """{degree: number of irreducible factors} for squarefree monic f.
 
-    Baby-step giant-step splitting (von zur Gathen & Shoup 1992) at every
-    degree >= 2: Frobenius powers are combined in blocks of
-    s = isqrt(deg / 2) + 1 degrees, so only one gcd per block is usually
-    needed.  Below degree 6 a block is one degree: once the linear
-    factors are out, at most one more block is left, and the first power
-    x^p with its gcd often settles the pattern, where s = 2 always
-    computes two powers.
+    Baby-step giant-step (von zur Gathen & Shoup 1992) whose gcds split
+    one tree over the degree range, after Shoup's interval partition
+    (1995).  With s = isqrt(deg / 2) + 1 (s = 1 below degree 6, so that
+    no power past x^(p^(deg // 2)) is computed there), the baby steps
+    are x^(p^i), i <= s, and the giant steps x^(p^(js)), j = 1..J.  The
+    label k = js - i, 0 <= i < s, names V_k = x^(p^(js)) - x^(p^i).  An
+    irreducible factor of degree e divides V_k exactly when e | k: x
+    generates F_p[x]/(factor) = F_(p^e), where the Frobenius is
+    injective, so x^(p^(js)) = x^(p^i) there iff x^(p^k) = x iff e | k.
+
+    J is the least block count with deg f < 2 (Js + 1), and K = Js.  The
+    gcd G of f with the product of every V_k, k <= K, holds exactly the
+    factors of degree <= K.  So f / G, of degree below 2 (K + 1) with
+    every factor of degree > K, is one irreducible factor or 1.  The
+    giant steps stop early, at K = js, once the product of the V_k,
+    k <= js, is 0 mod f: every factor then has degree at most js, and
+    G = f.  The
+    tree then splits G over label ranges [lo, hi), left half first.  A
+    node holds exactly the factors of f with degree in [lo, hi), so its
+    gcd with the product of V_k over lo <= k < mid holds exactly those
+    of degree below mid (a factor of degree e >= lo divides some such
+    V_k iff e < mid), and the quotient holds [mid, hi).  A node whose
+    polynomial has degree D < 2 lo is one irreducible of degree D, since
+    two would have degree at least 2 lo.  A leaf k holds D / k factors
+    of degree k.  No factor at a node exceeds D, so hi is cut to D + 1.
+    Each gcd reduces a full-degree residue, so their number follows the
+    factors found (one for an irreducible f), not the J blocks.
+
+    Range products multiply the whole-block products
+    P_j = V_(js) V_(js-1) ... V_(js-s+1), so only the giant steps and the
+    J block products are stored.  A node of more than s labels splits at
+    the block start nearest below its middle, and since the root's range
+    starts at one, its left product is then whole blocks.  The tree runs
+    on an explicit stack: a recursive closure would be a reference cycle
+    holding the kernel until the next collection.
     The powers past x^p come by composing with x^p where that measures
     faster than powering by p, which is at p > 4 deg; the giant steps
     compose with one h throughout, so ModulusKernel.compose builds the
@@ -585,7 +618,6 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         return {}
     if d == 1:
         return {1: 1}
-    out: dict[int, int] = {}
     ker = ModulusKernel(f, p)
     x = np.zeros(ker.d)
     x[1] = 1
@@ -603,37 +635,60 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     while len(baby) <= s:
         baby.append(ker.compose(baby[-1], baby[1]) if by_compose
                     else ker.powmod(baby[-1], p))
-    giant = baby[s]  # x^(p^s)
-    rem_f = f
-    j = 0
-    big = giant
-    while degree(rem_f) > 0 and j * s < degree(rem_f):
-        j += 1
-        if j > 1:
-            # x^(p^(j*s)), at most d / 2s times before the loop ends
-            big = ker.compose(big, giant)
-        # block of degrees (j-1)s+1 .. js: product of (big - baby[i])
-        prod = _mod(big - baby[0], p)
-        for i in range(1, s):
-            prod = ker.mulmod(prod, _mod(big - baby[i], p))
-        g = gcd(prod, rem_f, p)
-        if degree(g) > 0:
-            rem_f = divmod_(rem_f, g, p)[0]
-            # split g by degree within the block, lowest first: once the
-            # lower degrees are out, what is left has degree js factors
-            for i in range(s - 1, -1, -1):
-                if degree(g) <= 0:
-                    break
-                k = j * s - i
-                gi = gcd(_mod(big - baby[i], p), g, p) if i else g
-                if degree(gi) > 0:
-                    if degree(gi) % k:
-                        raise ArithmeticError("distinct-degree split failed")
-                    out[k] = out.get(k, 0) + degree(gi) // k
-                    g = divmod_(g, gi, p)[0]
-        if degree(rem_f) < 2 * (j * s + 1):
+
+    def label(k: int) -> np.ndarray:
+        """V_k, from the block j = ceil(k / s)."""
+        j = -(-k // s)
+        return _mod(giant[j - 1] - baby[j * s - k], p)
+
+    def product(lo: int, hi: int) -> np.ndarray:
+        """V_lo V_(lo+1) ... V_(hi-1) mod f."""
+        out, k = None, lo
+        while k < hi:
+            if (k - 1) % s == 0 and k + s <= hi:
+                term, k = blocks[(k - 1) // s], k + s
+            else:
+                term, k = label(k), k + 1
+            out = term if out is None else ker.mulmod(out, term)
+        return out
+
+    giant = [baby[s]]  # giant[j - 1] = x^(p^(js))
+    blocks = []  # blocks[j - 1] = P_j
+    whole = None  # P_1 P_2 ... P_j
+    while True:
+        top = len(giant) * s
+        prod = label(top)
+        for k in range(top - 1, top - s, -1):
+            prod = ker.mulmod(prod, label(k))
+        blocks.append(prod)
+        whole = prod if whole is None else ker.mulmod(whole, prod)
+        # d < 2 (Js + 1) once Js >= d // 2
+        if top >= d // 2 or not whole.any():
             break
-    if degree(rem_f) > 0:
-        k = degree(rem_f)
-        out[k] = out.get(k, 0) + 1
+        giant.append(ker.compose(giant[-1], baby[s]))
+    out: dict[int, int] = {}
+    g = gcd(whole, f, p)
+    rest = d - degree(g)  # f / G: one factor of degree > K, or none
+    stack = [(1, top + 1, g)]
+    while stack:
+        lo, hi, g = stack.pop()
+        dg = degree(g)
+        if dg < 2 * lo:
+            if dg > 0:
+                out[dg] = out.get(dg, 0) + 1
+            continue
+        hi = min(hi, dg + 1)
+        if hi - lo == 1:
+            if dg % lo:
+                raise ArithmeticError("distinct-degree split failed")
+            out[lo] = out.get(lo, 0) + dg // lo
+            continue
+        mid = (lo + hi) // 2
+        if hi - lo > s:
+            mid = max(lo + s, (mid - 1) // s * s + 1)
+        left = gcd(product(lo, mid), g, p)
+        stack.append((mid, hi, divmod_(g, left, p)[0]))
+        stack.append((lo, mid, left))
+    if rest:
+        out[rest] = 1
     return out

@@ -23,7 +23,7 @@ from chebdyn import (classify_t, critical_factorization, disc_factored,
                      factor_pattern_actual, factor_pattern_predicted,
                      make_field, nu_2n, orbit_stats_order, predict_summary,
                      ramified_candidates, structure_params)
-from chebdyn.cli import main
+from chebdyn.cli import MAX_LEVEL, main
 from chebdyn.ffield import nu, strip_ell
 
 # A refusal comes before any work; accepted calls get room for the work
@@ -160,3 +160,17 @@ def test_cli_factor_reads_t_mod_p(ell, p, n, capsys):
         assert code == 0, t
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_cli_decompose_refuses_levels_past_its_limit(capsys):
+    # a report grows as the cube of its level count, so the count is
+    # capped: one level past the cap exits 3 at once, naming the limit
+    argv = ["decompose", "--ell", "2", "--t", "105", "--p", "13",
+            "--max-level"]
+    with budget(REFUSAL_BUDGET_S):
+        assert main(argv + [str(MAX_LEVEL + 1)]) == 3
+    assert (f"--max-level {MAX_LEVEL + 1} exceeds the limit {MAX_LEVEL}"
+            in capsys.readouterr().err)
+    with budget(WORK_BUDGET_S):
+        assert main(argv + [str(MAX_LEVEL)]) == 0
+    assert f"level {MAX_LEVEL}:" in capsys.readouterr().out

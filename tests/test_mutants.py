@@ -20,7 +20,8 @@ import pytest
 
 import test_ffield
 import test_graph
-from chebdyn import graph
+import test_polys
+from chebdyn import graph, polys
 from chebdyn.ffield import FieldCtx, make_field
 from order_reference import walk_order_tables
 from structure_reference import (full_succ, functional_graph,
@@ -95,9 +96,19 @@ def special_corruptions_match_reference():
 
 trace_walk_matches_the_ladder = test_ffield.test_trace_walk_matches_the_ladder
 
+
+def ddf_counts_two_of_each_degree():
+    """distinct_degree_counts of two irreducibles of one degree k, for
+    k = 1..12 at p = 3 and 7: no node cuts them to one factor, and at
+    k >= 2 the tree's labels reach k only with all J blocks."""
+    for p in (3, 7):
+        test_polys.test_ddf_two_irreducibles_of_one_degree(p)
+
+
 DETECTORS = (succ_equals_full_evaluation, order_tables_equal_gcd_formula,
              cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
-             special_trees_pass_at_f53, special_corruptions_match_reference)
+             special_trees_pass_at_f53, special_corruptions_match_reference,
+             ddf_counts_two_of_each_degree)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -160,6 +171,24 @@ MUTANTS = {
         graph, "verify_structure",
         [("root[found] = v[found]", "root[found] = succ[v[found]]")],
         special_corruptions_match_reference),
+    # the right half of a tree node handed G, not G / G_left
+    "ddf_right_half_keeps_left": (
+        polys, "distinct_degree_counts",
+        [("        stack.append((mid, hi, divmod_(g, left, p)[0]))\n",
+          "        stack.append((mid, hi, g))\n")],
+        ddf_counts_two_of_each_degree),
+    # the one-factor cut taken at D = 2 lo, where two factors of degree lo
+    # fit
+    "ddf_cut_at_twice_lo": (
+        polys, "distinct_degree_counts",
+        [("        if dg < 2 * lo:\n", "        if dg <= 2 * lo:\n")],
+        ddf_counts_two_of_each_degree),
+    # the giant steps stop one block short of d < 2 (J s + 1)
+    "ddf_one_block_short": (
+        polys, "distinct_degree_counts",
+        [("        if top >= d // 2 or not whole.any():",
+          "        if top + s >= d // 2 or not whole.any():")],
+        ddf_counts_two_of_each_degree),
 }
 
 

@@ -1,5 +1,8 @@
+import functools
+import gc
 import math
 import random
+import weakref
 from datetime import timedelta
 from fractions import Fraction
 from itertools import product as iproduct
@@ -10,10 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd, gf_sqf_list,
+from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd,
+                                     gf_irreducible_p, gf_sqf_list,
                                      gf_sqf_p)
 
 from chebdyn import polys
+from chebdyn.ffield import _lex_min_irreducible
 from poly_reference import compose, lift, to_list
 
 
@@ -143,8 +148,10 @@ def test_ddf_counts_match_sympy():
     # every degree 2..30 (one to four baby steps per block); the last two
     # primes take the kernel's limb path.  Degrees 48 and 64 send the
     # block gcds through gcd's numpy steps, 32 puts them at the handoff.
+    # 81, 125 and 243 are the factor sweep's largest odd degrees.
     long = (32, 48, 64)
-    for p, extra in ((3, long), (7, ()), (47, long), (10 ** 9 + 7, long),
+    sweep = (*long, 81, 125, 243)
+    for p, extra in ((3, sweep), (7, ()), (47, sweep), (10 ** 9 + 7, long),
                      (10 ** 12 + 39, (48,))):
         rng = random.Random(p)
         for d in (*range(2, 31), *extra):
@@ -164,9 +171,125 @@ def test_ddf_counts_match_sympy():
 
 def test_ddf_irreducible_detection():
     # a degree-29 irreducible over F_3 via field modulus machinery
-    from chebdyn.ffield import _lex_min_irreducible
     mod = list(_lex_min_irreducible(3, 29)) + [1]
     assert polys.distinct_degree_counts(mod, 3) == {29: 1}
+
+
+# The sieve's reach: every monic of degree <= SIEVE_DEG[p] is tried.
+SIEVE_DEG = {3: 6, 7: 3}
+
+
+@functools.cache
+def _irreducibles(p, k, count):
+    """count distinct monic irreducibles of degree k over F_p: the sieve's
+    first ones up to SIEVE_DEG[p], and above it the lex-least irreducible
+    (ffield._lex_min_irreducible), its monic reciprocal and their distinct
+    translates g(x + c), each checked by sympy."""
+    if k <= SIEVE_DEG[p]:
+        out = monic_irreducibles(p, k)[k][:count]
+    else:
+        g = list(_lex_min_irreducible(p, k)) + [1]
+        out = []
+        for h in (g, polys.monic(g[::-1], p)):
+            for c in range(p):
+                moved = compose(h, [c, 1], p)
+                if moved not in out:
+                    out.append(moved)
+        out = out[:count]
+        for h in out:
+            assert gf_irreducible_p([ZZ(c) for c in h[::-1]], p, ZZ)
+    assert len(out) == count, (p, k)
+    return out
+
+
+def _ddf_blocks(d):
+    """(s, K) of distinct_degree_counts at degree d: s labels a block and
+    K = J s, J the least block count with d < 2 (J s + 1)."""
+    s = math.isqrt(d // 2) + 1 if d >= 6 else 1
+    j = 1
+    while d >= 2 * (j * s + 1):
+        j += 1
+    return s, j * s
+
+
+def _counts_of(factors, p):
+    """(product, {degree: count}) of distinct monic irreducibles."""
+    f, want = [1], {}
+    for g in factors:
+        f = polys.mul(f, g, p)
+        want[polys.degree(g)] = want.get(polys.degree(g), 0) + 1
+    return f, want
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_two_irreducibles_of_one_degree(p):
+    # D = 2k at every node [lo, hi) with lo <= k, so the one-factor cut
+    # D < 2 lo never fires on it, down to the leaf k
+    for k in range(1, 13):
+        f, want = _counts_of(_irreducibles(p, k, 2), p)
+        assert polys.distinct_degree_counts(f, p) == want == {k: 2}, (p, k)
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_three_of_one_degree_past_the_first_block(p):
+    for k in (5, 7, 9, 10):
+        s, _ = _ddf_blocks(3 * k)
+        assert k > s  # the labels of block 1 are 1..s
+        f, want = _counts_of(_irreducibles(p, k, 3), p)
+        assert polys.distinct_degree_counts(f, p) == want == {k: 3}, (p, k)
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_factor_at_the_top_label_and_one_past_it(p):
+    # one irreducible of degree K, the tree's last label, or K + 1, which
+    # only the quotient f / G holds; the rest of the degree in cubics and
+    # one linear or quadratic
+    small = monic_irreducibles(p, 3)
+    for d in (5, 7, 12, 20, 27, 40):
+        _, top = _ddf_blocks(d)
+        for e in (top, top + 1):
+            r = d - e
+            fill = small[3][:r // 3] + (small[r % 3][:1] if r % 3 else [])
+            f, want = _counts_of(_irreducibles(p, e, 1) + fill, p)
+            assert polys.degree(f) == d
+            assert polys.distinct_degree_counts(f, p) == want, (p, d, e)
+
+
+@pytest.mark.parametrize("p, counts", ((3, {1: 3, 2: 3, 5: 2, 8: 1}),
+                                       (7, {1: 7, 2: 10, 11: 1, 13: 1}),
+                                       (3, {1: 3, 2: 3}),
+                                       (7, {1: 7, 2: 10})))
+def test_ddf_linear_and_quadratic_factors_on_many_labels(p, counts):
+    # a linear factor divides every V_k and a quadratic every V_k of even
+    # k, so they sit in every range product of the tree; alone, they make
+    # the first block's product 0 mod f, and the giant steps stop there
+    f, want = _counts_of([g for k, c in counts.items()
+                          for g in _irreducibles(p, k, c)], p)
+    assert want == counts
+    assert polys.distinct_degree_counts(f, p) == counts
+
+
+def test_ddf_leaves_no_reference_cycle(monkeypatch):
+    # with the collector off, the call's kernel dies with its last
+    # reference only when nothing the call built refers back to itself
+    refs = []
+
+    class Kernel(polys.ModulusKernel):
+        def __init__(self, f, p):
+            super().__init__(f, p)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(polys, "ModulusKernel", Kernel)
+    f, want = _counts_of(_irreducibles(7, 1, 3) + _irreducibles(7, 2, 2)
+                         + _irreducibles(7, 13, 2), 7)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert polys.distinct_degree_counts(f, 7) == want
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _sympy_gcd(a, b, p):
