@@ -91,25 +91,21 @@ def critical_factorization(ell: int, p: int) -> CriticalSplit:
     """Exact factor shapes of T_ell(x) -+ 2 over F_p (p != ell, p odd)."""
     check_domain(ell, p)
     t = cheb_coeffs(ell, p)
+    tm, tp = polys.sub(t, [2], p), polys.add(t, [2], p)
     if ell == 2:
         minus = (((p - 2, 1), 1), ((2, 1), 1))
         plus = (((0, 1), 2),)
         split = CriticalSplit(ell, p, None, [0, 1], minus, plus)
     else:
-        tm = polys.sub(list(t), [2], p)
-        tp = polys.add(list(t), [2], p)
-        qm, rm = polys.divmod_(tm, [p - 2, 1], p)
-        qp, rp = polys.divmod_(tp, [2, 1], p)
-        if rm or rp:
-            raise RuntimeError("critical values are not roots: "
-                               "polynomial kernel is broken")
-        g = polys.sqrt_monic(qm, p)
-        h = polys.sqrt_monic(qp, p)
+        # T_ell -+ 2 has squarefree parts [(x -+ 2, 1), (g, 2)]; the
+        # identity below checks the last one
+        g = polys.squarefree_parts(tm, p)[-1][0]
+        h = polys.squarefree_parts(tp, p)[-1][0]
         split = CriticalSplit(ell, p, g, h,
                               (((p - 2, 1), 1), (tuple(g), 2)),
                               (((2, 1), 1), (tuple(h), 2)))
-    for poly_t, factors in ((polys.sub(list(t), [2], p), split.minus_factors),
-                            (polys.add(list(t), [2], p), split.plus_factors)):
+    for poly_t, factors in ((tm, split.minus_factors),
+                            (tp, split.plus_factors)):
         prod = [1]
         for fac, m in factors:
             for _ in range(m):

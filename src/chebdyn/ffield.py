@@ -3,8 +3,11 @@ multiplicative orders.
 
 The field F_{p^n} is modelled as F_p[x]/(m(x)) where m is the
 lexicographically smallest monic irreducible of degree n, so every
-context is bit-for-bit reproducible.  Elements carry a canonical
-integer index sum(c_i * p^i), which lets graphs live in flat arrays.
+context is bit-for-bit reproducible.  Candidates are tested on the
+factoring route of polys: m is irreducible when gcd(m, m') = 1 and its
+distinct-degree split is one factor of degree n.  Elements carry a
+canonical integer index sum(c_i * p^i), which lets graphs live in flat
+arrays.
 """
 
 from __future__ import annotations
@@ -251,36 +254,22 @@ def strip_ell(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
         k[m] += 1
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin irreducibility test for monic f over F_p."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    if polys.powmod(x, p ** n, f, p) != x:
-        return False
-    for q in factor_int(n).primes:
-        g = polys.sub(polys.powmod(x, p ** (n // q), f, p), x, p)
-        if polys.gcd(g, f, p) != [1]:
-            return False
-    return True
-
-
 def _lex_min_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Coefficients (c_0..c_{n-1}) of the lex-smallest monic irreducible.
 
     c_0 = 0 means x divides, so the scan starts at c_0 = 1; within that
-    the remaining coefficients run in ascending lexicographic order.
+    the remaining coefficients run in ascending lexicographic order.  A
+    candidate f is irreducible when it is squarefree, gcd(f, f') = 1,
+    and its distinct-degree split is one factor of degree n.
     """
     if n == 1:
         return (0,)
     for c0 in range(1, p):
         for rest in product(range(p), repeat=n - 1):
-            tup = (c0,) + rest
-            if _is_irreducible(list(tup) + [1], p):
-                return tup
+            f = [c0, *rest, 1]
+            if (polys.gcd(f, polys.deriv(f, p), p) == [1]
+                    and polys.distinct_degree_counts(f, p) == {n: 1}):
+                return tuple(f[:-1])
     raise ArithmeticError("no irreducible found")  # unreachable
 
 
@@ -316,19 +305,10 @@ class FieldCtx:
         self.modulus = modulus
         self.order_minus = order_minus
         self.order_plus = order_plus
-        # rows of x^(n+k) mod modulus for k = 0..n-2, used by reduction
-        red = []
-        if n > 1:
-            base = tuple((-c) % p for c in modulus)
-            red.append(base)
-            for _ in range(n - 2):
-                prev = red[-1]
-                top = prev[n - 1]
-                row = [0] + list(prev[: n - 1])
-                if top:
-                    row = [(row[i] + top * base[i]) % p for i in range(n)]
-                red.append(tuple(row))
-        self._red = tuple(red)
+        # rows of x^k mod modulus for k = n..2n-2, used by reduction
+        red = (polys.rem([0] * k + [1], [*modulus, 1], p)
+               for k in range(n, 2 * n - 1))
+        self._red = tuple(tuple(r + [0] * (n - len(r))) for r in red)
         self._pow_p = tuple(p ** i for i in range(n))
         self._cache: dict[str, object] = {}
 

@@ -25,7 +25,10 @@ range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
 when e | k = js - i, so one gcd with the product of every V_k, k <= K,
 holds all the factors of degree <= K and leaves one irreducible or none,
 and each node's gcd with its left labels' product holds exactly its
-factors of degree in the left range (distinct_degree_counts).
+factors of degree in the left range (distinct_degree_counts).  These
+two answer every factoring question in the package: the patterns of
+T_ell^n - t, the irreducibility of each field modulus (ffield) and the
+critical split T_ell -+ 2 = (x -+ 2) g^2 (cheb).
 """
 
 from __future__ import annotations
@@ -209,48 +212,8 @@ def _np_euclid(a: np.ndarray, b: np.ndarray, p: int,
     return a, b
 
 
-def powmod(base: Poly, e: int, f: Poly, p: int) -> Poly:
-    """base^e mod f over F_p."""
-    if not f:
-        raise ZeroDivisionError("zero modulus")
-    if e < 0:
-        raise ValueError("negative exponent")
-    r, b = [1], rem(base, f, p)
-    while e:
-        if e & 1:
-            r = rem(mul(r, b, p), f, p)
-        b = rem(mul(b, b, p), f, p)
-        e >>= 1
-    return r
-
-
 def deriv(a: Poly, p: int) -> Poly:
     return trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def sqrt_monic(a: Poly, p: int) -> Poly:
-    """Exact square root of a monic perfect square, by back-substitution.
-
-    Raises ArithmeticError when a is not the square of a monic polynomial.
-    """
-    d = degree(a)
-    if d < 0 or d % 2:
-        raise ArithmeticError("not a perfect square")
-    m = d // 2
-    g = [0] * (m + 1)
-    g[m] = 1
-    inv2 = pow(2, -1, p)
-    for k in range(d - 1, m - 1, -1):
-        # coefficient of x^k in g^2 is 2*g[k-m] + sum of inner products
-        acc = 0
-        for i in range(k - m + 1, m):
-            j = k - i
-            if 0 <= j <= m:
-                acc += g[i] * g[j]
-        g[k - m] = (a[k] - acc) % p * inv2 % p
-    if mul(g, g, p) != a:
-        raise ArithmeticError("not a perfect square")
-    return g
 
 
 # ---------------------------------------------------------------------------

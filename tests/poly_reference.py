@@ -1,8 +1,9 @@
 """List-polynomial helpers the tests use as plain references for
 `chebdyn.polys` and `chebdyn.cheb`: Horner evaluation and composition
-with no reduction, the Chebyshev coefficients by the three-term
-recurrence and the iterates by composition, and the conversions between
-a list polynomial and a `ModulusKernel` residue."""
+with no reduction, powering mod f by squaring, the Chebyshev
+coefficients by the three-term recurrence and the iterates by
+composition, and the conversions between a list polynomial and a
+`ModulusKernel` residue."""
 
 from __future__ import annotations
 
@@ -26,6 +27,18 @@ def compose(g: Poly, h: Poly, p: int) -> Poly:
     for c in reversed(g):
         out = polys.add(polys.mul(out, h, p), [c], p)
     return out
+
+
+def powmod(base: Poly, e: int, f: Poly, p: int) -> Poly:
+    """base^e mod f over F_p, right to left by squaring on the exact list
+    routines."""
+    r, b = [1], polys.rem(base, f, p)
+    while e:
+        if e & 1:
+            r = polys.rem(polys.mul(r, b, p), f, p)
+        b = polys.rem(polys.mul(b, b, p), f, p)
+        e >>= 1
+    return r
 
 
 def cheb_by_recurrence(top: int, p: int) -> list[Poly]:

@@ -133,6 +133,24 @@ def test_critical_factorization_l2():
     assert cs.minus_factors == (((5, 1), 1), ((2, 1), 1))
 
 
+def test_critical_factorization_grid():
+    # (x -+ 2) g^2 = T_ell -+ 2 with g squarefree and prime to x -+ 2
+    for ell in (3, 5, 7, 11, 13):
+        for p in sympy.primerange(3, 200):
+            if p == ell:
+                continue
+            cs = critical_factorization(ell, p)
+            t = cheb_coeffs(ell, p)
+            for lin, g, want in (([p - 2, 1], cs.square_minus,
+                                  polys.sub(t, [2], p)),
+                                 ([2, 1], cs.square_plus,
+                                  polys.add(t, [2], p))):
+                assert polys.mul(lin, polys.mul(g, g, p), p) == want, (
+                    ell, p)
+                assert polys.gcd(g, polys.deriv(g, p), p) == [1], (ell, p)
+                assert polys.gcd(g, lin, p) == [1], (ell, p)
+
+
 def test_critical_factorization_errors():
     with pytest.raises(ValueError):
         critical_factorization(3, 3)

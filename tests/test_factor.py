@@ -3,7 +3,6 @@ from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_list
 
-from chebdyn import polys
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.factor import (DecompReport, FactorPattern,
                             all_iterates_irreducible, classify_t,
@@ -11,13 +10,6 @@ from chebdyn.factor import (DecompReport, FactorPattern,
                             factor_pattern_predicted,
                             find_irreducibility_witness, verify_reciprocity)
 from poly_reference import eval_at
-
-
-def test_poly_ops_examples():
-    assert polys.gcd([4, 0, 1], [4, 1], 5) == [4, 1]
-    assert polys.powmod([0, 1], 3, [1, 0, 1], 3) == [0, 2]
-    f = [1, 2, 3]
-    assert polys.gcd(f, f, 7) == polys.monic(f, 7)
 
 
 def test_pattern_type():

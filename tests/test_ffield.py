@@ -150,10 +150,58 @@ def test_make_field_f81_modulus_is_lex_smallest():
     f34 = make_field(3, 4)
     assert str(f34.order_minus) == "2^4*5"
     assert str(f34.order_plus) == "2*41"
-    for tup in iproduct(range(3), repeat=4):
-        if brute_irreducible(tup, 3):
-            assert f34.modulus == tup
-            break
+    cases = ([(3, n) for n in range(2, 7)] + [(5, n) for n in range(2, 5)]
+             + [(7, 2), (7, 3)])
+    for p, n in cases:
+        first = next(tup for tup in iproduct(range(p), repeat=n)
+                     if brute_irreducible(tup, p))
+        assert make_field(p, n).modulus == first, (p, n)
+
+
+# Moduli (c_0..c_(n-1)) of the lex-smallest monic irreducibles, recorded
+# with Rabin's irreducibility test, a method independent of the
+# distinct-degree split that picks them now.
+PINNED_MODULI = {
+    (3, 2): (1, 0),
+    (3, 3): (1, 0, 2),
+    (3, 4): (1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2),
+    (3, 6): (1, 0, 0, 0, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
+    (3, 14): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (3, 15): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2),
+    (3, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0),
+    (5, 2): (1, 1),
+    (5, 3): (1, 0, 1),
+    (5, 4): (1, 0, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4),
+    (5, 6): (1, 0, 0, 0, 1, 1),
+    (5, 7): (1, 0, 0, 0, 0, 0, 1),
+    (5, 8): (1, 0, 0, 0, 0, 1, 1, 0),
+    (5, 9): (1, 0, 0, 0, 0, 0, 0, 2, 3),
+    (5, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 2),
+    (7, 2): (1, 0),
+    (7, 3): (1, 0, 1),
+    (7, 4): (1, 0, 0, 1),
+    (7, 5): (1, 0, 0, 0, 3),
+    (7, 6): (1, 0, 0, 0, 1, 0),
+    (13, 4): (1, 0, 0, 1),
+    (53, 5): (1, 0, 0, 0, 3),
+    (2053, 2): (1, 3),
+    (3, 29): (1,) + (0,) * 24 + (1, 0, 1, 0),
+}
+
+
+def test_make_field_moduli_are_pinned():
+    # fresh contexts, so the modulus search runs whatever the cache holds
+    for (p, n), want in PINNED_MODULI.items():
+        assert make_field.__wrapped__(p, n).modulus == want, (p, n)
 
 
 def test_make_field_deterministic():

@@ -21,7 +21,7 @@ import pytest
 import test_ffield
 import test_graph
 import test_polys
-from chebdyn import graph, polys
+from chebdyn import ffield, graph, polys
 from chebdyn.ffield import FieldCtx, make_field
 from order_reference import walk_order_tables
 from structure_reference import (full_succ, functional_graph,
@@ -105,10 +105,13 @@ def ddf_counts_two_of_each_degree():
         test_polys.test_ddf_two_irreducibles_of_one_degree(p)
 
 
+moduli_are_pinned = test_ffield.test_make_field_moduli_are_pinned
+
+
 DETECTORS = (succ_equals_full_evaluation, order_tables_equal_gcd_formula,
              cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
-             ddf_counts_two_of_each_degree)
+             ddf_counts_two_of_each_degree, moduli_are_pinned)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -189,6 +192,13 @@ MUTANTS = {
         [("        if top >= d // 2 or not whole.any():",
           "        if top + s >= d // 2 or not whole.any():")],
         ddf_counts_two_of_each_degree),
+    # a modulus candidate accepted once its split finds some factor, not
+    # one factor of degree n
+    "modulus_any_split": (
+        ffield, "_lex_min_irreducible",
+        [("polys.distinct_degree_counts(f, p) == {n: 1}",
+          "polys.distinct_degree_counts(f, p)")],
+        moduli_are_pinned),
 }
 
 

@@ -19,7 +19,7 @@ from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd,
 
 from chebdyn import polys
 from chebdyn.ffield import _lex_min_irreducible
-from poly_reference import compose, lift, to_list
+from poly_reference import compose, lift, powmod, to_list
 
 
 def test_gcd_examples():
@@ -32,12 +32,7 @@ def test_gcd_examples():
 
 def test_powmod_frobenius_on_irreducible_quadratic():
     # x^3 mod (x^2 + 1) over F_3 is -x: Frobenius negates the root
-    assert polys.powmod([0, 1], 3, [1, 0, 1], 3) == [0, 2]
-
-
-def test_powmod_zero_modulus():
-    with pytest.raises(ZeroDivisionError):
-        polys.powmod([0, 1], 5, [], 7)
+    assert powmod([0, 1], 3, [1, 0, 1], 3) == [0, 2]
 
 
 def test_divmod_roundtrip():
@@ -170,8 +165,10 @@ def test_ddf_counts_match_sympy():
 
 
 def test_ddf_irreducible_detection():
-    # a degree-29 irreducible over F_3 via field modulus machinery
+    # a degree-29 irreducible over F_3: the field modulus, which the DDF
+    # itself picks, so sympy confirms it independently
     mod = list(_lex_min_irreducible(3, 29)) + [1]
+    assert gf_irreducible_p([ZZ(c) for c in mod[::-1]], 3, ZZ)
     assert polys.distinct_degree_counts(mod, 3) == {29: 1}
 
 
@@ -279,9 +276,11 @@ def test_ddf_leaves_no_reference_cycle(monkeypatch):
             super().__init__(f, p)
             refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(polys, "ModulusKernel", Kernel)
+    # the factors first: the modulus search behind _irreducibles builds
+    # kernels of its own
     f, want = _counts_of(_irreducibles(7, 1, 3) + _irreducibles(7, 2, 2)
                          + _irreducibles(7, 13, 2), 7)
+    monkeypatch.setattr(polys, "ModulusKernel", Kernel)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -359,16 +358,6 @@ def test_gcd_numpy_steps_only_below_2_to_31(monkeypatch):
     assert seen == [prevprime(1 << 31)]
 
 
-def test_sqrt_monic():
-    p = 11
-    g = [3, 1, 4, 1]  # degree 3, made monic below
-    g = polys.monic(g, p)
-    sq = polys.mul(g, g, p)
-    assert polys.sqrt_monic(sq, p) == g
-    with pytest.raises(ArithmeticError):
-        polys.sqrt_monic(polys.add(sq, [1], p), p)
-
-
 def test_modulus_kernel_matches_scalar():
     p = 31
     f = [3, 0, 1, 7, 1]  # monic quartic
@@ -378,7 +367,7 @@ def test_modulus_kernel_matches_scalar():
     want = polys.rem(polys.mul(a, b, p), f, p)
     assert got == want
     got = to_list(ker.powmod(lift(ker, a), 97))
-    want = polys.powmod(a, 97, f, p)
+    want = powmod(a, 97, f, p)
     assert got == want
     got = to_list(ker.compose(lift(ker, b), lift(ker, a)))
     want = polys.rem(compose(b, a, p), f, p)
@@ -405,7 +394,7 @@ def test_modulus_kernel_powmod_counts_products():
         calls.clear()
         got = to_list(ker.powmod(lift(ker, a), e))
         assert len(calls) == want, e
-        assert got == polys.powmod(a, e, f, p), e
+        assert got == powmod(a, e, f, p), e
 
 
 def _compose_mod(g, h, f, p):
@@ -455,7 +444,7 @@ def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
         A, B = lift(ker, a), lift(ker, b)
         assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p),
                                                       f, p)
-        assert to_list(ker.powmod(A, e)) == polys.powmod(a, e, f, p)
+        assert to_list(ker.powmod(A, e)) == powmod(a, e, f, p)
         assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
 
 
@@ -488,7 +477,7 @@ def test_modulus_kernel_above_the_fft_length():
         A, B = lift(ker, a), lift(ker, b)
         ab = polys.rem(polys.mul(a, b, p), f, p)
         assert to_list(ker.mulmod(A, B)) == ab, p
-        assert to_list(ker.powmod(A, 3)) == polys.powmod(a, 3, f, p), p
+        assert to_list(ker.powmod(A, 3)) == powmod(a, 3, f, p), p
     assert polys.fft_limb_width(d, d, 3) == 0
     assert polys.fft_limb_width(d, d, 10 ** 9 + 7) >= 1
     assert polys.fft_limb_width(d, d, prevprime(_kernel_bound(d))) is None
