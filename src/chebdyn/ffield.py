@@ -285,16 +285,19 @@ class FieldCtx:
     """
 
     # Order tables are built by one Chebyshev trace walk per side, a block
-    # of exponents at a time, and keep 5 bytes per element (int32 orders,
-    # int8 branches), the Frobenius map 4 (int32); alpha_order_tables and
+    # of exponents at a time, and keep 2 bytes per element (a uint16
+    # divisor-class id; each class's order and branch are stored once),
+    # the Frobenius map 4 (int32); alpha_order_tables and
     # frobenius_indices refuse above this size, which also keeps the walk's
-    # n * p^2 below 2^53 and every index below 2^31.  alpha_order never
-    # builds the tables, and reads them only at n > 1 when build_graph
-    # already has: on a prime field it always takes the T_d ladder.  It is
-    # also the default graph enumeration cap (graph.DEFAULT_CAP): `chebdyn
-    # graph` peaks near 51 bytes per vertex (234 MiB and 4.0-5.5 s at
-    # G(2, 3, 14), q = 4.78 M, on a 2-core host with one BLAS thread), so
-    # 2^25 vertices take about 1.7 GB, under a quarter of an 8 GB host.
+    # n * p^2 below 2^53, every index below 2^31 and each side's divisor
+    # count below 2^15.  alpha_order never builds the tables, and reads
+    # them only at n > 1 when build_graph already has: on a prime field it
+    # always takes the T_d ladder.  It is also the default graph
+    # enumeration cap (graph.DEFAULT_CAP): `chebdyn graph` peaks near 45
+    # bytes per vertex resident (205.8 MiB and 3.6-4.3 s at G(2, 3, 14),
+    # q = 4.78 M, on a 2-core host with one BLAS thread; 166.1 MiB by
+    # tracemalloc, which glibc's heap layout does not move), so 2^25
+    # vertices take about 1.5 GB, under a fifth of an 8 GB host.
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -417,14 +420,22 @@ class FieldCtx:
 
     # -- multiplicative structure -------------------------------------------
 
-    def alpha_order_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-index order and branch of the lifted root.
+    def alpha_order_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-index divisor class of the lifted root, and the order and
+        branch of each class.
 
-        Returns (ord, branch), read-only int32 and int8 arrays of length
-        q shared by every caller: ord[i] is the multiplicative order of a
-        root of x^2 - a x + 1 for a = decode(i), branch[i] is 0 where that
-        order divides q - 1 and 1 where it divides q + 1.  Built by one
-        Chebyshev trace walk of each cyclic group.
+        Returns (ids, order, branch), read-only arrays shared by every
+        caller.  ids is uint16 of length q: ids[i] is the class of a root
+        alpha of x^2 - a x + 1 for a = decode(i).  order (int32) and
+        branch (int8) hold one entry per class: the multiplicative order
+        of alpha, and 0 where that order divides q - 1, 1 where it divides
+        q + 1; so order[ids] and branch[ids] are the per-element tables.
+        The classes are the divisors of q - 1 and those of q + 1 above 2
+        (1 and 2 divide both, and take branch 0), numbered in ascending
+        (order, branch).  Since tau(m) <= 2 sqrt(m) < 2^15 for m <= 2^25
+        + 1, each side has fewer than 2^15 classes and the ids fit
+        uint16; a side with more is refused.  Built by one Chebyshev
+        trace walk of each cyclic group.
         """
         t = self._cache.get("alpha")
         if t is None:
@@ -435,36 +446,52 @@ class FieldCtx:
             self._cache["alpha"] = t
         return t
 
-    def _build_alpha_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _build_alpha_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = self.q
-        # orders divide q -+ 1 <= TABLE_CAP + 1 < 2^31
-        ords = np.zeros(q, dtype=np.int32)
-        branch = np.zeros(q, dtype=np.int8)
         # Side m = q -+ 1 is a cyclic group of order m.  If a is the trace
         # of one of its generators alpha, T_e(a) = alpha^e + alpha^-e is
         # the trace of alpha^e, of order m / gcd(e, m); e and -e give the
-        # same trace, so e <= m/2 reaches every trace of the side.  The
-        # minus side walks last: a = +-2 (alpha = +-1) lies on both and
-        # keeps branch 0.
-        for m, side, group in ((q + 1, 1, self.order_plus),
-                               (q - 1, 0, self.order_minus)):
+        # same trace, so e <= m/2 reaches every trace of the side.
+        # gcd(e, m) = prod r^j_r over the prime powers r^k || m is kept as
+        # the mixed-radix number sum j_r w_r, w_r the product of k + 1
+        # over the primes before r: its divisor digits.
+        sides = []
+        for m, group in ((q + 1, self.order_plus), (q - 1, self.order_minus)):
+            size = math.prod(k + 1 for _, k in group.factors)
+            if size >= 1 << 15:
+                raise ValueError(f"{m} has {size} divisors, more than the "
+                                 "2^15 a side that uint16 class ids hold")
+            # gcd[i] is the divisor of digits i; a stride r^j has weight w_r
+            gcd, strides = np.ones(1, dtype=np.int64), []
+            for r, k in group.factors:
+                strides += [(r ** j, gcd.size) for j in range(1, k + 1)]
+                gcd = np.concatenate([gcd * r ** j for j in range(k + 1)])
+            sides.append((m, group, strides, m // gcd))
+        # the classes keyed 2 order + branch: a = +-2 (alpha = +-1) lies on
+        # both sides, and its order 1 or 2 takes branch 0 on either walk
+        orders = np.concatenate([side[-1] for side in sides])
+        keys, rank = np.unique(2 * orders + ((q - 1) % orders != 0),
+                               return_inverse=True)
+        to_ids = np.split(rank.astype(np.uint16), [sides[0][-1].size])
+        unset = 0xFFFF  # above every id: 2^15 - 1 classes a side at most
+        ids = np.full(q, unset, dtype=np.uint16)
+        for (m, group, strides, _), to_id in zip(sides, to_ids):
             a = self._full_order_trace(m, group)
-            powers = [(r, r ** j) for r, k in group.factors
-                      for j in range(1, k + 1)]
             for lo, cols in self._trace_walk(a, m // 2 + 1):
-                traces = self.encode_cols(cols)
-                # gcd(e, m) for e = lo, lo + 1, ...: a factor r for each
-                # prime power r^j | m that divides e, so e = 0 gets m
-                g = np.ones(cols.shape[1], dtype=np.int64)
-                for r, rj in powers:
-                    g[(-lo) % rj::rj] *= r
-                ords[traces] = np.floor_divide(m, g, out=g)
-                branch[traces] = side
-        if not (ords > 0).all():
+                # the digits of gcd(e, m) for e = lo, lo + 1, ...: w_r for
+                # each prime power r^j | m that divides e, so e = 0 gets
+                # every digit full, gcd m
+                digits = np.zeros(cols.shape[1], dtype=np.uint16)
+                for rj, w in strides:
+                    digits[(-lo) % rj::rj] += w
+                ids[self.encode_cols(cols)] = to_id[digits]
+        if (ids == unset).any():
             raise ArithmeticError("order walk left unassigned vertices")
-        ords.setflags(write=False)
-        branch.setflags(write=False)
-        return ords, branch
+        tables = (ids, (keys // 2).astype(np.int32),
+                  (keys % 2).astype(np.int8))
+        for t in tables:
+            t.setflags(write=False)
+        return tables
 
     def _full_order_trace(self, m: int, group: FactoredInt) -> "FFElem":
         """Smallest-index a whose lifted root has order exactly m = q -+ 1:
@@ -687,9 +714,9 @@ def alpha_order(a: FFElem) -> tuple[int, Branch]:
     ctx = a.ctx
     tables = ctx._cache.get("alpha") if ctx.n > 1 else None
     if tables is not None:
-        ords, branch = tables
-        i = a.index
-        return int(ords[i]), (MINUS if branch[i] == 0 else PLUS)
+        ids, order, branch = tables
+        k = ids[a.index]
+        return int(order[k]), (MINUS if branch[k] == 0 else PLUS)
     t, two, p = _ladder_operands(a, ctx)
     br = MINUS if _cheb_ladder(ctx.q - 1, t, two, p) == two else PLUS
     group = ctx.order_minus if br == MINUS else ctx.order_plus

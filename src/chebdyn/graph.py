@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +47,13 @@ class FuncGraph:
 
     succ[i] is the index of T_ell applied to the element with index i;
     pper/per are the brute-force preperiod and eventual cycle length;
-    weight is the degree over F_p; divisor holds the order of the lifted
-    root and branch which of p^n -+ 1 it divides (the field's read-only
-    order tables, not copies); comp identifies the component by the
-    smallest index on its cycle.
+    weight is the degree over F_p; comp identifies the component by the
+    smallest index on its cycle.  class_id (uint16) is the divisor class
+    of each vertex, class_order the order of the lifted root in each
+    class and class_branch which of p^n -+ 1 it divides (the field's
+    read-only order tables, FieldCtx.alpha_order_tables, not copies).
+    divisor and branch, the per-vertex order and branch, are decoded from
+    them on first access.
     """
 
     ctx: FieldCtx
@@ -58,13 +62,22 @@ class FuncGraph:
     pper: np.ndarray
     per: np.ndarray
     weight: np.ndarray
-    divisor: np.ndarray
-    branch: np.ndarray
+    class_id: np.ndarray
+    class_order: np.ndarray
+    class_branch: np.ndarray
     comp: np.ndarray
 
     @property
     def q(self) -> int:
         return self.ctx.q
+
+    @cached_property
+    def divisor(self) -> np.ndarray:
+        return _read_only(self.class_order[self.class_id])
+
+    @cached_property
+    def branch(self) -> np.ndarray:
+        return _read_only(self.class_branch[self.class_id])
 
     def periodic_count(self) -> int:
         return int((self.pper == 0).sum())
@@ -72,6 +85,11 @@ class FuncGraph:
     def preperiod_totals(self) -> dict[int, int]:
         vals, counts = np.unique(self.pper, return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _succ_and_weight(ctx: FieldCtx,
@@ -294,9 +312,8 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
         comp[level] = comp[up]
         rest = rest[~hit]
 
-    ords, branch = ctx.alpha_order_tables()
     return FuncGraph(ctx, ell, succ, pper, per, weight,
-                     ords, branch, comp)
+                     *ctx.alpha_order_tables(), comp)
 
 
 def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
@@ -311,25 +328,33 @@ def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
     return rho, half_order(ell, ordv // ell ** rho)
 
 
-def _divisor_classes(g: FuncGraph
-                     ) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-    """(orders, branches, order, starts): the divisor classes in ascending
-    order of (order, branch), class k holding the vertices
-    order[starts[k]:starts[k + 1]] in no set order."""
-    keys = g.divisor * 2 + g.branch
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    heads = keys[starts].tolist()
-    return [k // 2 for k in heads], [k % 2 for k in heads], order, starts
+def _divisor_classes(g: FuncGraph, *values: np.ndarray
+                     ) -> tuple[np.ndarray, list[int], list[tuple]]:
+    """(classes, sizes, ranges): the ids of the nonempty divisor classes,
+    ascending, so in ascending (order, branch); their vertex counts; and
+    for each array of values, the lists of its least and greatest value
+    over each class.
 
-
-def _class_ranges(a: np.ndarray, order: np.ndarray, starts: np.ndarray
-                  ) -> tuple[list[int], list[int]]:
-    """Least and greatest value of a over each class of _divisor_classes."""
-    a = a[order]
-    return (np.minimum.reduceat(a, starts).tolist(),
-            np.maximum.reduceat(a, starts).tolist())
+    One pass over the vertices, a block at a time, by bincount and
+    ufunc.at on the uint16 ids: no per-vertex key or sort.  A stable
+    argsort of the ids (numpy's radix sort) took 16 bytes a vertex at
+    once, its result and a buffer of the same size."""
+    size, block = g.class_order.size, g.ctx.BLOCK
+    sizes = np.zeros(size, dtype=np.int64)
+    lows = [np.full(size, np.iinfo(a.dtype).max, dtype=a.dtype)
+            for a in values]
+    highs = [np.full(size, np.iinfo(a.dtype).min, dtype=a.dtype)
+             for a in values]
+    for lo in range(0, g.q, block):
+        ids = g.class_id[lo:lo + block].astype(np.intp)
+        sizes += np.bincount(ids, minlength=size)
+        for a, low, high in zip(values, lows, highs):
+            np.minimum.at(low, ids, a[lo:lo + block])
+            np.maximum.at(high, ids, a[lo:lo + block])
+    classes = np.flatnonzero(sizes)
+    return classes, sizes[classes].tolist(), [
+        (low[classes].tolist(), high[classes].tolist())
+        for low, high in zip(lows, highs)]
 
 
 def summarize(g: FuncGraph) -> GraphSummary:
@@ -340,18 +365,15 @@ def summarize(g: FuncGraph) -> GraphSummary:
     factored = [{d.value: d for d in group.divisors()}
                 for group in (ctx.order_minus, ctx.order_plus)]
 
-    orders, sides, order, starts = _divisor_classes(g)
-    points = np.diff(starts, append=g.q).tolist()
-    pp_lo, pp_hi = _class_ranges(g.pper, order, starts)
-    wt_lo, wt_hi = _class_ranges(g.weight, order, starts)
-    per_lo, per_hi = _class_ranges(g.per, order, starts)
+    classes, points, ((pp_lo, pp_hi), (wt_lo, wt_hi), (per_lo, per_hi)) = (
+        _divisor_classes(g, g.pper, g.weight, g.per))
+    orders = g.class_order[classes].tolist()
+    sides = g.class_branch[classes].tolist()
     # one vertex of each cycle is its own minimum; counted by the class
-    # key of each minimum, which needs no q-sized gather
+    # of each minimum, which needs no q-sized gather
     mins = np.flatnonzero(g.comp == np.arange(g.q, dtype=np.int32))
-    keys = 2 * np.array(orders) + np.array(sides)
-    cycles = np.bincount(
-        np.searchsorted(keys, g.divisor[mins] * 2 + g.branch[mins]),
-        minlength=keys.size).tolist()
+    cycles = np.bincount(g.class_id[mins], minlength=g.class_order.size
+                         )[classes].tolist()
     rows = []
     for k, (ordv, side) in enumerate(zip(orders, sides)):
         if ordv not in factored[side]:
@@ -546,7 +568,7 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
     key = cmin[cycle]
     roots = (indeg[core] - core_preds)[on_core_cycle]
     del core, core_preds, on_core_cycle
-    want = np.where(lam >= 1, ell - 1, 0)[g.branch[key]]
+    want = np.where(lam >= 1, ell - 1, 0)[g.class_branch][g.class_id[key]]
     note(np.flatnonzero((roots != want) & ~is_special(cycle)), key,
          cycle, lambda i: f"cycle vertex {cycle[i]}: {roots[i]} tree roots, "
                           f"wanted {want[i]}")
@@ -555,7 +577,7 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
     tree = np.flatnonzero(~in_core)
     del in_core
     depth, label = pper[tree], comp[tree]
-    height = lam[g.branch[np.clip(label, 0, q - 1)]]
+    height = lam[g.class_branch][g.class_id[np.clip(label, 0, q - 1)]]
     height[is_special(label)] = lam_m
     kids = indeg[tree]
     del indeg
@@ -606,7 +628,7 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
 
     for v, k, closes, dv in zip(heads.tolist(), cmin[heads].tolist(),
                                 on_cycle[heads].tolist(),
-                                g.divisor[heads].tolist()):
+                                g.class_order[g.class_id[heads]].tolist()):
         if not closes:
             check(f"cycle walk from {v} closes", False,
                   "successor walk never returned to its start")
@@ -631,14 +653,15 @@ def export_dot(g: FuncGraph, component_filter: int | None = None) -> str:
         keep = np.ones(q, dtype=bool)
     else:
         core_mask = g.pper == 0
-        d0, _ = strip_ell(g.divisor, g.ell)
-        valid = set(int(x) for x in np.unique(d0[core_mask]))
+        # the prime-to-ell part of each class's order
+        d0, _ = strip_ell(g.class_order, g.ell)
+        on_cycles = g.class_id[core_mask]
+        valid = set(d0[np.unique(on_cycles)].tolist())
         if component_filter not in valid:
             raise ValueError(f"unknown divisor filter {component_filter}; "
                              f"cycle divisors present: {sorted(valid)}")
-        cycle_comps = set(
-            int(c) for c in np.unique(g.comp[core_mask & (d0 == component_filter)]))
-        keep = np.isin(g.comp, list(cycle_comps))
+        hit = (d0 == component_filter)[on_cycles]
+        keep = np.isin(g.comp, np.unique(g.comp[core_mask][hit]))
 
     mu = half_order(g.ctx.p, g.ell)
 

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
 from .ffield import check_domain, make_field, nu
-from .graph import (DEFAULT_CAP, VerifyReport, _class_ranges,
-                    _divisor_classes, build_graph, summarize,
-                    verify_structure)
+from .graph import (DEFAULT_CAP, VerifyReport, _divisor_classes,
+                    build_graph, summarize, verify_structure)
 from .predict import (half_order, periodic_density, predict_summary,
                       structure_params)
 
@@ -74,14 +73,14 @@ def verify_instance(ell: int, p: int, n: int,
 
     # per-element oracle, class by class: brute (pper, per) == order
     # formula
-    orders, _, order, starts = _divisor_classes(g)
+    classes, _, ranges = _divisor_classes(g, g.pper, g.per)
+    orders = g.class_order[classes].tolist()
     rho = [nu(d, ell) for d in orders]
     per = [half_order(ell, d // ell ** r) for d, r in zip(orders, rho)]
     faults = [f"divisor class {d}: {name}s {lo} to {hi}, wanted {w}"
-              for name, values, want in (("preperiod", g.pper, rho),
-                                         ("period", g.per, per))
-              for d, w, lo, hi in zip(orders, want,
-                                      *_class_ranges(values, order, starts))
+              for name, want, (lows, highs) in zip(("preperiod", "period"),
+                                                   (rho, per), ranges)
+              for d, w, lo, hi in zip(orders, want, lows, highs)
               if not lo == hi == w]
     rep.add("orbit statistics: brute == order formula (all vertices)",
             not faults, faults[0] if faults else "")

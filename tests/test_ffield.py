@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -8,6 +10,13 @@ from chebdyn.ffield import (MINUS, PLUS, FactoredInt, FFElem, FieldCtx,
                             is_prime, make_field)
 from order_reference import (QuadElem, lift_alpha, mult_order,
                              reference_alpha_order, walk_order_tables)
+
+
+def order_tables(ctx):
+    """The per-element (order, branch) tables, decoded from the class ids
+    of ctx.alpha_order_tables()."""
+    ids, order, branch = ctx.alpha_order_tables()
+    return order[ids], branch[ids]
 
 
 # -- integer factorization ---------------------------------------------------
@@ -291,7 +300,7 @@ def test_lift_alpha_root_property():
 def test_trace_correspondence_counts():
     for (p, n, ell) in ((3, 4, 2), (53, 1, 3), (7, 2, 3), (3, 10, 2)):
         ctx = make_field(p, n)
-        ords, branch = ctx.alpha_order_tables()
+        ords, branch = order_tables(ctx)
         from collections import Counter
         counts = Counter(int(o) for o in ords)
         for d, c in counts.items():
@@ -308,7 +317,7 @@ def test_element_degree_examples():
     for i in range(53):
         assert element_degree(ctx1.decode(i)) == 1
     ctx = make_field(3, 4)
-    ords, _ = ctx.alpha_order_tables()
+    ords, _ = order_tables(ctx)
     for i in range(ctx.q):
         if ords[i] == 5:
             assert element_degree(ctx.decode(i)) == 2
@@ -346,7 +355,7 @@ def test_alpha_order_table_matches_per_element():
     for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3), (3, 1), (3, 2), (5, 3),
                    (31, 2)):
         ctx = make_field(p, n)
-        ords, branch = ctx.alpha_order_tables()
+        ords, branch = order_tables(ctx)
         for i in range(ctx.q):
             want = reference_alpha_order(ctx.decode(i))
             assert (int(ords[i]), MINUS if branch[i] == 0 else PLUS) == want
@@ -379,15 +388,59 @@ def test_alpha_order_ladder_matches_walk_tables():
         idx = range(0, ctx.q, step)
         got = [alpha_order(ctx.decode(i)) for i in idx]
         assert "alpha" not in ctx._cache
-        ords, branch = ctx.alpha_order_tables()
+        ords, branch = order_tables(ctx)
         want = [(int(ords[i]), MINUS if branch[i] == 0 else PLUS)
                 for i in idx]
         assert got == want, (p, n)
 
 
+@pytest.mark.parametrize("p,n", [(145007, 1), (3, 10)])
+def test_order_tables_hold_two_bytes_an_element(p, n):
+    # a context keeps one uint16 class id per element and an int32 order
+    # and an int8 branch per class; the bound's 16 bytes a class and 32 KiB
+    # cover the array headers and what the walk's Python objects leave on
+    # the interpreter's free lists (3-11 KB held beyond 2 q at F_145007,
+    # varying with the tests run before).  Per-element int32 orders and
+    # int8 branches held 5 bytes an element
+    ctx = make_field.__wrapped__(p, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes = ctx.alpha_order_tables()[1].size
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * ctx.q + 16 * classes + 32768, (held, classes)
+
+
+def test_order_tables_number_classes_by_order_and_branch():
+    # the classes are the divisors of q - 1 (branch 0) and those of q + 1
+    # above 2 (branch 1), in ascending (order, branch), none empty
+    for (p, n) in ((53, 1), (3, 4), (7, 3)):
+        ctx = make_field(p, n)
+        ids, order, branch = ctx.alpha_order_tables()
+        want = sorted([(d.value, 0) for d in ctx.order_minus.divisors()]
+                      + [(d.value, 1) for d in ctx.order_plus.divisors()
+                         if d.value > 2])
+        assert list(zip(order.tolist(), branch.tolist())) == want, (p, n)
+        assert ids.dtype == np.uint16
+        assert np.bincount(ids, minlength=order.size).all(), (p, n)
+
+
+def test_order_tables_refuse_a_side_of_2_15_divisors():
+    # uint16 ids hold fewer than 2^15 classes a side, which tau(m) <=
+    # 2 sqrt(m) guarantees at TABLE_CAP; a side of 15 distinct primes has
+    # 2^15 divisors and is refused before the walk
+    primes = [r for r in range(2, 48) if is_prime(r)]
+    ctx = FieldCtx(3, 1, (0,), FactoredInt(tuple((r, 1) for r in primes)),
+                   factor_int(4))
+    with pytest.raises(ValueError, match="2\\^15"):
+        ctx.alpha_order_tables()
+
+
 def test_closed_form_route_ignores_the_walk_tables():
     # build_graph leaves the walk tables that label the graph on the
-    # shared context; with one vertex's order changed in them, the
+    # shared context; with one vertex's class order changed in them, the
     # closed-form route on a prime field must still give the T_d ladder's
     # answer, or verify would check the tables against themselves
     from chebdyn.factor import classify_t
@@ -398,16 +451,16 @@ def test_closed_form_route_ignores_the_walk_tables():
             orbit_stats_order(fresh, ell))
     ctx = make_field(p, 1)
     build_graph(ell, ctx)
-    ords, branch = ctx._cache["alpha"]
-    bad = ords.copy()
-    bad[i] = ords[i] // ell
-    ctx._cache["alpha"] = (bad, branch)
+    tables = ids, order, branch = ctx._cache["alpha"]
+    bad = order.copy()
+    bad[ids[i]] = order[ids[i]] // ell
+    ctx._cache["alpha"] = (ids, bad, branch)
     try:
         a = ctx.from_int(i)
         got = (alpha_order(a), classify_t(ell, p, i),
                orbit_stats_order(a, ell))
     finally:
-        ctx._cache["alpha"] = (ords, branch)
+        ctx._cache["alpha"] = tables
     assert got == want
 
 
@@ -462,7 +515,7 @@ def test_alpha_order_tables_match_gcd_formula():
     # while the last block holds only e = 2^15
     for (p, n) in ((145007, 1), (3, 10), (7, 6), (65537, 1)):
         ctx = make_field.__wrapped__(p, n)
-        ords, branch = ctx.alpha_order_tables()
+        ords, branch = order_tables(ctx)
         want_ords, want_branch = walk_order_tables(ctx)
         assert ords.tobytes() == want_ords.tobytes(), (p, n)
         assert branch.tobytes() == want_branch.tobytes(), (p, n)

@@ -105,6 +105,22 @@ def test_verify_structure_memory_per_vertex():
     assert peak / g.q <= 41.5, peak / g.q
 
 
+def test_summarize_memory_per_vertex():
+    # G(3, 145007, 1): summarize's traced peak above the built graph, 5.1
+    # bytes per vertex measured, the int32 index range and the mask that
+    # find the cycle minima; the classes are reduced a block at a time.
+    # Grouping by an argsort of an int32 (order, branch) key peaked at
+    # 16.1 bytes per vertex, and by a radix argsort of the ids at 12.1
+    g = build_graph(3, make_field(145007, 1))
+    tracemalloc.start()
+    try:
+        summarize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.q <= 6, peak / g.q
+
+
 # sizes on both sides of the handoff to plain jumping; 17 and 1025 are
 # one past a power of two, where plain jumping needs its last round
 CYCLE_MIN_SIZES = (1, 2, 3, 5, 17, 1025, _JUMP_BELOW - 1, _JUMP_BELOW,
@@ -188,15 +204,16 @@ def test_summarize_refuses_one_odd_vertex_in_a_class(name):
 
 def test_summarize_refuses_an_order_outside_its_branch():
     # G(3, 53, 1): q - 1 = 52, q + 1 = 54
+    # the faults go into the class tables, which summarize reads
     g = build_graph(3, make_field(53, 1))
-    divisor = g.divisor.copy()
-    divisor[divisor == 13] = 7
+    class_order = g.class_order.copy()
+    class_order[class_order == 13] = 7
     with pytest.raises(ArithmeticError, match=r"order 7 .* q - 1 = 52"):
-        summarize(dataclasses.replace(g, divisor=divisor))
-    branch = g.branch.copy()
-    branch[g.divisor == 27] = 0
+        summarize(dataclasses.replace(g, class_order=class_order))
+    class_branch = g.class_branch.copy()
+    class_branch[g.class_order == 27] = 0
     with pytest.raises(ArithmeticError, match=r"order 27 .* q - 1 = 52"):
-        summarize(dataclasses.replace(g, branch=branch))
+        summarize(dataclasses.replace(g, class_branch=class_branch))
 
 
 def test_summarize_equals_predict_on_grid():

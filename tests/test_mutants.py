@@ -58,7 +58,7 @@ def order_tables_equal_gcd_formula():
     """The order tables against m // gcd(e, m) on the same walk, at a
     field whose walk runs three blocks a side."""
     ctx = make_field.__wrapped__(145007, 1)
-    ords, branch = ctx.alpha_order_tables()
+    ords, branch = test_ffield.order_tables(ctx)
     want_ords, want_branch = walk_order_tables(ctx)
     assert ords.tobytes() == want_ords.tobytes()
     assert branch.tobytes() == want_branch.tobytes()
@@ -133,10 +133,18 @@ MUTANTS = {
           "        orbit.append(int(fr[orbit[-1]]))\n"
           "    succ[orbit] = np.roll(succ[orbit], 1)\n" + _CLOSURE_CHECK)],
         succ_equals_full_evaluation),
-    # gcd(e, m) strides started at lo instead of at the first multiple
+    # the divisor-digit strides started at lo instead of at the first
+    # multiple
     "order_stride_from_lo": (
         FieldCtx, "_build_alpha_tables",
-        [("g[(-lo) % rj::rj] *= r", "g[lo % rj::rj] *= r")],
+        [("digits[(-lo) % rj::rj] += w", "digits[lo % rj::rj] += w")],
+        order_tables_equal_gcd_formula),
+    # the class orders decoded with the digit of the prime 2 one short
+    # (2 divides q -+ 1 on both sides)
+    "order_decode_digit_short": (
+        FieldCtx, "_build_alpha_tables",
+        [("gcd * r ** j for j in range(k + 1)",
+          "gcd * r ** max(j - (r == 2), 0) for j in range(k + 1)")],
         order_tables_equal_gcd_formula),
     # the walk reduces before subtracting T_{lo-1}, T_{lo-2}, ...
     "walk_minus_prev_unreduced": (

@@ -25,8 +25,10 @@ def test_orbit_check_fails_on_one_changed_period(monkeypatch, order):
     # G(3, 53, 1): 52 is a periodic class (period 6), 27 a tree class, whose
     # periods summarize does not compare
     def corrupt(g):
+        # the class of that order, then its fifth vertex
+        k, = np.flatnonzero(g.class_order == order)
         per = g.per.copy()
-        per[np.flatnonzero(g.divisor == order)[4]] += 1
+        per[np.flatnonzero(g.class_id == k)[4]] += 1
         return dataclasses.replace(g, per=per)
 
     _corrupt_build(monkeypatch, corrupt)
@@ -41,9 +43,9 @@ def test_orbit_check_fails_on_one_changed_period(monkeypatch, order):
 
 def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
     def corrupt(g):
-        divisor = g.divisor.copy()
-        divisor[divisor == 13] = 7
-        return dataclasses.replace(g, divisor=divisor)
+        class_order = g.class_order.copy()
+        class_order[class_order == 13] = 7
+        return dataclasses.replace(g, class_order=class_order)
 
     _corrupt_build(monkeypatch, corrupt)
     code = main(["verify", "--ell", "3", "--p", "53", "--n", "1"])
