@@ -6,7 +6,9 @@ for the radical tower and the cyclotomic splitting check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from . import polys
@@ -20,6 +22,7 @@ __all__ = [
     "DecompReport",
     "LevelDecomp",
     "factor_pattern_actual",
+    "factor_patterns_actual",
     "classify_t",
     "factor_pattern_predicted",
     "all_iterates_irreducible",
@@ -34,6 +37,15 @@ __all__ = [
 # (2, 11, 12) 41.0 s, against 4.0-4.3, 5.2-6.5, 2.4 and 41.6-42.0 s with
 # a distinct-degree split of one gcd per block.
 DEGREE_CAP = 1 << 12
+# The rows x degree of one stacked distinct-degree split.  The split keeps
+# about 2 J + 2 s + isqrt(d s) residues a row (polys.distinct_degree_counts)
+# besides the kernel's d^2 or 2 d^2 floats, so the bound caps the stored
+# powers; every t of a field with p <= 31 at degree <= 256 fits one stack.
+# Traced peaks of one full stack (tracemalloc, squarefree t): 1.8 MiB at
+# d = 3 (5,461 rows), 3.8 MiB at d = 9 (1,820), 10.7 MiB at d = 81 (202),
+# 22.4 MiB at d = 243 (67) and 44.2 MiB at d = 729 (22); 104 MiB at
+# d = 2187 (3 rows, the most p = 5 has), of which R and Q take 73 MiB.
+STACK_CELLS = 1 << 14
 # Largest prime find_irreducibility_witness tries.
 WITNESS_BOUND = 1000
 
@@ -73,27 +85,61 @@ class FactorPattern:
 
 
 def factor_pattern_actual(ell: int, p: int, n: int, t: int) -> FactorPattern:
-    """Pattern of T_ell^n(x) - t mod p by direct factorization.
+    """Pattern of T_ell^n(x) - t mod p by direct factorization: the one-t
+    case of factor_patterns_actual."""
+    return next(factor_patterns_actual(ell, p, n, (t,)))
 
-    Squarefree split first, then distinct-degree counts per squarefree
-    part; equal-degree splitting is never needed since only the pattern
-    is reported.
+
+def factor_patterns_actual(ell: int, p: int, n: int,
+                           ts: Iterable[int]) -> Iterator[FactorPattern]:
+    """The pattern of T_ell^n(x) - t mod p for each t in ts, in order, by
+    direct factorization.
+
+    The squarefree loop runs for each t.  Every t whose T_ell^n - t is
+    squarefree joins one distinct-degree split of the stack of moduli
+    T_ell^n - t (polys.distinct_degree_counts with shifts), which differ
+    only in their constant term; the parts of the other t are split one
+    at a time.  Equal-degree splitting is never needed, since only the
+    pattern is reported.  The ts run in chunks of STACK_CELLS // ell^n
+    (at least one), so a stack holds at most that many rows.  The domain
+    and the degree are checked before the first pattern is asked for.
     """
     check_domain(ell, p, n)
     # ell >= 2, so ell^n >= 2^n > DEGREE_CAP once n >= its bit length
     if n >= DEGREE_CAP.bit_length() or ell ** n > DEGREE_CAP:
         raise ValueError(f"degree {ell}^{n} exceeds cap {DEGREE_CAP}")
-    polys.limb_width(ell ** n, p)  # refuses a p beyond the kernel's bound
-    f = cheb_coeffs(ell ** n, p)  # T_ell^n = T_(ell^n)
-    f[0] = (f[0] - t) % p
-    entries = []
-    for part, mult in polys.squarefree_parts(f, p):
-        for deg, count in polys.distinct_degree_counts(part, p).items():
-            entries.append((deg, mult, count))
-    pat = FactorPattern.from_entries(entries)
-    if pat.total != ell ** n:
-        raise ArithmeticError("factor degrees do not sum to the degree")
-    return pat
+    d = ell ** n
+    polys.limb_width(d, p)  # refuses a p beyond the kernel's bound
+    return _patterns(cheb_coeffs(d, p), p, iter(ts))  # T_ell^n = T_(ell^n)
+
+
+def _patterns(f: list[int], p: int, ts: Iterator[int]
+              ) -> Iterator[FactorPattern]:
+    d = len(f) - 1
+    while chunk := list(islice(ts, max(1, STACK_CELLS // d))):
+        entries: list[list[tuple[int, int, int]]] = []
+        flat = []  # (index in chunk, t) of the squarefree moduli
+        for t in chunk:
+            ft = f[:]
+            ft[0] = (ft[0] - t) % p
+            parts = polys.squarefree_parts(ft, p)
+            if len(parts) == 1 and parts[0][1] == 1:  # squarefree: stacked
+                flat.append((len(entries), t))
+                entries.append([])
+                continue
+            entries.append([(deg, mult, count) for part, mult in parts
+                            for deg, count in polys.distinct_degree_counts(
+                                part, p).items()])
+        if flat:
+            stack = polys.distinct_degree_counts(f, p, [t for _, t in flat])
+            for (i, _), counts in zip(flat, stack):
+                entries[i] = [(deg, 1, count) for deg, count in counts.items()]
+        for found in entries:
+            pat = FactorPattern.from_entries(found)
+            if pat.total != d:
+                raise ArithmeticError(
+                    "factor degrees do not sum to the degree")
+            yield pat
 
 
 @dataclass(frozen=True)

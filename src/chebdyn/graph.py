@@ -370,10 +370,14 @@ def summarize(g: FuncGraph) -> GraphSummary:
     orders = g.class_order[classes].tolist()
     sides = g.class_branch[classes].tolist()
     # one vertex of each cycle is its own minimum; counted by the class
-    # of each minimum, which needs no q-sized gather
-    mins = np.flatnonzero(g.comp == np.arange(g.q, dtype=np.int32))
-    cycles = np.bincount(g.class_id[mins], minlength=g.class_order.size
-                         )[classes].tolist()
+    # of each minimum, a block at a time, which needs no q-sized array
+    cycles = np.zeros(g.class_order.size, dtype=np.int64)
+    for lo in range(0, g.q, ctx.BLOCK):
+        hi = min(lo + ctx.BLOCK, g.q)
+        mins = g.comp[lo:hi] == np.arange(lo, hi, dtype=np.int32)
+        cycles += np.bincount(g.class_id[lo:hi][mins],
+                              minlength=cycles.size)
+    cycles = cycles[classes].tolist()
     rows = []
     for k, (ordv, side) in enumerate(zip(orders, sides)):
         if ordv not in factored[side]:

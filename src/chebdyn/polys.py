@@ -4,16 +4,18 @@ Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
 plain Python.  The ModulusKernel gives exact multiply-reduce, powering
 and composition for the Frobenius powers of the factoring sweeps, on
-float64 vectors of residues from end to end.  Its one product,
-_product, multiplies a shorter factor of length m, split into limbs
-below B (B = p when residues go whole), by the other of length n.  It
-is the direct np.convolve below FFT_LENGTH, exact while every
-coefficient sum stays within 2^53, (m + 1) B p <= 2^53 (limb_width),
-and a rounded np.fft.rfft product of length 2^k from there on, exact
-while Percival's error bound, assumed to hold for numpy's transform,
-stays below 1/2, m n ((B - 1) (p - 1) (16k + 3))^2 < 2^104
-(fft_limb_width).  Sums are reduced as x - p floor(x / p), exact for
-integers 0 <= x <= 2^53 (_mod).
+stacks of float64 residues from end to end: one row for each modulus
+f - c of a stack that differs only in the constant term, all reduced
+together, since x^(d+j) = (x^(d+j) mod f) + c (x^(d+j) div f) mod
+f - c.  Its one product, _product, multiplies a shorter factor of
+length m, split into limbs below B (B = p when residues go whole), by
+the other of length n, row by row.  It is the direct np.convolve below
+FFT_LENGTH and FFT_ROWS, exact while every coefficient sum stays within
+2^53, (m + 1) B p <= 2^53 (limb_width), and a rounded np.fft.rfft
+product of length 2^k from there on, exact while Percival's error
+bound, assumed to hold for numpy's transform, stays below 1/2,
+m n ((B - 1) (p - 1) (16k + 3))^2 < 2^104 (fft_limb_width).  Sums are
+reduced as x - p floor(x / p), exact for integers 0 <= x <= 2^53 (_mod).
 gcd is one Euclid in two step engines: int64 numpy divisions with
 delayed reduction while the divisor is long and p < 2^31, the exact list
 loop for short divisors and every larger p; it is where kernel residues
@@ -25,15 +27,20 @@ range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
 when e | k = js - i, so one gcd with the product of every V_k, k <= K,
 holds all the factors of degree <= K and leaves one irreducible or none,
 and each node's gcd with its left labels' product holds exactly its
-factors of degree in the left range (distinct_degree_counts).  These
-two answer every factoring question in the package: the patterns of
-T_ell^n - t, the irreducibility of each field modulus (ffield) and the
-critical split T_ell -+ 2 = (x -+ 2) g^2 (cheb).
+factors of degree in the left range (distinct_degree_counts).  One
+split serves a whole stack of moduli f - c: the Frobenius powers are
+computed once for every row, and each row is split by its own tree.
+These two answer every factoring question in the package: the patterns
+of T_ell^n - t, for many t at once, the irreducibility of each field
+modulus (ffield) and the critical split T_ell -+ 2 = (x -+ 2) g^2
+(cheb).
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -95,9 +102,15 @@ def divmod_(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
 
 def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
     """Replace a by a mod b in place (both trimmed, entries in [0, p));
-    the quotient's coefficients go into quo when it is given."""
+    the quotient's coefficients go into quo when it is given.  A constant
+    b divides at once: the quotient is a b0^-1 and the remainder 0."""
     db = degree(b)
     inv = pow(b[-1], -1, p)
+    if not db:
+        if quo is not None:
+            quo[:] = [x * inv % p for x in a]
+        a.clear()
+        return
     low = b[:-1]
     while len(a) > db:
         c = a.pop() * inv % p
@@ -320,39 +333,61 @@ def fft_limb_width(m: int, n: int, p: int) -> int | None:
     return w or None
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The exact product of two float64 vectors of residues mod p, before
-    its reduction: every coefficient an integer in [0, 2^53], and at most
-    m (p - 1)^2 when the residues go whole.
+# _product multiplies a stack of at least this many rows through one
+# batched np.fft.rfft at every length; fewer rows take one np.convolve per
+# row below FFT_LENGTH.  Measured on a 2-core host, one BLAS thread, per
+# product of two stacks of residues mod 31 (best of 3 x 20 calls), per-row
+# np.convolve against the batched rfft: at d = 9, 8-18 against 29-32 us
+# for 2 to 5 rows, 20 against 22 at 10 and 56 against 28 at 30; at d = 81,
+# 10-25 against 24-33 us for 2 to 5 rows, 52 against 43 at 10 and 198
+# against 118 at 30; at d = 243, 535 against 248 us for 31 rows.
+FFT_ROWS = 8
 
-    One float64 product with two engines, chosen by the shorter length m:
-    the direct np.convolve below FFT_LENGTH, exact while every coefficient
-    sum stays within 2^53 (limb_width(m, p)), and from FFT_LENGTH on a
-    rounded np.fft.rfft product, exact while its error stays below 1/2
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve of two vectors, or of each row of a with the same row
+    of b."""
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    return np.array(list(map(np.convolve, a, b)))
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The exact products of two stacks of float64 residues mod p, row by
+    row (or of two vectors), before their reduction: every coefficient an
+    integer in [0, 2^53], and at most m (p - 1)^2 when the residues go
+    whole.
+
+    One float64 product with two engines, chosen by the shorter length m
+    and the number of rows: the direct np.convolve, row by row, below
+    FFT_LENGTH and FFT_ROWS, exact while every coefficient sum stays within
+    2^53 (limb_width(m, p)), and otherwise a rounded np.fft.rfft product of
+    the whole stack, exact while its error stays below 1/2 in each row
     (fft_limb_width; a p too large for any FFT limb takes the direct
-    engine).  When residues cannot be used whole, the shorter vector is
-    split into w-bit limbs, each multiplied by the other vector, and the
+    engine).  When residues cannot be used whole, the shorter stack is
+    split into w-bit limbs, each multiplied by the other stack, and the
     limb products are recombined by Horner's rule with every partial sum
     at most (m + 1) 2^w p <= 2^53.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    m, n = len(a), len(b)
-    w = fft_limb_width(m, n, p) if m >= FFT_LENGTH else None
+    m, n = a.shape[-1], b.shape[-1]
+    if m > n:
+        a, b, m, n = b, a, n, m
+    w = (fft_limb_width(m, n, p)
+         if m >= FFT_LENGTH or a.ndim == 2 and len(a) >= FFT_ROWS else None)
     fft = w is not None
     if not fft:
         w = limb_width(m, p)
         if not w:
-            return np.convolve(a, b)
+            return _convolve(a, b)
     limbs = _limbs(a, _limb_shifts(p, w or (p - 1).bit_length()))
     if fft:
         size = 1 << (m + n - 2).bit_length()
         fb = np.fft.rfft(b, size)
         parts = [np.rint(np.fft.irfft(
             (fb if limb is b else np.fft.rfft(limb, size)) * fb,
-            size)[:m + n - 1]) for limb in limbs]
+            size)[..., :m + n - 1]) for limb in limbs]
     else:
-        parts = [np.convolve(limb, b) for limb in limbs]
+        parts = [_convolve(limb, b) for limb in limbs]
     out = parts[0]
     for part in parts[1:]:
         out = _mod(out, p) * 2.0 ** w + part
@@ -360,33 +395,44 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 class ModulusKernel:
-    """Exact arithmetic in F_p[x]/(f) for a fixed monic f of degree d.
+    """Exact arithmetic in F_p[x]/(f - c) for a fixed monic f of degree d,
+    one row for each c in shifts.
 
-    Residues are float64 vectors of length d, from end to end; gcd takes
-    them as they are and converts them to ints.  A product is
-    _product's one float64 product; reduction is one float64
-    vector-matrix product against precomputed rows of x^(d+j) mod f.
+    Residues are (len(shifts), d) float64 stacks from end to end, row r a
+    residue mod f - shifts[r], or plain vectors of length d for a kernel
+    of one row; gcd takes a row as it is and converts it to ints.  A
+    product is _product's one float64 product of two stacks.
+    Reduction rests on R_j = x^(d+j) mod f and Q_j = x^(d+j) div f for
+    j <= d - 2, so deg Q_j = j < d.  Since f = c mod (f - c), a product A
+    of degree <= 2d - 2 reduces exactly as
+        A mod (f - c) = A_low + sum_j A_(d+j) (R_j + c Q_j),
+    with no second reduction: one float64 matrix product of the stack's
+    high halves against the rows of R and, only when some shift is
+    nonzero, one against the rows of Q, whose sum each row scales by its
+    c.  Memory is O(d^2) whatever the number of shifts.
     Every sum has at most d + 1 terms, each a residue below p times a
     value below B, so it is exact, and _mod reduces it exactly, while
-    (d + 1) B p <= 2^53.  When (d + 1) p^2 <= 2^53 the residues are used
-    whole (B = p); above that the rows are split into limbs of w bits
-    (B = 2^w, see limb_width) and the limb products are recombined by
-    Horner's rule mod p.  While d^2 (p - 1)^3 <= 2^53 the product enters
-    the rows unreduced, so a mulmod reduces once.  The constructor
-    refuses (ValueError) where no limb width is safe, p > 2^52 / (d + 1).
+    (d + 1) B p <= 2^53; Q holds residues as R does, so every bound here
+    holds for both.  When (d + 1) p^2 <= 2^53 the residues are used whole
+    (B = p); above that the rows are split into limbs of w bits (B = 2^w,
+    see limb_width) and the limb products are recombined by Horner's rule
+    mod p, as is the product by c (_scale).  While d^2 (p - 1)^3 <= 2^53
+    the product enters the rows unreduced, so a mulmod reduces once.  The
+    constructor refuses (ValueError) where no limb width is safe,
+    p > 2^52 / (d + 1).
     """
 
-    def __init__(self, f: Poly, p: int):
+    def __init__(self, f: Poly, p: int, shifts: Sequence[int] = (0,)):
         if not f or degree(f) < 1:
             raise ZeroDivisionError("zero or constant modulus")
         self.p = p
         self.f = np.array(monic(f, p), dtype=np.float64)
-        self.d = len(f) - 1
-        d = self.d
+        self.d = d = len(f) - 1
+        self.shifts = shifts = [c % p for c in shifts]
         w = limb_width(d, p) or (p - 1).bit_length()  # 0: one whole limb
         self.radix = 2.0 ** w
-        self.shifts = _limb_shifts(p, w)
-        self.limbs = len(self.shifts)
+        self.offsets = _limb_shifts(p, w)
+        self.limbs = len(self.offsets)
         # the product goes into the rows unreduced while d^2 (p - 1)^3 <=
         # 2^53: d terms below d (p - 1)^2 times rows below p, plus the
         # head, stay within 2^53 (and residues go whole on both engines)
@@ -397,7 +443,6 @@ class ModulusKernel:
         # than the row, and one split of all rows triples the peak memory
         block = np.empty((min(d, 64), d))
         self.base = row = _mod(-self.f[:d], p)  # x^d mod f
-        self.mask = (1 << w) - 1
         for j in range(d - 1):
             # whole residues add at most (p - 1)^2 a step, so a block of
             # rows stays below (d + 1) p^2 <= 2^53 unreduced until it is
@@ -412,23 +457,51 @@ class ModulusKernel:
                 rows = _mod(block[:k + 1], p)
                 self.rows[j - k:j + 1] = self._split(rows)
                 row = rows[-1]
+        self.c = self.quot = None  # the shifts as a column, and Q's rows
+        if any(shifts):
+            self.c = np.array(shifts, dtype=np.float64)[:, None]
+            # Q_0 = 1 and Q_(j+1) = x Q_j + top[j], top[j] the x^(d-1) term
+            # of R_j (the last column of each limb, recombined exactly), so
+            # Q_j = sum over i <= j of tau_(j-i) x^i with tau = (1, top[0],
+            # top[1], ...): row j is a window of tau reversed, then zeros
+            top = self.rows[:, d - 1::d] @ 2.0 ** np.array(self.offsets)
+            tau = np.concatenate(([1.0], top))[:d - 1]
+            windows = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate((tau[::-1], np.zeros(d))), d)
+            self.quot = self._split(windows[:d - 1][::-1])
+
+    def row(self, r: int) -> "ModulusKernel":
+        """The one-row kernel of f - shifts[r], sharing these tables; the
+        kernel itself when no shift is nonzero or it has one row."""
+        if self.c is None or len(self.c) == 1:
+            return self
+        out = copy.copy(self)
+        out.shifts, out.c = self.shifts[r:r + 1], self.c[r:r + 1]
+        out.quot = self.quot if self.shifts[r] else None
+        out._powers = None
+        return out
+
+    def _scale(self, v: np.ndarray, c) -> np.ndarray:
+        """c v, unreduced, for residues v and c (a number, or a column of
+        one per row), by Horner's rule over the limbs of c: every entry
+        stays below 2 B p."""
+        limbs = _limbs(c, self.offsets)
+        acc = limbs[0] * v
+        for limb in limbs[1:]:
+            acc = _mod(acc, self.p) * self.radix + limb * v
+        return acc
 
     def _times_x(self, r: np.ndarray) -> np.ndarray:
         """x r mod f, unreduced: r shifted up, with top * (x^d mod f)
-        folded back in by Horner's rule over the limbs of top, so for a
-        residue r every entry stays below p + 2 B p."""
-        p, base = self.p, self.base
-        top = int(r[-1]) % p
-        acc = (top >> self.shifts[0]) * base
-        for shift in self.shifts[1:]:
-            acc = _mod(acc, p) * self.radix + ((top >> shift)
-                                               & self.mask) * base
-        return np.concatenate(([0.0], r[:-1])) + acc
+        folded back in, so for a residue r every entry stays below
+        p + 2 B p."""
+        top = float(int(r[-1]) % self.p)
+        return np.concatenate(([0.0], r[:-1])) + self._scale(self.base, top)
 
     def _split(self, m: np.ndarray) -> np.ndarray:
         """The limbs of a matrix of residues side by side along the last
         axis, top limb first (one limb at shift 0 is the matrix)."""
-        return np.concatenate(_limbs(m, self.shifts), axis=-1)
+        return np.concatenate(_limbs(m, self.offsets), axis=-1)
 
     def _recombine(self, u: np.ndarray, head=0.0) -> np.ndarray:
         """(sum over limbs k of u_k B^(L-1-k)) + head mod p, for u holding
@@ -440,26 +513,33 @@ class ModulusKernel:
         return _mod(acc + head, p)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray,
-               c: np.ndarray | None = None) -> np.ndarray:
-        """a b mod f, or a b + c mod f for a residue c, which rides in the
-        one last reduction (every bound above has room for it)."""
+               add: np.ndarray | None = None) -> np.ndarray:
+        """a b mod f - c, row by row, or a b + add for a stack of residues
+        add, which rides in the one last reduction (every bound above has
+        room for it)."""
         d, p = self.d, self.p
         raw = _product(a, b, p)
         if not self.lazy:
             raw = _mod(raw, p)
-        head = raw[:d] if c is None else raw[:d] + c
+        head = raw[..., :d] if add is None else raw[..., :d] + add
+        high = raw[..., d:]
         if self.limbs == 1:
-            return _mod(raw[d:] @ self.rows + head, p)
-        return self._recombine(raw[d:] @ self.rows, head)
+            out = _mod(high @ self.rows + head, p)
+        else:
+            out = self._recombine(high @ self.rows, head)
+        if self.quot is None:
+            return out
+        return _mod(out + self._scale(self._recombine(high @ self.quot),
+                                      self.c), p)
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
-        """a^e mod f, left to right from a: for e >= 1 that is
-        bit_length(e) - 1 squarings and popcount(e) - 1 products by a."""
+        """a^e, left to right from a: for e >= 1 that is bit_length(e) - 1
+        squarings and popcount(e) - 1 products by a."""
         if e < 0:
             raise ValueError("negative exponent")
         if not e:
-            r = np.zeros(self.d)
-            r[0] = 1
+            r = np.zeros_like(a)
+            r[..., 0] = 1
             return r
         r = a
         for bit in bin(e)[3:]:
@@ -469,36 +549,37 @@ class ModulusKernel:
         return r
 
     def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """g(h) mod f by Brent-Kung baby-step giant-step.
+        """g(h), row by row, by Brent-Kung baby-step giant-step.
 
         The powers h^i, i < s, are kept for the next call with an equal h:
         both Frobenius loops of distinct_degree_counts compose with one h
         up to about sqrt(d / 2) times in a row.  The powers cost s
         products once and each call about d / s more, so s =
-        isqrt(d (isqrt(d / 2) + 1)) + 1 balances the two over such a run
+        isqrt(d ceil(sqrt(d / 2))) + 1 balances the two over such a run
         (s <= d keeps each chunk sum plus the Horner term within d + 1
         terms).  Against the one-call size s = isqrt(d) + 1, on a 2-core
         host with one BLAS thread, factor_pattern_actual(ell, p, n, 1) at
         (2, 3, 12) took 6.3-7.4 s against 9.4 s and at (3, 5, 7) 9.5-9.9
         s against 12.4 s.
         """
+        d = self.d
         if self._powers is None or not np.array_equal(self._powers[0], h):
-            d = self.d
-            s = min(math.isqrt(d * (math.isqrt(d // 2) + 1)) + 1, d)
-            baby = np.zeros((s, d))
-            baby[0, 0] = 1
+            s = min(math.isqrt(d * _ceil_sqrt(d // 2)) + 1, d)
+            baby = np.zeros(h.shape[:-1] + (s, d))
+            baby[..., 0, 0] = 1
             for i in range(1, s):
-                baby[i] = self.mulmod(baby[i - 1], h)
-            hs = self.mulmod(baby[s - 1], h)
+                baby[..., i, :] = self.mulmod(baby[..., i - 1, :], h)
+            hs = self.mulmod(baby[..., s - 1, :], h)
             self._powers = (h.copy(), self._split(baby), hs)
         _, table, hs = self._powers
-        d, s = self.d, len(table)
-        coeffs = np.zeros(((d + s - 1) // s) * s)
-        coeffs[: len(g)] = g
-        parts = self._recombine(coeffs.reshape(-1, s) @ table)
-        out = parts[-1]
-        for part in parts[-2::-1]:
-            out = self.mulmod(out, hs, part)
+        s = table.shape[-2]
+        coeffs = np.zeros(g.shape[:-1] + (((d + s - 1) // s) * s,))
+        coeffs[..., :g.shape[-1]] = g
+        parts = self._recombine(
+            coeffs.reshape(g.shape[:-1] + (-1, s)) @ table)
+        out = parts[..., -1, :]
+        for k in range(parts.shape[-2] - 2, -1, -1):
+            out = self.mulmod(out, hs, parts[..., k, :])
         return out
 
 
@@ -533,12 +614,20 @@ def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
     return sorted(out, key=lambda part: part[1])
 
 
-def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
-    """{degree: number of irreducible factors} for squarefree monic f.
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1 if n else 0
+
+
+def distinct_degree_counts(f: Poly, p: int,
+                           shifts: Sequence[int] | None = None
+                           ) -> dict[int, int] | list[dict[int, int]]:
+    """{degree: number of irreducible factors} for squarefree monic f; with
+    shifts, the list of those counts for f - c, c in shifts, each of them
+    squarefree.
 
     Baby-step giant-step (von zur Gathen & Shoup 1992) whose gcds split
     one tree over the degree range, after Shoup's interval partition
-    (1995).  With s = isqrt(deg / 2) + 1 (s = 1 below degree 6, so that
+    (1995).  With s = ceil(sqrt(deg // 2)) (s = 1 below degree 6, so that
     no power past x^(p^(deg // 2)) is computed there), the baby steps
     are x^(p^i), i <= s, and the giant steps x^(p^(js)), j = 1..J.  The
     label k = js - i, 0 <= i < s, names V_k = x^(p^(js)) - x^(p^i).  An
@@ -564,6 +653,16 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     Each gcd reduces a full-degree residue, so their number follows the
     factors found (one for an irreducible f), not the J blocks.
 
+    The moduli f - c share one ModulusKernel, one row each, so the baby
+    steps, giant steps, compose tables and block products are computed
+    once for the whole stack, and the giant steps stop when every row's
+    product is 0 (or at K).  The kernel is built on f - c_0, c_0 the
+    first shift, so a stack of one row reduces by x^(d+j) mod f alone.
+    Each row is then split by its own tree.  Memory is about
+    (2 J + 2 s + isqrt(d s) + 3) residues a row (the stored powers and
+    compose's table), times the limb count, on top of the kernel's d^2
+    or 2 d^2 floats; the caller bounds the rows.
+
     Range products multiply the whole-block products
     P_j = V_(js) V_(js-1) ... V_(js-s+1), so only the giant steps and the
     J block products are stored.  A node of more than s labels splits at
@@ -577,14 +676,17 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     powers of each h once.
     """
     d = degree(f)
-    if d <= 0:
-        return {}
-    if d == 1:
-        return {1: 1}
-    ker = ModulusKernel(f, p)
-    x = np.zeros(ker.d)
-    x[1] = 1
-    s = math.isqrt(d // 2) + 1 if d >= 6 else 1
+    cs = [0] if shifts is None else list(shifts)
+    if d <= 1 or not cs:
+        counts = [{1: 1} if d == 1 else {} for _ in cs]
+        return counts if shifts is not None else counts[0]
+    base = f[:]
+    base[0] = (base[0] - cs[0]) % p
+    ker = ModulusKernel(base, p, [c - cs[0] for c in cs])
+    # one modulus runs on plain vectors, a stack on (rows, d) arrays
+    x = np.zeros((len(cs), d) if len(cs) > 1 else d)
+    x[..., 1] = 1
+    s = _ceil_sqrt(d // 2) if d >= 6 else 1
     # x^(p^(i+1)) is x^(p^i) composed with x^p, or its p-th power.
     # Composing wins from p > 4d on at every degree measured.  Measured
     # on a 2-core host, one BLAS thread, the s - 1 baby steps past x^p of
@@ -599,19 +701,20 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
         baby.append(ker.compose(baby[-1], baby[1]) if by_compose
                     else ker.powmod(baby[-1], p))
 
-    def label(k: int) -> np.ndarray:
-        """V_k, from the block j = ceil(k / s)."""
+    def label(k: int, r) -> np.ndarray:
+        """V_k in the rows r, from the block j = ceil(k / s)."""
         j = -(-k // s)
-        return _mod(giant[j - 1] - baby[j * s - k], p)
+        return _mod(giant[j - 1][r] - baby[j * s - k][r], p)
 
-    def product(lo: int, hi: int) -> np.ndarray:
-        """V_lo V_(lo+1) ... V_(hi-1) mod f."""
+    def product(ker: ModulusKernel, r, lo: int, hi: int
+                ) -> np.ndarray:
+        """V_lo V_(lo+1) ... V_(hi-1) in the rows r, ker their kernel."""
         out, k = None, lo
         while k < hi:
             if (k - 1) % s == 0 and k + s <= hi:
-                term, k = blocks[(k - 1) // s], k + s
+                term, k = blocks[(k - 1) // s][r], k + s
             else:
-                term, k = label(k), k + 1
+                term, k = label(k, r), k + 1
             out = term if out is None else ker.mulmod(out, term)
         return out
 
@@ -620,38 +723,47 @@ def distinct_degree_counts(f: Poly, p: int) -> dict[int, int]:
     whole = None  # P_1 P_2 ... P_j
     while True:
         top = len(giant) * s
-        prod = label(top)
+        prod = label(top, ...)
         for k in range(top - 1, top - s, -1):
-            prod = ker.mulmod(prod, label(k))
+            prod = ker.mulmod(prod, label(k, ...))
         blocks.append(prod)
         whole = prod if whole is None else ker.mulmod(whole, prod)
         # d < 2 (Js + 1) once Js >= d // 2
         if top >= d // 2 or not whole.any():
             break
         giant.append(ker.compose(giant[-1], baby[s]))
-    out: dict[int, int] = {}
-    g = gcd(whole, f, p)
-    rest = d - degree(g)  # f / G: one factor of degree > K, or none
-    stack = [(1, top + 1, g)]
-    while stack:
-        lo, hi, g = stack.pop()
-        dg = degree(g)
-        if dg < 2 * lo:
-            if dg > 0:
-                out[dg] = out.get(dg, 0) + 1
-            continue
-        hi = min(hi, dg + 1)
-        if hi - lo == 1:
-            if dg % lo:
-                raise ArithmeticError("distinct-degree split failed")
-            out[lo] = out.get(lo, 0) + dg // lo
-            continue
-        mid = (lo + hi) // 2
-        if hi - lo > s:
-            mid = max(lo + s, (mid - 1) // s * s + 1)
-        left = gcd(product(lo, mid), g, p)
-        stack.append((mid, hi, divmod_(g, left, p)[0]))
-        stack.append((lo, mid, left))
-    if rest:
-        out[rest] = 1
-    return out
+    counts = []
+    for r, c in enumerate(cs):
+        one = slice(r, r + 1) if x.ndim == 2 else ...
+        row = None  # the row's kernel, made on first use
+        fc = f[:]
+        fc[0] = (fc[0] - c) % p
+        g = gcd(whole[one].ravel(), fc, p)
+        rest = d - degree(g)  # (f - c) / G: one factor of degree > K, or none
+        out: dict[int, int] = {}
+        stack = [(1, top + 1, g)]
+        while stack:
+            lo, hi, g = stack.pop()
+            dg = degree(g)
+            if dg < 2 * lo:
+                if dg > 0:
+                    out[dg] = out.get(dg, 0) + 1
+                continue
+            hi = min(hi, dg + 1)
+            if hi - lo == 1:
+                if dg % lo:
+                    raise ArithmeticError("distinct-degree split failed")
+                out[lo] = out.get(lo, 0) + dg // lo
+                continue
+            mid = (lo + hi) // 2
+            if hi - lo > s:
+                mid = max(lo + s, (mid - 1) // s * s + 1)
+            if row is None:
+                row = ker.row(r)
+            left = gcd(product(row, one, lo, mid).ravel(), g, p)
+            stack.append((mid, hi, divmod_(g, left, p)[0]))
+            stack.append((lo, mid, left))
+        if rest:
+            out[rest] = 1
+        counts.append(out)
+    return counts if shifts is not None else counts[0]

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .factor import DEGREE_CAP, factor_pattern_actual, factor_pattern_predicted
+from .factor import (DEGREE_CAP, factor_pattern_predicted,
+                     factor_patterns_actual)
 from .ffield import check_domain, make_field, nu
 from .graph import (DEFAULT_CAP, VerifyReport, _divisor_classes,
                     build_graph, summarize, verify_structure)
@@ -40,6 +41,10 @@ def verify_instance(ell: int, p: int, n: int,
     counts, the per-element orbit oracle, the structural shape, the
     density, and the factorization pattern for every t in [0, p) at the
     largest level m <= n with ell^m <= DEGREE_CAP (level 1 at least).
+    The actual patterns come from one factor_patterns_actual pass over
+    every t: the moduli T_ell^m - t differ only in their constant term,
+    so one kernel and one run of Frobenius powers serve every t whose
+    modulus is squarefree.  The check names the first differing t.
     """
     check_domain(ell, p, n, cap)
     rep = VerifyReport(ell, p, n)
@@ -96,9 +101,9 @@ def verify_instance(ell: int, p: int, n: int,
     while ell ** level > DEGREE_CAP and level > 1:
         level -= 1
     mism = None
-    for t in range(p):
+    actual = factor_patterns_actual(ell, p, level, range(p))
+    for t, ac in enumerate(actual):
         pr = factor_pattern_predicted(ell, p, level, t)
-        ac = factor_pattern_actual(ell, p, level, t)
         if pr != ac:
             mism = (t, pr.entries, ac.entries)
             break

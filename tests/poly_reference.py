@@ -3,7 +3,7 @@
 with no reduction, powering mod f by squaring, the Chebyshev
 coefficients by the three-term recurrence and the iterates by
 composition, and the conversions between a list polynomial and a
-`ModulusKernel` residue."""
+`ModulusKernel` residue stack."""
 
 from __future__ import annotations
 
@@ -59,14 +59,29 @@ def iterate_by_composition(ell: int, n: int, p: int) -> Poly:
     return cur
 
 
+def moduli(ker: polys.ModulusKernel) -> list[Poly]:
+    """The modulus f - c of each row of a ModulusKernel."""
+    f = [int(c) for c in ker.f]
+    return [polys.sub(f, [c], ker.p) for c in ker.shifts]
+
+
+def to_lists(v: np.ndarray) -> list[Poly]:
+    """A ModulusKernel residue stack as one trimmed coefficient list a row."""
+    return [polys.trim([int(c) for c in row]) for row in v]
+
+
 def to_list(v: np.ndarray) -> Poly:
-    """A ModulusKernel residue vector as a trimmed coefficient list."""
-    return polys.trim([int(c) for c in v])
+    """A one-row ModulusKernel residue stack, or a residue vector, as a
+    trimmed coefficient list."""
+    (row,) = to_lists(np.atleast_2d(v))
+    return row
 
 
 def lift(ker: polys.ModulusKernel, a: Poly) -> np.ndarray:
-    """a mod ker.f as a ModulusKernel residue vector of length ker.d."""
-    v = np.zeros(ker.d)
-    a = polys.rem(list(a), list(map(int, ker.f)), ker.p)
-    v[: len(a)] = a
+    """a mod each row's modulus, as a ModulusKernel residue stack of shape
+    (rows, ker.d)."""
+    v = np.zeros((len(ker.shifts), ker.d))
+    for row, f in zip(v, moduli(ker)):
+        r = polys.rem(list(a), f, ker.p)
+        row[: len(r)] = r
     return v

@@ -11,7 +11,8 @@ import sympy
 from chebdyn.cheb import disc_factored
 from chebdyn.cli import main as cli_main
 from chebdyn.factor import (decompose_prime, factor_pattern_actual,
-                            factor_pattern_predicted, verify_reciprocity)
+                            factor_pattern_predicted, factor_patterns_actual,
+                            verify_reciprocity)
 from chebdyn.ffield import element_degree, is_prime, make_field
 from chebdyn.graph import build_graph, orbit_stats_order, summarize, \
     verify_structure
@@ -210,11 +211,12 @@ def test_criterion_07_factorization_theorem():
             if p == ell:
                 continue
             for n in range(1, nmax + 1):
-                for t in range(p):
+                actual = factor_patterns_actual(ell, p, n, range(p))
+                for t, ac in enumerate(actual):
                     pr = factor_pattern_predicted(ell, p, n, t)
-                    ac = factor_pattern_actual(ell, p, n, t)
                     assert pr == ac, (ell, p, n, t, pr.entries, ac.entries)
                     cases += 1
+                assert t == p - 1
     elapsed = time.time() - t0
     assert elapsed < 600.0, f"{elapsed:.1f}s"
     _report(7, f"predicted == actual pattern on {cases} (ell,p,n,t) cases",

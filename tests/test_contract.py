@@ -21,7 +21,8 @@ from sympy import isprime
 
 from chebdyn import (classify_t, critical_factorization, disc_factored,
                      factor_pattern_actual, factor_pattern_predicted,
-                     make_field, nu_2n, orbit_stats_order, predict_summary,
+                     factor_patterns_actual, make_field, nu_2n,
+                     orbit_stats_order, predict_summary,
                      ramified_candidates, structure_params)
 from chebdyn.cli import MAX_LEVEL, main
 from chebdyn.ffield import nu, strip_ell
@@ -109,6 +110,7 @@ def test_every_entry_point_refuses_outside_the_domain(inst, i):
     call(p_ok, classify_t, ell, p, t)
     call(p_ok and n_ok, factor_pattern_predicted, ell, p, n, t)
     call(p_ok and n_ok, factor_pattern_actual, ell, p, n, t)
+    call(p_ok and n_ok, factor_patterns_actual, ell, p, n, [t])
     call(p_ok, critical_factorization, ell, p)
     call(ell_ok and n_ok, disc_factored, ell, n, t)
     call(ell_ok, ramified_candidates, ell, t)

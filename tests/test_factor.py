@@ -1,13 +1,16 @@
+import random
+
 import pytest
 from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_list
 
+from chebdyn import factor
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.factor import (DecompReport, FactorPattern,
                             all_iterates_irreducible, classify_t,
                             decompose_prime, factor_pattern_actual,
-                            factor_pattern_predicted,
+                            factor_pattern_predicted, factor_patterns_actual,
                             find_irreducibility_witness, verify_reciprocity)
 from poly_reference import eval_at
 
@@ -29,6 +32,49 @@ def test_actual_examples():
 def test_actual_cap():
     with pytest.raises(ValueError):
         factor_pattern_actual(2, 5, 13, 0)
+
+
+# the instances of the verify sweep: odd p <= 31, p^n <= 2^12, ell in
+# {2, 3, 5, 7} and ell^n <= 256
+SWEEP_INSTANCES = [(ell, p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                   for n in range(1, 13) if p ** n <= 1 << 12
+                   for ell in (2, 3, 5, 7) if ell != p and ell ** n <= 256]
+
+
+def test_stacked_patterns_equal_one_t_patterns():
+    # every t in [0, p) in one stack, against each t alone (one row,
+    # shift 0)
+    assert len(SWEEP_INSTANCES) == 97
+    for ell, p, n in SWEEP_INSTANCES:
+        got = list(factor_patterns_actual(ell, p, n, range(p)))
+        want = [factor_pattern_actual(ell, p, n, t) for t in range(p)]
+        assert got == want, (ell, p, n)
+
+
+@pytest.mark.parametrize("p", (1000003, 100000007))
+def test_stacked_patterns_at_large_p(p):
+    # degree 9, hundreds of rows, so the stack's products run on the
+    # rfft; at 1000003 the residues go whole, at 100000007 in limbs
+    ts = random.Random(p).sample(range(p), 300) + [0, 2, p - 2]
+    got = list(factor_patterns_actual(3, p, 2, ts))
+    assert got == [factor_pattern_actual(3, p, 2, t) for t in ts]
+
+
+def test_stacked_patterns_in_small_chunks(monkeypatch):
+    # chunks of two t, in the order given, repeats and t outside [0, p)
+    # included, the special t (+-2, not squarefree) among them
+    ts = [5, 2, 5 - 53, 51, 0, 1, 2 + 53, 30]
+    want = [factor_pattern_actual(3, 53, 2, t) for t in ts]
+    monkeypatch.setattr(factor, "STACK_CELLS", 2 * 9)
+    assert list(factor_patterns_actual(3, 53, 2, ts)) == want
+    assert want[0] == want[2] and want[1] == want[6] != want[0]
+
+
+def test_stacked_patterns_refuse_before_the_first():
+    with pytest.raises(ValueError):
+        factor_patterns_actual(3, 3, 1, range(3))
+    with pytest.raises(ValueError):
+        factor_patterns_actual(2, 5, 13, range(5))
 
 
 def test_classify_examples():

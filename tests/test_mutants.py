@@ -21,7 +21,7 @@ import pytest
 import test_ffield
 import test_graph
 import test_polys
-from chebdyn import ffield, graph, polys
+from chebdyn import factor, ffield, graph, polys
 from chebdyn.ffield import FieldCtx, make_field
 from order_reference import walk_order_tables
 from structure_reference import (full_succ, functional_graph,
@@ -108,10 +108,23 @@ def ddf_counts_two_of_each_degree():
 moduli_are_pinned = test_ffield.test_make_field_moduli_are_pinned
 
 
+def stacked_patterns_equal_one_t():
+    """Every t of G(3, 13, 4) and G(2, 29, 3) in one stack, against each
+    t alone: one row, shift 0, so no Q and no neighbour.  At degree 8 the
+    rows that split into linear and quadratic factors make their first
+    block product 0, while rows with two quartic factors need both
+    blocks."""
+    for ell, p, n in ((3, 13, 4), (2, 29, 3)):
+        got = list(factor.factor_patterns_actual(ell, p, n, range(p)))
+        want = [factor.factor_pattern_actual(ell, p, n, t) for t in range(p)]
+        assert got == want, (ell, p, n)
+
+
 DETECTORS = (succ_equals_full_evaluation, order_tables_equal_gcd_formula,
              cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
-             ddf_counts_two_of_each_degree, moduli_are_pinned)
+             ddf_counts_two_of_each_degree, moduli_are_pinned,
+             stacked_patterns_equal_one_t)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -200,6 +213,22 @@ MUTANTS = {
         [("        if top >= d // 2 or not whole.any():",
           "        if top + s >= d // 2 or not whole.any():")],
         ddf_counts_two_of_each_degree),
+    # the rows reduced by R - c Q, the shift's sign flipped
+    "kernel_shift_sign_flipped": (
+        polys.ModulusKernel, "mulmod",
+        [("self.c), p)", "p - self.c), p)")],
+        stacked_patterns_equal_one_t),
+    # each row's tree multiplies its labels mod its neighbour's modulus
+    "ddf_tree_reads_neighbour_shift": (
+        polys, "distinct_degree_counts",
+        [("row = ker.row(r)", "row = ker.row((r + 1) % len(cs))")],
+        stacked_patterns_equal_one_t),
+    # the giant steps stop once any row's product is 0, not every row's
+    "ddf_stack_stops_at_any_row": (
+        polys, "distinct_degree_counts",
+        [("        if top >= d // 2 or not whole.any():",
+          "        if top >= d // 2 or not whole.any(axis=-1).all():")],
+        stacked_patterns_equal_one_t),
     # a modulus candidate accepted once its split finds some factor, not
     # one factor of degree n
     "modulus_any_split": (

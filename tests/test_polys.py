@@ -19,7 +19,7 @@ from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd,
 
 from chebdyn import polys
 from chebdyn.ffield import _lex_min_irreducible
-from poly_reference import compose, lift, powmod, to_list
+from poly_reference import compose, lift, moduli, powmod, to_list, to_lists
 
 
 def test_gcd_examples():
@@ -38,10 +38,14 @@ def test_powmod_frobenius_on_irreducible_quadratic():
 def test_divmod_roundtrip():
     p = 11
     a = [3, 1, 4, 1, 5, 9, 2, 6]
-    b = [2, 7, 1]
-    q, r = polys.divmod_(a, b, p)
-    back = polys.add(polys.mul(q, b, p), r, p)
-    assert back == polys.trim([c % p for c in a])
+    for b in ([2, 7, 1], [7], [1]):
+        q, r = polys.divmod_(a, b, p)
+        back = polys.add(polys.mul(q, b, p), r, p)
+        assert back == polys.trim([c % p for c in a])
+        assert polys.degree(r) < polys.degree(b) or not r
+    # a constant divides at once: the quotient a / b0, the remainder 0
+    assert polys.divmod_(a, [7], p) == (polys.mul_scalar(a, 8, p), [])
+    assert polys.gcd(a, [3], p) == [1]
 
 
 def monic_irreducibles(p, max_deg):
@@ -202,7 +206,7 @@ def _irreducibles(p, k, count):
 def _ddf_blocks(d):
     """(s, K) of distinct_degree_counts at degree d: s labels a block and
     K = J s, J the least block count with d < 2 (J s + 1)."""
-    s = math.isqrt(d // 2) + 1 if d >= 6 else 1
+    s = math.isqrt(d // 2 - 1) + 1 if d >= 6 else 1  # ceil(sqrt(d // 2))
     j = 1
     while d >= 2 * (j * s + 1):
         j += 1
@@ -266,14 +270,32 @@ def test_ddf_linear_and_quadratic_factors_on_many_labels(p, counts):
     assert polys.distinct_degree_counts(f, p) == counts
 
 
+def test_ddf_stack_equals_each_modulus_alone():
+    # random monic f at degrees on both sides of the block-size rule, and
+    # random shifts c with f - c squarefree: the stack against each f - c
+    # alone, with whole residues and limbs, powering and composing
+    rng = random.Random(21)
+    for p in (3, 7, 101, 100000007):
+        for d in (2, 5, 6, 9, 16, 27):
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            moduli = [(c, polys.sub(f, [c], p))
+                      for c in rng.sample(range(p), min(p, 10))]
+            cs = [c for c, g in moduli
+                  if polys.gcd(g, polys.deriv(g, p), p) == [1]]
+            want = [polys.distinct_degree_counts(g, p) for c, g in moduli
+                    if c in cs]
+            assert polys.distinct_degree_counts(f, p, cs) == want, (p, d)
+    assert polys.distinct_degree_counts([1, 2, 1], 5, []) == []
+
+
 def test_ddf_leaves_no_reference_cycle(monkeypatch):
     # with the collector off, the call's kernel dies with its last
     # reference only when nothing the call built refers back to itself
     refs = []
 
     class Kernel(polys.ModulusKernel):
-        def __init__(self, f, p):
-            super().__init__(f, p)
+        def __init__(self, *args):
+            super().__init__(*args)
             refs.append(weakref.ref(self))
 
     # the factors first: the modulus search behind _irreducibles builds
@@ -430,27 +452,37 @@ _HYPOTHESIS = settings(max_examples=40, deadline=timedelta(seconds=10),
 @given(data=st.data(), d=st.sampled_from(range(1, 82)),
        rng=st.randoms(use_true_random=True))
 def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
-    # the handoff is drawn below, at and above d, so the kernel's products
-    # run on both engines of _product
+    # the handoffs are drawn below, at and above d and the row count, so
+    # the kernel's products run on both engines of _product; the shifts
+    # are random, 0 among them, so rows reduce by R alone and by R + c Q
     handoff = data.draw(st.sampled_from(
         (max(d - 1, 1), d, d + 1, polys.FFT_LENGTH)), label="handoff")
     p = data.draw(_prime_upto(_kernel_bound(d)), label="p")
+    shifts = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, p - 1)),
+                                min_size=1, max_size=3), label="shifts")
+    fft_rows = data.draw(st.sampled_from(
+        (1, len(shifts), len(shifts) + 1)), label="fft rows")
     f = [rng.randrange(p) for _ in range(d)] + [1]
     a, b = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
     e = data.draw(st.integers(0, 1 << 64), label="e")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polys, "FFT_LENGTH", handoff)
-        ker = polys.ModulusKernel(f, p)
+        mp.setattr(polys, "FFT_ROWS", fft_rows)
+        ker = polys.ModulusKernel(f, p, shifts)
         A, B = lift(ker, a), lift(ker, b)
-        assert to_list(ker.mulmod(A, B)) == polys.rem(polys.mul(a, b, p),
-                                                      f, p)
-        assert to_list(ker.powmod(A, e)) == powmod(a, e, f, p)
-        assert to_list(ker.compose(A, B)) == _compose_mod(a, b, f, p)
+        ab, ae, ab_of = (to_lists(ker.mulmod(A, B)), to_lists(ker.powmod(A, e)),
+                         to_lists(ker.compose(A, B)))
+    for r, fr in enumerate(moduli(ker)):
+        assert fr == polys.sub(f, [shifts[r]], p)
+        assert ab[r] == polys.rem(polys.mul(a, b, p), fr, p), r
+        assert ae[r] == powmod(a, e, fr, p), r
+        assert ab_of[r] == _compose_mod(a, b, fr, p), r
 
 
 def test_modulus_kernel_unreduced_feed_at_its_bound():
     # the product enters the rows unreduced while d^2 (p - 1)^3 <= 2^53;
-    # primes on both sides of that bound and past it, all entries p - 1
+    # primes on both sides of that bound and past it, all entries p - 1,
+    # and a second row shifted by p - 1, whose Q rows reduce the same feed
     for d in (9, 81):
         top = 1 + round(((1 << 53) / (d * d)) ** (1 / 3))
         while d * d * (top - 1) ** 3 > 1 << 53:
@@ -458,26 +490,28 @@ def test_modulus_kernel_unreduced_feed_at_its_bound():
         for p in (prevprime(top + 1), nextprime(top), nextprime(8 * top)):
             f = [p - 1] * d + [1]
             a = [p - 1] * d
-            ker = polys.ModulusKernel(f, p)
+            ker = polys.ModulusKernel(f, p, (0, p - 1))
             assert ker.lazy == (p <= top)
             A = lift(ker, a)
-            want = polys.rem(polys.mul(a, a, p), f, p)
-            assert to_list(ker.mulmod(A, A)) == want, (d, p)
+            want = [polys.rem(polys.mul(a, a, p), fr, p) for fr in moduli(ker)]
+            assert to_lists(ker.mulmod(A, A)) == want, (d, p)
+            # one modulus runs on plain vectors
+            assert to_list(ker.row(0).mulmod(A[0], A[0])) == want[0], (d, p)
 
 
 def test_modulus_kernel_above_the_fft_length():
     # whole residues and limbs on the rfft engine, and a p beyond any FFT
-    # limb, which the direct engine takes
+    # limb, which the direct engine takes; a second row shifted by p - 1
     d = polys.FFT_LENGTH + 37
     for p in (3, 10 ** 6 + 3, 10 ** 9 + 7, prevprime(_kernel_bound(d))):
         rng = random.Random(p)
         f = [rng.randrange(p) for _ in range(d)] + [1]
         a, b = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
-        ker = polys.ModulusKernel(f, p)
+        ker = polys.ModulusKernel(f, p, (0, p - 1))
         A, B = lift(ker, a), lift(ker, b)
-        ab = polys.rem(polys.mul(a, b, p), f, p)
-        assert to_list(ker.mulmod(A, B)) == ab, p
-        assert to_list(ker.powmod(A, 3)) == powmod(a, 3, f, p), p
+        ab = [polys.rem(polys.mul(a, b, p), fr, p) for fr in moduli(ker)]
+        assert to_lists(ker.mulmod(A, B)) == ab, p
+        assert to_lists(ker.powmod(A, 3))[0] == powmod(a, 3, f, p), p
     assert polys.fft_limb_width(d, d, 3) == 0
     assert polys.fft_limb_width(d, d, 10 ** 9 + 7) >= 1
     assert polys.fft_limb_width(d, d, prevprime(_kernel_bound(d))) is None
@@ -501,22 +535,28 @@ def test_gcd_exact_up_to_the_kernel_bound(data, d, rng):
        handoff=st.sampled_from((1, 2, 16, 100, polys.FFT_LENGTH)),
        rng=st.randoms(use_true_random=True))
 def test_convolve_mod_exact(data, handoff, rng):
-    # the shorter length lands below, at or above the handoff, and p runs
-    # up to the direct engine's bound, past every FFT limb width
+    # the shorter length lands below, at or above the handoff, the stack
+    # below or at FFT_ROWS, and p runs up to the direct engine's bound,
+    # past every FFT limb width
     m = max(1, handoff + data.draw(st.sampled_from((-1, 0, 1)), label="m"))
     n = data.draw(st.integers(m, m + 300), label="n")
+    rows = data.draw(st.sampled_from((1, 2, polys.FFT_ROWS)), label="rows")
     p = data.draw(_prime_upto(_kernel_bound(m)), label="p")
-    a = [rng.randrange(p) for _ in range(m)]
-    b = [rng.randrange(p) for _ in range(n)]
+    a = [[rng.randrange(p) for _ in range(m)] for _ in range(rows)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(rows)]
     if data.draw(st.booleans(), label="swap"):
         a, b = b, a
-    want = np.convolve(np.array(a, dtype=object),
-                       np.array(b, dtype=object)) % p
+    want = [(np.convolve(np.array(x, dtype=object),
+                         np.array(y, dtype=object)) % p).tolist()
+            for x, y in zip(a, b)]
+    # one row also goes as a plain vector
+    if rows == 1 and data.draw(st.booleans(), label="vector"):
+        a, b, want = a[0], b[0], want[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polys, "FFT_LENGTH", handoff)
         got = polys._mod(polys._product(np.array(a, dtype=np.float64),
                                         np.array(b, dtype=np.float64), p), p)
-    assert got.tolist() == want.tolist()
+    assert got.tolist() == want
 
 
 def test_fft_limb_width_is_the_widest_under_its_bound():

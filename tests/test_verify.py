@@ -5,6 +5,7 @@ import pytest
 
 from chebdyn import verify
 from chebdyn.cli import main
+from chebdyn.factor import FactorPattern, factor_pattern_actual
 
 
 def _corrupt_build(monkeypatch, corrupt):
@@ -53,3 +54,23 @@ def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
     assert code == 1
     assert ("[FAIL] summary rows: enumerated == predicted: divisor class "
             "of order 7 does not divide") in out
+
+
+def test_factor_check_names_the_differing_t(monkeypatch):
+    # one wrong prediction at t = 17 of G(3, 53, 1): a double root where
+    # t is not +-2 cannot be the actual pattern
+    predicted = verify.factor_pattern_predicted
+    wrong = FactorPattern.from_entries([(1, 1, 1), (1, 2, 1)])
+
+    def patched(ell, p, n, t):
+        return wrong if t == 17 else predicted(ell, p, n, t)
+
+    monkeypatch.setattr(verify, "factor_pattern_predicted", patched)
+    rep = verify.verify_instance(3, 53, 1)
+    ok, detail = _check(rep, "factor patterns at level 1")
+    actual = factor_pattern_actual(3, 53, 1, 17)
+    assert actual != wrong
+    assert not ok and detail == f"t=17: {wrong.entries} vs {actual.entries}"
+    assert [name for name, ok, _ in rep.checks if not ok] == [
+        "factor patterns at level 1: predicted == actual for all t in "
+        "[0, 53)"]
