@@ -145,7 +145,9 @@ def _patterns(f: list[int], p: int, ts: Iterator[int]
 @dataclass(frozen=True)
 class TClass:
     """How t sits in the graph over F_p: preperiod, base branch of its
-    eventual cycle, and whether it is one of the special values."""
+    eventual cycle, and whether it is one of the special values; with v
+    and mu of structure_params(ell, p, 1), the two invariants of (ell, p)
+    the closed-form patterns read."""
 
     ell: int
     p: int
@@ -154,6 +156,8 @@ class TClass:
     branch: str  # D1 or D2
     is_special: bool
     cycle_divisor: int  # prime-to-ell part of ord(alpha)
+    v: int
+    mu: int
 
 
 def classify_t(ell: int, p: int, t: int) -> TClass:
@@ -170,7 +174,8 @@ def classify_t(ell: int, p: int, t: int) -> TClass:
         raise ArithmeticError(f"cycle divisor {d0} divides neither "
                               f"D1={params.d1} nor D2={params.d2}")
     special = tbar in (2 % p, (-2) % p) or (ell == 2 and tbar == 0)
-    return TClass(ell, p, tbar, rho, branch, special, d0)
+    return TClass(ell, p, tbar, rho, branch, special, d0, params.v,
+                  params.mu)
 
 
 def _geom_sum(ell: int, kmax: int) -> int:
@@ -181,77 +186,63 @@ def _geom_sum(ell: int, kmax: int) -> int:
 def factor_pattern_predicted(ell: int, p: int, n: int, t: int) -> FactorPattern:
     """Pattern of T_ell^n(x) - t mod p from the closed-form case analysis:
     no polynomial arithmetic, only the class of t mod p."""
-    check_domain(ell, p, n)
-    params = structure_params(ell, p, 1)
-    v, mu = params.v, params.mu
-    cls = classify_t(ell, p, t)
-    tbar = cls.tbar
+    check_domain(n=n)  # classify_t checks ell and p
+    return _predicted(classify_t(ell, p, t), n)
+
+
+def _predicted(cls: TClass, n: int) -> FactorPattern:
+    """The closed-form pattern of T_ell^n(x) - t for t of class cls: a
+    function of the class and n alone."""
+    ell, p, tbar, rho, v, mu = cls.ell, cls.p, cls.tbar, cls.rho, cls.v, cls.mu
     entries: list[tuple[int, int, int]]
 
-    if ell % 2:
-        if tbar in (2 % p, (-2) % p):
-            # one simple linear factor; everything else squares up
-            per_k = (ell - 1) // (2 * mu)
-            entries = [(1, 1, 1), (mu, 2, per_k * _geom_sum(ell, min(n, v)))]
-            for k in range(1, n - v + 1):
-                entries.append((mu * ell ** k, 2, per_k * ell ** (v - 1)))
-        elif cls.rho > 0:
-            if n <= v - cls.rho:
-                entries = [(1, 1, ell ** n)]
-            else:
-                entries = [(ell ** (n - v + cls.rho), 1, ell ** (v - cls.rho))]
+    if ell == 2 and tbar == 2 % p:
+        # T_2^m - 2 = (T_2^(m-1) - 2)(T_2^(m-1) + 2) down to T_2 - 2 =
+        # (x - 2)(x + 2): two linear factors, and the t = -2 case below
+        # at each level m < n
+        entries = [(1, 1, 2)]
+        for m in range(1, n):
+            entries.append((1, 2, 2 ** (m - 1)) if m < v else
+                           (2 ** (m - v + 1), 2, 2 ** (v - 2)))
+    elif rho > 0:
+        # t is strictly preperiodic, rho levels up a tree of height v;
+        # for ell = 2, t = -2 (rho = 1) is among them, and T_2^n + 2 =
+        # (T_2^(n-1))^2 squares every factor
+        mult = 2 if ell == 2 and tbar == (-2) % p else 1
+        if n > v - rho:
+            deg, count = ell ** (n - v + rho), ell ** (v - rho)
+        elif ell == 2 and cls.branch == D2:
+            deg, count = 2, 2 ** (n - 1)
         else:
-            scale = 1 if cls.branch == D1 else 2
-            deg0 = scale * mu
-            per_k = (ell - 1) // deg0
-            entries = [(1, 1, 1), (deg0, 1, per_k * _geom_sum(ell, min(n, v)))]
-            for k in range(1, n - v + 1):
-                entries.append((deg0 * ell ** k, 1, per_k * ell ** (v - 1)))
+            deg, count = 1, ell ** n
+        entries = [(deg, mult, count // mult)]
+    elif ell % 2:
+        if cls.is_special:
+            # t = +-2: one simple linear factor; everything else squares up
+            deg0, mult = mu, 2
+        else:
+            deg0, mult = (mu if cls.branch == D1 else 2 * mu), 1
+        per_k = (ell - 1) // (deg0 * mult)
+        entries = [(1, 1, 1), (deg0, mult, per_k * _geom_sum(ell, min(n, v)))]
+        for k in range(1, n - v + 1):
+            entries.append((deg0 * ell ** k, mult, per_k * ell ** (v - 1)))
+    elif cls.branch == D1:
+        entries = [(1, 1, 1 + _geom_sum(2, min(n, v)))]
+        for k in range(1, n - v + 1):
+            entries.append((2 ** k, 1, 2 ** (v - 1)))
     else:
-        if tbar == 2 % p:
-            # T_2^n - 2 = (T_2^(n-1) - 2)(T_2^(n-1) + 2): recurse on the
-            # first factor, the second is the -2 case one level down
-            if n == 1:
-                entries = [(1, 1, 2)]
-            else:
-                left = factor_pattern_predicted(2, p, n - 1, 2)
-                right = factor_pattern_predicted(2, p, n - 1, -2)
-                entries = list(left.entries) + list(right.entries)
-        elif tbar == (-2) % p:
-            rho = 1
-            if n <= v - rho:
-                entries = [(1, 2, 2 ** (n - 1))]
-            else:
-                entries = [(2 ** (n - v + rho), 2, 2 ** (v - rho - 1))]
-        elif cls.rho > 0:
-            if cls.branch == D1:
-                if n <= v - cls.rho:
-                    entries = [(1, 1, 2 ** n)]
-                else:
-                    entries = [(2 ** (n - v + cls.rho), 1, 2 ** (v - cls.rho))]
-            else:
-                if n <= v - cls.rho:
-                    entries = [(2, 1, 2 ** (n - 1))]
-                else:
-                    entries = [(2 ** (n - v + cls.rho), 1, 2 ** (v - cls.rho))]
-        else:
-            if cls.branch == D1:
-                entries = [(1, 1, 1 + _geom_sum(2, min(n, v)))]
-                for k in range(1, n - v + 1):
-                    entries.append((2 ** k, 1, 2 ** (v - 1)))
-            else:
-                # counts follow the weight rule for D2 trees: roots of
-                # preperiod v+k have weight 2^k, so each k contributes
-                # 2^(v-1) factors of degree 2^k
-                entries = [(1, 1, 2), (2, 1, _geom_sum(2, min(n, v) - 1))]
-                for k in range(1, n - v + 1):
-                    entries.append((2 ** k, 1, 2 ** (v - 1)))
+        # counts follow the weight rule for D2 trees: roots of preperiod
+        # v+k have weight 2^k, so each k contributes 2^(v-1) factors of
+        # degree 2^k
+        entries = [(1, 1, 2), (2, 1, _geom_sum(2, min(n, v) - 1))]
+        for k in range(1, n - v + 1):
+            entries.append((2 ** k, 1, 2 ** (v - 1)))
 
     pat = FactorPattern.from_entries(entries)
     if pat.total != ell ** n:
         raise ArithmeticError(
             f"predicted pattern totals {pat.total}, wanted {ell ** n}: "
-            f"case analysis bug for (ell={ell}, p={p}, n={n}, t={t})")
+            f"case analysis bug for (ell={ell}, p={p}, n={n}, t={tbar})")
     return pat
 
 
@@ -263,8 +254,7 @@ def all_iterates_irreducible(ell: int, p: int, t: int) -> bool:
     pper = v > 0.
     """
     cls = classify_t(ell, p, t)
-    v = structure_params(ell, p, 1).v
-    return cls.rho > 0 and cls.rho == v
+    return cls.rho > 0 and cls.rho == cls.v
 
 
 @dataclass(frozen=True)
@@ -341,7 +331,7 @@ def decompose_prime(ell: int, t: int, p: int, max_level: int,
     must consist of irreducible iterates, certified through a witness
     prime at which t has maximal preperiod.
     """
-    check_domain(ell, p)
+    cls = classify_t(ell, p, t)  # checks the domain first
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     ram = ramified_candidates(ell, t)
@@ -360,7 +350,7 @@ def decompose_prime(ell: int, t: int, p: int, max_level: int,
 
     levels = []
     for lvl in range(1, max_level + 1):
-        pat = factor_pattern_predicted(ell, p, lvl, t)
+        pat = _predicted(cls, lvl)
         if not pat.squarefree():
             raise ArithmeticError(
                 "multiplicity > 1 at an unramified prime: inconsistent")
@@ -380,10 +370,6 @@ def verify_reciprocity(ell: int, n: int, p: int) -> bool:
     ell^n.  For ell = 2 the t = 0 tower is used and the modulus is
     2^(n+2).  Returns True when the equivalence holds for this instance.
     """
-    check_domain(ell, p, n)
-    if ell == 2:
-        t, modulus = 0, 2 ** (n + 2)
-    else:
-        t, modulus = 2, ell ** n
-    pat = factor_pattern_actual(ell, p, n, t)
+    pat = factor_pattern_actual(ell, p, n, 0 if ell == 2 else 2)
+    modulus = 2 ** (n + 2) if ell == 2 else ell ** n
     return pat.all_linear() == (p % modulus in (1 % modulus, modulus - 1))

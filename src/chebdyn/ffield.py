@@ -35,7 +35,6 @@ __all__ = [
     "make_field",
     "element_degree",
     "nu",
-    "strip_ell",
 ]
 
 FACTOR_LIMIT = 1 << 96
@@ -240,20 +239,6 @@ def nu(x: int, ell: int) -> int:
     return k
 
 
-def strip_ell(values: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (prime-to-ell part, ell-valuation) of positive integers."""
-    if ell < 2:
-        raise ValueError(f"strip_ell needs a base >= 2, got {ell}")
-    rest = values.copy()
-    k = np.zeros(rest.shape, dtype=np.int64)
-    while True:
-        m = rest % ell == 0
-        if not m.any():
-            return rest, k
-        rest[m] //= ell
-        k[m] += 1
-
-
 def _lex_min_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Coefficients (c_0..c_{n-1}) of the lex-smallest monic irreducible.
 
@@ -293,11 +278,11 @@ class FieldCtx:
     # count below 2^15.  alpha_order never builds the tables, and reads
     # them only at n > 1 when build_graph already has: on a prime field it
     # always takes the T_d ladder.  It is also the default graph
-    # enumeration cap (graph.DEFAULT_CAP): `chebdyn graph` peaks near 45
-    # bytes per vertex resident (205.8 MiB and 3.6-4.3 s at G(2, 3, 14),
-    # q = 4.78 M, on a 2-core host with one BLAS thread; 166.1 MiB by
-    # tracemalloc, which glibc's heap layout does not move), so 2^25
-    # vertices take about 1.5 GB, under a fifth of an 8 GB host.
+    # enumeration cap (graph.DEFAULT_CAP): on a 2-core host with one BLAS
+    # thread, `chebdyn graph --ell 3 --p 33554393 --n 1`, q just below
+    # 2^25, ran in 10.3 s with a peak RSS of 961 MiB (30 bytes per vertex,
+    # a child process), under an eighth of an 8 GB host; G(2, 3, 14),
+    # q = 4.78 M, peaks near 45 bytes per vertex (205.8 MiB, 3.6-4.3 s).
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],
@@ -382,6 +367,38 @@ class FieldCtx:
         """Canonical indices of the columns of an (n, m) coefficient
         matrix."""
         return np.array(self._pow_p, dtype=np.int64) @ cols
+
+    def eval_cols(self, coeffs: list[int], x: np.ndarray) -> np.ndarray:
+        """The polynomial coeffs[0] + coeffs[1] X + ... over F_p, of degree
+        at least 1, at each column of x, an (n, m) int64 matrix of reduced
+        coefficient columns (coeff_cols).  Horner in int64: each product
+        is formed column by column, and its rows of degree n..2n-2 are
+        folded back through the rows of x^k mod the modulus."""
+        n, p = self.n, self.p
+        red = np.array(self._red, dtype=np.int64)
+        tmp = np.empty(x.shape[1], dtype=np.int64)
+        # the first step multiplies by a constant
+        acc = coeffs[-1] * x
+        acc[0] += coeffs[-2]
+        acc %= p
+        for c in coeffs[-3::-1]:
+            raw = np.empty((2 * n - 1, x.shape[1]), dtype=np.int64)
+            for i in range(n):
+                for j in range(n):
+                    if i == 0 or j == n - 1:  # first term of raw[i + j]
+                        np.multiply(acc[i], x[j], out=raw[i + j])
+                    else:
+                        np.multiply(acc[i], x[j], out=tmp)
+                        raw[i + j] += tmp
+            # only the rows folded back through red need reducing first:
+            # the head stays below (2n - 1) p^2 + p
+            raw[n:] %= p
+            acc = raw[:n]
+            for k in range(n, 2 * n - 1):
+                acc += red[k - n][:, None] * raw[k]
+            acc[0] += c
+            acc %= p
+        return acc
 
     def mul_matrix(self, h: "FFElem") -> np.ndarray:
         """(n, n) matrix M with row_vec(a) @ M = row_vec(a * h)."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cheb import cheb_coeffs
 from .ffield import (MINUS, PLUS, Branch, FFElem, FieldCtx, alpha_order,
-                     check_domain, nu, strip_ell)
+                     check_domain, nu)
 from .predict import half_order, structure_params
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
@@ -117,17 +117,10 @@ def _succ_and_weight(ctx: FieldCtx,
     del ar, is_min, cur
 
     coeffs = cheb_coeffs(ell, p)
-    red = np.array(ctx._red, dtype=np.int64)
     vals = np.empty(mins.size, dtype=np.int32)
     for lo in range(0, mins.size, ctx.BLOCK):
         x = ctx.coeff_cols(mins[lo:lo + ctx.BLOCK])
-        # Horner; the first step multiplies by a constant
-        acc = coeffs[-1] * x
-        acc[0] += coeffs[-2]
-        acc %= p
-        for c in coeffs[-3::-1]:
-            acc = _horner_step(acc, x, c, p, red)
-        vals[lo:lo + ctx.BLOCK] = ctx.encode_cols(acc)
+        vals[lo:lo + ctx.BLOCK] = ctx.encode_cols(ctx.eval_cols(coeffs, x))
     succ = np.empty(q, dtype=np.int32)
     succ[mins] = vals
     r, v = mins, vals
@@ -137,31 +130,6 @@ def _succ_and_weight(ctx: FieldCtx,
     if n > 1 and not np.array_equal(fr[r], mins):
         raise ArithmeticError("Frobenius orbit walk did not close")
     return succ, weight
-
-
-def _horner_step(A: np.ndarray, B: np.ndarray, c: int, p: int,
-                 red: np.ndarray) -> np.ndarray:
-    """A * B + c, column by column, for (n, m) coefficient matrices of
-    reduced field elements."""
-    n, m = A.shape
-    raw = np.empty((2 * n - 1, m), dtype=np.int64)
-    tmp = np.empty(m, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == 0 or j == n - 1:  # first term of raw[i + j]
-                np.multiply(A[i], B[j], out=raw[i + j])
-            else:
-                np.multiply(A[i], B[j], out=tmp)
-                raw[i + j] += tmp
-    # only the rows folded back through red need reducing first: the
-    # head stays below (2n - 1) p^2 + p
-    raw[n:] %= p
-    head = raw[:n]
-    for k in range(n, 2 * n - 1):
-        head += red[k - n][:, None] * raw[k]
-    head[0] += c
-    head %= p
-    return head
 
 
 # _cycle_min hands a level of at most this many vertices to plain
@@ -658,7 +626,8 @@ def export_dot(g: FuncGraph, component_filter: int | None = None) -> str:
     else:
         core_mask = g.pper == 0
         # the prime-to-ell part of each class's order
-        d0, _ = strip_ell(g.class_order, g.ell)
+        d0 = np.array([d // g.ell ** nu(d, g.ell)
+                       for d in g.class_order.tolist()])
         on_cycles = g.class_id[core_mask]
         valid = set(d0[np.unique(on_cycles)].tolist())
         if component_filter not in valid:

@@ -19,26 +19,17 @@ import numpy as np
 
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.ffield import MINUS, PLUS, Branch, FieldCtx, nu
-from chebdyn.graph import FuncGraph, VerifyReport, _horner_step
+from chebdyn.graph import FuncGraph, VerifyReport
 
 
 def full_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
     """T_ell evaluated at every field element, one block of indices at a
     time in column-major (n, block) layout."""
-    p, q = ctx.p, ctx.q
-    coeffs = cheb_coeffs(ell, p)
-    red = np.array(ctx._red, dtype=np.int64)
-    succ = np.empty(q, dtype=np.int64)
-    for lo in range(0, q, ctx.BLOCK):
-        hi = min(lo + ctx.BLOCK, q)
-        x = ctx.coeff_cols(np.arange(lo, hi))
-        # Horner; the first step multiplies by a constant
-        acc = coeffs[-1] * x
-        acc[0] += coeffs[-2]
-        acc %= p
-        for c in coeffs[-3::-1]:
-            acc = _horner_step(acc, x, c, p, red)
-        succ[lo:hi] = ctx.encode_cols(acc)
+    coeffs = cheb_coeffs(ell, ctx.p)
+    succ = np.empty(ctx.q, dtype=np.int64)
+    for lo in range(0, ctx.q, ctx.BLOCK):
+        x = ctx.coeff_cols(np.arange(lo, min(lo + ctx.BLOCK, ctx.q)))
+        succ[lo:lo + ctx.BLOCK] = ctx.encode_cols(ctx.eval_cols(coeffs, x))
     return succ
 
 

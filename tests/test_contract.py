@@ -13,7 +13,6 @@ import signal
 from contextlib import contextmanager
 from datetime import timedelta
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,7 @@ from chebdyn import (classify_t, critical_factorization, disc_factored,
                      orbit_stats_order, predict_summary,
                      ramified_candidates, structure_params)
 from chebdyn.cli import MAX_LEVEL, main
-from chebdyn.ffield import nu, strip_ell
+from chebdyn.ffield import nu
 
 # A refusal comes before any work; accepted calls get room for the work
 # itself (the slowest draw below, the closed-form summary of G(2, 3, 54),
@@ -127,12 +126,10 @@ def test_every_entry_point_refuses_outside_the_domain(inst, i):
 
 @pytest.mark.parametrize("base", [-2, -1, 0, 1])
 def test_valuation_refuses_a_base_below_2(base):
-    # each of these looped forever (or divided by zero) without the guard
+    # nu looped forever (or divided by zero) without the guard
     with budget(REFUSAL_BUDGET_S):
         with pytest.raises(ValueError, match="base >= 2"):
             nu(12, base)
-        with pytest.raises(ValueError, match="base >= 2"):
-            strip_ell(np.array([12, 5]), base)
 
 
 # (ell, p, n) with T_ell^n of degree 4, 9 and 5

@@ -5,7 +5,7 @@ from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_list
 
-from chebdyn import factor
+from chebdyn import factor, ffield
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.factor import (DecompReport, FactorPattern,
                             all_iterates_irreducible, classify_t,
@@ -189,6 +189,46 @@ def test_decompose_refusals():
         decompose_prime(2, 105, 2, 2)    # p = ell
     with pytest.raises(ValueError):
         decompose_prime(2, 105, 13, 2, witness=7)  # 7 does not certify
+
+
+def _record_calls(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+# t = 2 and -2, 0 (special when ell = 2), preperiodic and periodic t, on
+# fields where n = 5 runs past v
+CALL_COUNT_CASES = ((2, 13, 2), (2, 13, -2), (2, 13, 0), (2, 13, 105),
+                    (3, 53, 17), (3, 53, 2), (5, 11, 3))
+
+
+@pytest.mark.parametrize("ell,p,t", CALL_COUNT_CASES)
+def test_a_closed_form_call_proves_ell_and_p_once(ell, p, t, monkeypatch):
+    # with the field and mu cached, only the domain check proves primes:
+    # once for ell and once for p, however the case analysis runs
+    factor_pattern_predicted(ell, p, 5, t)
+    calls = _record_calls(monkeypatch, ffield, "is_prime")
+    factor_pattern_predicted(ell, p, 5, t)
+    assert calls == [(ell,), (p,)]
+    calls.clear()
+    all_iterates_irreducible(ell, p, t)
+    assert calls == [(ell,), (p,)]
+
+
+def test_decompose_classifies_t_once(monkeypatch):
+    calls = _record_calls(monkeypatch, factor, "classify_t")
+    rep = decompose_prime(2, 105, 13, 5, witness=3)
+    assert len(rep.levels) == 5
+    # the witness is classified at its own prime
+    assert sorted(calls) == [(2, 3, 105), (2, 13, 105)]
 
 
 def test_decompose_cyclotomic_z2():

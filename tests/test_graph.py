@@ -54,22 +54,27 @@ def test_build_graph_errors():
         build_graph(2, make_field(5, 3), cap=100)
 
 
+def check_succ_and_weight_by_ffelem(g):
+    """At 200 vertices, succ equals T_ell by scalar Horner over FFElem,
+    and the weight the orbit length of powering by p."""
+    ctx, ell = g.ctx, g.ell
+    coeffs = [ctx.from_int(c) for c in cheb_coeffs(ell, ctx.p)]
+    for i in random.Random(ctx.q).sample(range(ctx.q), min(200, ctx.q)):
+        x, acc = ctx.decode(i), coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * x + c
+        assert g.succ[i] == acc.index, (ell, ctx.p, ctx.n, i)
+        assert g.weight[i] == element_degree(x), (ell, ctx.p, ctx.n, i)
+
+
 def test_succ_and_weight_equal_full_evaluation():
     # successors filled round each Frobenius orbit equal T_ell evaluated
-    # at every vertex; at 200 vertices per field they equal T_ell by
-    # scalar Horner over FFElem, and the weights the orbit length of
-    # powering by p
+    # at every vertex, and both agree with FFElem arithmetic
     for ell, p, n in SWEEP:
         ctx = make_field(p, n)
         g = build_graph(ell, ctx)
         assert np.array_equal(g.succ, full_succ(ctx, ell)), (ell, p, n)
-        coeffs = [ctx.from_int(c) for c in cheb_coeffs(ell, p)]
-        for i in random.Random(ctx.q).sample(range(ctx.q), min(200, ctx.q)):
-            x, acc = ctx.decode(i), coeffs[-1]
-            for c in coeffs[-2::-1]:
-                acc = acc * x + c
-            assert g.succ[i] == acc.index, (ell, p, n, i)
-            assert g.weight[i] == element_degree(x), (ell, p, n, i)
+        check_succ_and_weight_by_ffelem(g)
 
 
 def test_build_graph_memory_per_vertex():

@@ -54,6 +54,15 @@ def succ_equals_full_evaluation():
         assert np.array_equal(got, full_succ(ctx, ell)), (ell, p, n)
 
 
+def succ_equals_ffelem_horner():
+    """Successors against T_ell by scalar Horner over FFElem at sampled
+    vertices, on fresh fields of degree 3 and 4, whose column products
+    fold back through two and three reduction rows."""
+    for ell, p, n in ((2, 3, 4), (3, 5, 3)):
+        test_graph.check_succ_and_weight_by_ffelem(
+            graph.build_graph(ell, make_field.__wrapped__(p, n)))
+
+
 def order_tables_equal_gcd_formula():
     """The order tables against m // gcd(e, m) on the same walk, at a
     field whose walk runs three blocks a side."""
@@ -120,7 +129,8 @@ def stacked_patterns_equal_one_t():
         assert got == want, (ell, p, n)
 
 
-DETECTORS = (succ_equals_full_evaluation, order_tables_equal_gcd_formula,
+DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
+             order_tables_equal_gcd_formula,
              cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
              ddf_counts_two_of_each_degree, moduli_are_pinned,
@@ -146,6 +156,13 @@ MUTANTS = {
           "        orbit.append(int(fr[orbit[-1]]))\n"
           "    succ[orbit] = np.roll(succ[orbit], 1)\n" + _CLOSURE_CHECK)],
         succ_equals_full_evaluation),
+    # the column product folds each raw row through the reduction row
+    # one before its own (the first row through the last)
+    "column_product_row_shifted": (
+        FieldCtx, "eval_cols",
+        [("acc += red[k - n][:, None] * raw[k]",
+          "acc += red[k - n - 1][:, None] * raw[k]")],
+        succ_equals_ffelem_horner),
     # the divisor-digit strides started at lo instead of at the first
     # multiple
     "order_stride_from_lo": (
