@@ -8,6 +8,8 @@ which makes weight tables for astronomically large fields (here
 F_{53^18}, about 10^31 elements) a finger exercise.
 """
 
+import io
+
 from chebdyn import (D1, D2, build_graph, element_degree, export_dot,
                      make_field, predict_weight, structure_params)
 
@@ -49,7 +51,9 @@ print(f"\nF_(5^6): weight formula vs Frobenius orbit mismatches: {bad}")
 
 # a Graphviz rendering of one component, colored by weight
 g29 = build_graph(2, make_field(29, 1))
-dot = export_dot(g29, component_filter=15)
+out = io.StringIO()
+export_dot(g29, out, component_filter=15)
+dot = out.getvalue()
 print(f"\nDOT text for the divisor-15 component of T_2 on F_29 "
       f"({dot.count('label=')} vertices); render with `dot -Tpng`:")
 print("\n".join(dot.splitlines()[:6]) + "\n  ...")

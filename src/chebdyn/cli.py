@@ -2,7 +2,8 @@
 
 Subcommands: graph, predict, verify, factor, decompose, density.
 Exit codes: 0 success / verified, 1 verification mismatch, 2 usage
-error, 3 refused input (ramified prime, p = ell, enumeration cap).
+error (an output path that cannot be written among them), 3 refused
+input (ramified prime, p = ell, enumeration cap).
 All output is deterministic: identical argv gives identical bytes.
 
 Each subcommand is one function of the parsed arguments returning
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache
 from typing import Optional
 
@@ -51,11 +53,13 @@ def _check_printable(what: str, base: int, exp: int, coef: int = 1) -> None:
 
 def _graph(args):
     check_domain(args.ell, args.p, args.n, args.cap)
-    g = build_graph(args.ell, make_field(args.p, args.n), cap=args.cap)
-    s = summarize(g)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(g))
+    # the DOT path is opened first: an unwritable one stops before the build
+    with (open(args.dot, "w", encoding="utf-8") if args.dot
+          else nullcontext()) as fh:
+        g = build_graph(args.ell, make_field(args.p, args.n), cap=args.cap)
+        s = summarize(g)
+        if fh:
+            export_dot(g, fh)
     return s.to_json_obj(), s.table_str(), 0
 
 
@@ -174,15 +178,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         obj, text, code = args.run(args)
+        if args.format == "json":
+            text = json.dumps(obj, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except ValueError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 3
-    if args.format == "json":
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    except OSError as exc:  # an output path that cannot be written
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return 2
+    if not args.out:
         sys.stdout.write(text + "\n")
     return code
 

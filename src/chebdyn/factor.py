@@ -95,14 +95,16 @@ def factor_patterns_actual(ell: int, p: int, n: int,
     """The pattern of T_ell^n(x) - t mod p for each t in ts, in order, by
     direct factorization.
 
-    The squarefree loop runs for each t.  Every t whose T_ell^n - t is
-    squarefree joins one distinct-degree split of the stack of moduli
-    T_ell^n - t (polys.distinct_degree_counts with shifts), which differ
-    only in their constant term; the parts of the other t are split one
-    at a time.  Equal-degree splitting is never needed, since only the
-    pattern is reported.  The ts run in chunks of STACK_CELLS // ell^n
-    (at least one), so a stack holds at most that many rows.  The domain
-    and the degree are checked before the first pattern is asked for.
+    Each t is tested by gcd(T_ell^n - t, T_ell^n') = 1, the derivative
+    formed once.  Every t whose T_ell^n - t is squarefree joins one
+    distinct-degree split of the stack of moduli T_ell^n - t
+    (polys.distinct_degree_counts with shifts), which differ only in
+    their constant term; the other t go through the squarefree loop, and
+    their parts are split one at a time.  Equal-degree splitting is
+    never needed, since only the pattern is reported.  The ts run in
+    chunks of STACK_CELLS // ell^n (at least one), so a stack holds at
+    most that many rows.  The domain and the degree are checked before
+    the first pattern is asked for.
     """
     check_domain(ell, p, n)
     # ell >= 2, so ell^n >= 2^n > DEGREE_CAP once n >= its bit length
@@ -116,20 +118,21 @@ def factor_patterns_actual(ell: int, p: int, n: int,
 def _patterns(f: list[int], p: int, ts: Iterator[int]
               ) -> Iterator[FactorPattern]:
     d = len(f) - 1
+    df = polys.deriv(f, p)
     while chunk := list(islice(ts, max(1, STACK_CELLS // d))):
         entries: list[list[tuple[int, int, int]]] = []
         flat = []  # (index in chunk, t) of the squarefree moduli
         for t in chunk:
             ft = f[:]
             ft[0] = (ft[0] - t) % p
-            parts = polys.squarefree_parts(ft, p)
-            if len(parts) == 1 and parts[0][1] == 1:  # squarefree: stacked
+            if polys.gcd(ft, df, p) == [1]:  # squarefree: stacked
                 flat.append((len(entries), t))
                 entries.append([])
                 continue
-            entries.append([(deg, mult, count) for part, mult in parts
+            entries.append([(deg, mult, count)
+                            for part, mult in polys.squarefree_parts(ft, p)
                             for deg, count in polys.distinct_degree_counts(
-                                part, p).items()])
+                                part, p)[0].items()])
         if flat:
             stack = polys.distinct_degree_counts(f, p, [t for _, t in flat])
             for (i, _), counts in zip(flat, stack):

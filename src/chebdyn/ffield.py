@@ -253,7 +253,7 @@ def _lex_min_irreducible(p: int, n: int) -> tuple[int, ...]:
         for rest in product(range(p), repeat=n - 1):
             f = [c0, *rest, 1]
             if (polys.gcd(f, polys.deriv(f, p), p) == [1]
-                    and polys.distinct_degree_counts(f, p) == {n: 1}):
+                    and polys.distinct_degree_counts(f, p) == [{n: 1}]):
                 return tuple(f[:-1])
     raise ArithmeticError("no irreducible found")  # unreachable
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 
@@ -132,16 +133,6 @@ def _succ_and_weight(ctx: FieldCtx,
     return succ, weight
 
 
-# _cycle_min hands a level of at most this many vertices to plain
-# pointer jumping.  Medians of 9 timings (2-core host, one BLAS thread):
-# on verify_sweep's 97 cores of 1-2,197 vertices, 3.40 ms in all with no
-# handoff, 1.82 ms from 256, 1.66 ms from 1024, 1.64 ms from 4096; on
-# graph_large's cores of 80-97 k vertices and G(2, 3, 12)'s of 149 k,
-# every threshold up to 4096 fell within the spread of the repeats, and
-# 16384 was 10-20% slower on G(2, 3, 10) and G(2, 3, 12).
-_JUMP_BELOW = 1 << 12
-
-
 def _cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """F over verts, a sorted vertex set closed under succ: F(v) is the
     least index among v, succ(v), succ^2(v), ..., the cycle minimum when
@@ -163,17 +154,15 @@ def _cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
     On a cycle of P the recurrences alone do not pin F down.  What does
     is that the walk from u up to P(u) holds F(u) only if V(u) = F(u),
-    true on the first level and kept by each contraction.  So plain
-    jumping on the last level, until its rounds span the level, gives F
-    exactly; and since each level's P jumps at least 4 times as far as
-    the last one's, once P reaches len(verts) steps of succ, past every
-    iterate, V is F already.
+    true on the first level and kept by each contraction.  Each level's
+    P jumps at least 4 times as far as the last one's, so once P reaches
+    len(verts) steps of succ the walk up to P(u) passes every iterate of
+    u, and V is F already.  The levels contract until then.
 
-    Levels of at most _JUMP_BELOW vertices are jumped to the end.  On
-    monotone cycles, and on fixed points, the window minima keep nearly
-    every vertex and only the growing jump ends the contraction: at most
-    ceil(log_4(len(verts))) levels of two rounds each, the rounds of plain
-    jumping over len(verts), plus one contraction a level.
+    On monotone cycles, and on fixed points, the window minima keep
+    nearly every vertex and only the growing jump ends the contraction:
+    at most ceil(log_4(len(verts))) levels of two rounds and one
+    contraction each.
     """
     size = verts.size
     pos = np.empty(succ.size, dtype=np.int32)
@@ -187,7 +176,7 @@ def _cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:
     # plain jumping would
     levels = []
     stride = 1
-    while ptr.size > _JUMP_BELOW and stride < size:
+    while stride < size:
         low = val[ptr]
         np.minimum(low, val, out=low)
         del val
@@ -210,12 +199,6 @@ def _cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:
         del ahead
         levels.append((low, keep))
         del low, keep
-    if stride < size:
-        span = 1
-        while span < val.size:
-            np.minimum(val, val[ptr], out=val)
-            ptr = ptr[ptr]
-            span *= 2
     del ptr
     while levels:
         low, keep = levels.pop()
@@ -617,13 +600,15 @@ _PALETTE = ("#2e7d32", "#8d6e63", "#c62828", "#7b1fa2", "#1565c0",
             "#9e9d24", "#ad1457")
 
 
-def export_dot(g: FuncGraph, component_filter: int | None = None) -> str:
-    """Graphviz text for the whole graph or the components whose cycle
-    carries the given prime-to-ell divisor."""
+def export_dot(g: FuncGraph, out: TextIO,
+               component_filter: int | None = None) -> None:
+    """Write Graphviz text for the whole graph, or the components whose
+    cycle carries the given prime-to-ell divisor, to the text stream out,
+    one FieldCtx.BLOCK of vertices at a time: the text of the whole graph
+    is never held at once."""
     q = g.q
-    if component_filter is None:
-        keep = np.ones(q, dtype=bool)
-    else:
+    keep = None
+    if component_filter is not None:
         core_mask = g.pper == 0
         # the prime-to-ell part of each class's order
         d0 = np.array([d // g.ell ** nu(d, g.ell)
@@ -642,13 +627,19 @@ def export_dot(g: FuncGraph, component_filter: int | None = None) -> str:
         slot = round(2 * math.log(w / mu) / math.log(g.ell)) if w > 0 else 0
         return _PALETTE[slot % len(_PALETTE)]
 
-    lines = ["digraph chebgraph {", "  node [style=filled];"]
-    for i in range(q):
-        if keep[i]:
-            lines.append(f'  "{i}" [label="{i}", '
-                         f'fillcolor="{color(int(g.weight[i]))}"];')
-    for i in range(q):
-        if keep[i]:
-            lines.append(f'  "{i}" -> "{int(g.succ[i])}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def blocks():
+        """The kept vertices, a block of indices at a time."""
+        for lo in range(0, q, g.ctx.BLOCK):
+            hi = min(lo + g.ctx.BLOCK, q)
+            yield (np.arange(lo, hi) if keep is None
+                   else np.flatnonzero(keep[lo:hi]) + lo)
+
+    out.write("digraph chebgraph {\n  node [style=filled];\n")
+    for idx in blocks():
+        out.write("".join(
+            f'  "{i}" [label="{i}", fillcolor="{color(w)}"];\n'
+            for i, w in zip(idx.tolist(), g.weight[idx].tolist())))
+    for idx in blocks():
+        out.write("".join(f'  "{i}" -> "{j}";\n'
+                          for i, j in zip(idx.tolist(), g.succ[idx].tolist())))
+    out.write("}\n")

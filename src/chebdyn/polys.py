@@ -20,8 +20,9 @@ gcd is one Euclid in two step engines: int64 numpy divisions with
 delayed reduction while the divisor is long and p < 2^31, the exact list
 loop for short divisors and every larger p; it is where kernel residues
 become ints.  Exact divisions stay on the list routines.
-Factoring has one path per step: the characteristic-p squarefree loop,
-whose p-th-root step also covers f' = 0, and the baby-step giant-step
+Factoring has one path per step: gcd(f, f') = 1 tests squarefreeness,
+the characteristic-p squarefree loop, whose p-th-root step also covers
+f' = 0, splits what fails the test, and the baby-step giant-step
 distinct-degree split at every degree >= 2, by one tree over the degree
 range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
 when e | k = js - i, so one gcd with the product of every V_k, k <= K,
@@ -345,16 +346,16 @@ FFT_ROWS = 8
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.convolve of two vectors, or of each row of a with the same row
-    of b."""
-    if a.ndim == 1:
-        return np.convolve(a, b)
+    """np.convolve of each row of a with the same row of b; one call for a
+    stack of one row."""
+    if len(a) == 1:
+        return np.convolve(a[0], b[0])[None]
     return np.array(list(map(np.convolve, a, b)))
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The exact products of two stacks of float64 residues mod p, row by
-    row (or of two vectors), before their reduction: every coefficient an
+    row, before their reduction: every coefficient an
     integer in [0, 2^53], and at most m (p - 1)^2 when the residues go
     whole.
 
@@ -373,7 +374,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if m > n:
         a, b, m, n = b, a, n, m
     w = (fft_limb_width(m, n, p)
-         if m >= FFT_LENGTH or a.ndim == 2 and len(a) >= FFT_ROWS else None)
+         if m >= FFT_LENGTH or len(a) >= FFT_ROWS else None)
     fft = w is not None
     if not fft:
         w = limb_width(m, p)
@@ -399,9 +400,9 @@ class ModulusKernel:
     one row for each c in shifts.
 
     Residues are (len(shifts), d) float64 stacks from end to end, row r a
-    residue mod f - shifts[r], or plain vectors of length d for a kernel
-    of one row; gcd takes a row as it is and converts it to ints.  A
-    product is _product's one float64 product of two stacks.
+    residue mod f - shifts[r], one row for a kernel of one modulus; gcd
+    takes a row as it is and converts it to ints.  A product is
+    _product's one float64 product of two stacks.
     Reduction rests on R_j = x^(d+j) mod f and Q_j = x^(d+j) div f for
     j <= d - 2, so deg Q_j = j < d.  Since f = c mod (f - c), a product A
     of degree <= 2d - 2 reduces exactly as
@@ -618,12 +619,11 @@ def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n else 0
 
 
-def distinct_degree_counts(f: Poly, p: int,
-                           shifts: Sequence[int] | None = None
-                           ) -> dict[int, int] | list[dict[int, int]]:
-    """{degree: number of irreducible factors} for squarefree monic f; with
-    shifts, the list of those counts for f - c, c in shifts, each of them
-    squarefree.
+def distinct_degree_counts(f: Poly, p: int, shifts: Sequence[int] = (0,)
+                           ) -> list[dict[int, int]]:
+    """[{degree: number of irreducible factors}] of f - c for each c in
+    shifts, f monic and each f - c squarefree; one dict, of f itself, by
+    default.
 
     Baby-step giant-step (von zur Gathen & Shoup 1992) whose gcds split
     one tree over the degree range, after Shoup's interval partition
@@ -676,16 +676,14 @@ def distinct_degree_counts(f: Poly, p: int,
     powers of each h once.
     """
     d = degree(f)
-    cs = [0] if shifts is None else list(shifts)
+    cs = list(shifts)
     if d <= 1 or not cs:
-        counts = [{1: 1} if d == 1 else {} for _ in cs]
-        return counts if shifts is not None else counts[0]
+        return [{1: 1} if d == 1 else {} for _ in cs]
     base = f[:]
     base[0] = (base[0] - cs[0]) % p
     ker = ModulusKernel(base, p, [c - cs[0] for c in cs])
-    # one modulus runs on plain vectors, a stack on (rows, d) arrays
-    x = np.zeros((len(cs), d) if len(cs) > 1 else d)
-    x[..., 1] = 1
+    x = np.zeros((len(cs), d))
+    x[:, 1] = 1
     s = _ceil_sqrt(d // 2) if d >= 6 else 1
     # x^(p^(i+1)) is x^(p^i) composed with x^p, or its p-th power.
     # Composing wins from p > 4d on at every degree measured.  Measured
@@ -734,11 +732,11 @@ def distinct_degree_counts(f: Poly, p: int,
         giant.append(ker.compose(giant[-1], baby[s]))
     counts = []
     for r, c in enumerate(cs):
-        one = slice(r, r + 1) if x.ndim == 2 else ...
+        one = slice(r, r + 1)
         row = None  # the row's kernel, made on first use
         fc = f[:]
         fc[0] = (fc[0] - c) % p
-        g = gcd(whole[one].ravel(), fc, p)
+        g = gcd(whole[r], fc, p)
         rest = d - degree(g)  # (f - c) / G: one factor of degree > K, or none
         out: dict[int, int] = {}
         stack = [(1, top + 1, g)]
@@ -760,10 +758,10 @@ def distinct_degree_counts(f: Poly, p: int,
                 mid = max(lo + s, (mid - 1) // s * s + 1)
             if row is None:
                 row = ker.row(r)
-            left = gcd(product(row, one, lo, mid).ravel(), g, p)
+            left = gcd(product(row, one, lo, mid)[0], g, p)
             stack.append((mid, hi, divmod_(g, left, p)[0]))
             stack.append((lo, mid, left))
         if rest:
             out[rest] = 1
         counts.append(out)
-    return counts if shifts is not None else counts[0]
+    return counts

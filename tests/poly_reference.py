@@ -71,9 +71,9 @@ def to_lists(v: np.ndarray) -> list[Poly]:
 
 
 def to_list(v: np.ndarray) -> Poly:
-    """A one-row ModulusKernel residue stack, or a residue vector, as a
-    trimmed coefficient list."""
-    (row,) = to_lists(np.atleast_2d(v))
+    """A one-row ModulusKernel residue stack as a trimmed coefficient
+    list."""
+    (row,) = to_lists(v)
     return row
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import chebdyn
+from chebdyn import cli
 from chebdyn.cli import main
 from chebdyn.factor import DEGREE_CAP
 from chebdyn.ffield import is_prime
@@ -77,6 +78,24 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     obj = json.loads(out_path.read_text())
     assert obj["params"]["v"] == 3 and obj["params"]["D1"] == 54
+
+
+@pytest.mark.parametrize("argv", (["density", "--ell", "3", "--p", "5",
+                                   "--out"],
+                                  ["graph", "--ell", "3", "--p", "5", "--dot"]),
+                         ids=("out", "dot"))
+def test_unwritable_output_path_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # a usage error, named on one stderr line; the DOT path is opened
+    # before the graph is built
+    path = tmp_path / "missing" / "x.txt"
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("graph built for an unwritable DOT path")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(path) in err, err
 
 
 def test_verify_exit_and_phrase(capsys):

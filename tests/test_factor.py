@@ -5,7 +5,7 @@ from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_list
 
-from chebdyn import factor, ffield
+from chebdyn import factor, ffield, polys
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.factor import (DecompReport, FactorPattern,
                             all_iterates_irreducible, classify_t,
@@ -229,6 +229,17 @@ def test_decompose_classifies_t_once(monkeypatch):
     assert len(rep.levels) == 5
     # the witness is classified at its own prime
     assert sorted(calls) == [(2, 3, 105), (2, 13, 105)]
+
+
+@pytest.mark.parametrize("ell,p,n", ((3, 53, 2), (2, 13, 3)))
+def test_squarefree_loop_runs_where_the_gcd_test_fails(ell, p, n,
+                                                      monkeypatch):
+    # T_ell^n - t has a repeated root only at t = T_ell^j(c), c a critical
+    # value of T_ell: t = +-2 in both fields, the two calls of the loop
+    calls = _record_calls(monkeypatch, polys, "squarefree_parts")
+    got = list(factor_patterns_actual(ell, p, n, range(p)))
+    assert got == [factor_pattern_predicted(ell, p, n, t) for t in range(p)]
+    assert len(calls) == 2
 
 
 def test_decompose_cyclotomic_z2():

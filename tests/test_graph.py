@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import os
 import random
 import tracemalloc
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.ffield import FieldCtx, element_degree, make_field
-from chebdyn.graph import (_JUMP_BELOW, _cycle_min, build_graph, export_dot,
+from chebdyn.graph import (_cycle_min, build_graph, export_dot,
                            orbit_stats_order, summarize, verify_structure)
 from chebdyn.predict import predict_summary
 from structure_reference import (SHAPES, full_succ, functional_graph,
@@ -127,18 +129,18 @@ def test_summarize_memory_per_vertex():
     assert peak / g.q <= 4, peak / g.q
 
 
-# sizes on both sides of the handoff to plain jumping; 17 and 1025 are
-# one past a power of two, where plain jumping needs its last round
-CYCLE_MIN_SIZES = (1, 2, 3, 5, 17, 1025, _JUMP_BELOW - 1, _JUMP_BELOW,
-                   _JUMP_BELOW + 1, 4 * _JUMP_BELOW + 3, 5 * _JUMP_BELOW)
+# sizes one past, at and one short of a power of two (17, 1025, 4097,
+# 4096, 4095), and 16387 = 4^7 + 3 and 20480, past a power of four, where
+# the contraction needs one more level before its jump spans the set
+CYCLE_MIN_SIZES = (1, 2, 3, 5, 17, 1025, 4095, 4096, 4097, 16387, 20480)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @settings(max_examples=12, deadline=None)
 @given(size=st.sampled_from(CYCLE_MIN_SIZES), seed=st.integers(0, 2 ** 32 - 1))
 @example(size=17, seed=0)
-@example(size=_JUMP_BELOW + 1, seed=0)
-@example(size=5 * _JUMP_BELOW, seed=0)
+@example(size=4097, seed=0)
+@example(size=20480, seed=0)
 def test_cycle_min_matches_cycle_walk(shape, size, seed):
     # monotone cycles and fixed points keep nearly every vertex at each
     # contraction, so only the growing jump ends it; a rho puts tails in
@@ -550,9 +552,15 @@ def test_verify_structure_keeps_labels_apart_from_special_roots():
     assert failed[0][0].startswith(f"component of {g.comp[v]} "), failed
 
 
+def dot_text(g, component_filter=None) -> str:
+    out = io.StringIO()
+    export_dot(g, out, component_filter)
+    return out.getvalue()
+
+
 def test_export_dot_f3():
     g = build_graph(2, make_field(3, 1))
-    dot = export_dot(g)
+    dot = dot_text(g)
     assert dot.count("label=") == 3
     for edge in ('"0" -> "1"', '"1" -> "2"', '"2" -> "2"'):
         assert edge in dot
@@ -561,20 +569,37 @@ def test_export_dot_f3():
 def test_export_dot_component_filter():
     # the divisor-15 component of G(2,29,1): a 4-cycle with one leaf each
     g = build_graph(2, make_field(29, 1))
-    dot = export_dot(g, 15)
+    dot = dot_text(g, 15)
     nodes = [ln for ln in dot.splitlines() if "label=" in ln]
     edges = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(nodes) == 8 and len(edges) == 8
     with pytest.raises(ValueError):
-        export_dot(g, 999)
+        dot_text(g, 999)
 
 
 def test_export_dot_node_count_unfiltered():
     g = build_graph(2, make_field(7, 2))
-    dot = export_dot(g)
+    dot = dot_text(g)
     assert dot.count("label=") == 49
 
 
 def test_export_dot_deterministic():
     g = build_graph(2, make_field(13, 1))
-    assert export_dot(g) == export_dot(g)
+    assert dot_text(g) == dot_text(g)
+
+
+def test_export_dot_memory_does_not_grow_with_q(monkeypatch):
+    # the DOT text goes out a block at a time, so the export's traced peak
+    # is one block's, at ten times the vertices; small blocks keep it fast
+    graphs = [build_graph(3, make_field(p, 1)) for p in (2003, 20011)]
+    monkeypatch.setattr(FieldCtx, "BLOCK", 1 << 8)
+    peaks = []
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for g in graphs:
+            tracemalloc.start()
+            try:
+                export_dot(g, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

@@ -74,11 +74,10 @@ def order_tables_equal_gcd_formula():
 
 
 def cycle_min_equals_cycle_walk():
-    """_cycle_min against the sequential walk: a cycle one past a power
-    of two, below the handoff, and a long cycle and a rho above it."""
-    for shape, size in (("increasing", 17),
-                        ("long_cycle", 5 * graph._JUMP_BELOW),
-                        ("rho", graph._JUMP_BELOW + 1)):
+    """_cycle_min against the sequential walk: a monotone cycle one past
+    a power of two, a long cycle and a rho."""
+    for shape, size in (("increasing", 17), ("long_cycle", 20480),
+                        ("rho", 4097)):
         succ, verts = functional_graph(shape, size, 0)
         got = graph._cycle_min(succ, verts)
         assert np.array_equal(got, reference_cycle_min(succ, verts)), (
@@ -129,12 +128,22 @@ def stacked_patterns_equal_one_t():
         assert got == want, (ell, p, n)
 
 
+def patterns_equal_closed_form():
+    """Every t of G(3, 13, 2) and G(2, 29, 3) by factoring against the
+    closed form: in each field T_ell^n - t is not squarefree at t = +-2."""
+    for ell, p, n in ((3, 13, 2), (2, 29, 3)):
+        got = list(factor.factor_patterns_actual(ell, p, n, range(p)))
+        want = [factor.factor_pattern_predicted(ell, p, n, t)
+                for t in range(p)]
+        assert got == want, (ell, p, n)
+
+
 DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              order_tables_equal_gcd_formula,
              cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
              ddf_counts_two_of_each_degree, moduli_are_pinned,
-             stacked_patterns_equal_one_t)
+             stacked_patterns_equal_one_t, patterns_equal_closed_form)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -195,11 +204,10 @@ MUTANTS = {
         graph, "_cycle_min",
         [("    while levels:\n", "    while len(levels) > 1:\n")],
         cycle_min_equals_cycle_walk),
-    # plain jumping after the handoff one round short at 2^k + 1 vertices
-    "handoff_jumps_one_short": (
+    # the contraction stopped once the jump spans half the set
+    "contraction_stops_at_half_span": (
         graph, "_cycle_min",
-        [("        while span < val.size:\n",
-          "        while span < val.size - 1:\n")],
+        [("    while stride < size:\n", "    while 2 * stride < size:\n")],
         cycle_min_equals_cycle_walk),
     # the trees over +-2 given the height of their branch, not lambda_m
     "special_height_from_branch": (
@@ -250,9 +258,14 @@ MUTANTS = {
     # one factor of degree n
     "modulus_any_split": (
         ffield, "_lex_min_irreducible",
-        [("polys.distinct_degree_counts(f, p) == {n: 1}",
-          "polys.distinct_degree_counts(f, p)")],
+        [("polys.distinct_degree_counts(f, p) == [{n: 1}]",
+          "polys.distinct_degree_counts(f, p)[0]")],
         moduli_are_pinned),
+    # every t stacked for the distinct-degree split, squarefree or not
+    "patterns_skip_squarefree_test": (
+        factor, "_patterns",
+        [("if polys.gcd(ft, df, p) == [1]:", "if True:")],
+        patterns_equal_closed_form),
 }
 
 
