@@ -13,8 +13,8 @@ from .cheb import (CriticalSplit, SignedFactoredInt, cheb_coeffs, cheb_eval,
 from .factor import (DecompReport, FactorPattern, LevelDecomp, TClass,
                      all_iterates_irreducible, classify_t, decompose_prime,
                      factor_pattern_actual, factor_pattern_predicted,
-                     factor_patterns_actual, find_irreducibility_witness,
-                     verify_reciprocity)
+                     factor_patterns_actual, factor_patterns_predicted,
+                     find_irreducibility_witness, verify_reciprocity)
 from .ffield import (MINUS, PLUS, Branch, FactoredInt, FFElem, FieldCtx,
                      alpha_order, element_degree, factor_int, is_prime,
                      make_field)
@@ -39,6 +39,7 @@ __all__ = [
     "critical_factorization", "decompose_prime", "disc_factored",
     "element_degree", "export_dot", "factor_int", "factor_pattern_actual",
     "factor_pattern_predicted", "factor_patterns_actual",
+    "factor_patterns_predicted",
     "find_irreducibility_witness", "half_order",
     "is_prime", "iterate_coeffs", "make_field",
     "nu_2n", "orbit_stats_order", "periodic_density", "predict_summary",

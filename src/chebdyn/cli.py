@@ -13,7 +13,9 @@ Each subcommand is one function of the parsed arguments returning
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -171,12 +173,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that open(path, "w") would raise for a path that
+    cannot be written (a missing or unwritable directory, a directory, an
+    unwritable file), without creating the file: --out is checked before
+    any work, and written only once the subcommand has answered."""
+    def fail(code):
+        raise OSError(code, os.strerror(code), path)
+
+    if os.path.isdir(path):
+        fail(errno.EISDIR)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        fail(errno.ENOENT if not os.path.exists(folder) else errno.ENOTDIR)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        fail(errno.EACCES)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:
+            _check_writable(args.out)
         obj, text, code = args.run(args)
         if args.format == "json":
             text = json.dumps(obj, indent=2, sort_keys=True)

@@ -25,26 +25,37 @@ __all__ = [
     "factor_patterns_actual",
     "classify_t",
     "factor_pattern_predicted",
+    "factor_patterns_predicted",
     "all_iterates_irreducible",
     "decompose_prime",
     "verify_reciprocity",
     "DEGREE_CAP",
 ]
 
-# The largest ell^n factor_pattern_actual takes.  Near it, at t = 1, on a
-# 2-core host with one BLAS thread (one fresh process per run):
-# (ell, p, n) = (2, 3, 12) 3.2 s, (3, 5, 7) 4.2 s, (5, 3, 5) 1.7 s and
-# (2, 11, 12) 41.0 s, against 4.0-4.3, 5.2-6.5, 2.4 and 41.6-42.0 s with
-# a distinct-degree split of one gcd per block.
+# The largest ell^n factor_pattern_actual takes.  Near it, on a 2-core
+# host with one BLAS thread, one fresh process a run, time and peak RSS
+# with the kernel's products stacked (pairwise block and range products,
+# the reduction table by blocks, x^p from its monomial head), against one
+# product at a time, in one session; factor_pattern_actual(ell, p, n, t)
+# at (ell, p, n, t) and one verify:
+#   (2, 3, 12, 0)               18.0 s  183.6 MiB   42.8 s  189.4 MiB
+#   (2, 3, 12, 1)                1.9 s   71.0 MiB    3.4 s   72.5 MiB
+#   (3, 5, 7, 1)                 2.9 s   78.1 MiB    4.5 s   78.4 MiB
+#   (2, 11, 12, 1)              21.8 s  183.6 MiB   42.0 s  189.5 MiB
+#   (2, 13, 12, 105)            22.6 s  183.7 MiB   44.6 s  189.5 MiB
+#   verify --ell 2 --p 3 --n 14 29.8 s  323 MiB     53.0 s  327 MiB
 DEGREE_CAP = 1 << 12
 # The rows x degree of one stacked distinct-degree split.  The split keeps
-# about 2 J + 2 s + isqrt(d s) residues a row (polys.distinct_degree_counts)
+# about 2 J + 3 s + isqrt(d s) residues a row (polys.distinct_degree_counts)
 # besides the kernel's d^2 or 2 d^2 floats, so the bound caps the stored
 # powers; every t of a field with p <= 31 at degree <= 256 fits one stack.
-# Traced peaks of one full stack (tracemalloc, squarefree t): 1.8 MiB at
-# d = 3 (5,461 rows), 3.8 MiB at d = 9 (1,820), 10.7 MiB at d = 81 (202),
-# 22.4 MiB at d = 243 (67) and 44.2 MiB at d = 729 (22); 104 MiB at
-# d = 2187 (3 rows, the most p = 5 has), of which R and Q take 73 MiB.
+# Traced peaks of one full stack of T_3^n - t (tracemalloc, t < rows, p =
+# 10007 but at d = 2187, p = 5), with the block products by pairwise
+# trees: 4.2 MiB at d = 3 (5,461 rows), 3.9 MiB at d = 9 (1,820), 10.3
+# MiB at d = 81 (202), 16.9 MiB at d = 243 (67), 41.6 MiB at d = 729
+# (22) and 103.2 MiB at d = 2187 (5), of which R and Q take 73 MiB;
+# against 4.2, 4.1, 10.7, 22.1, 53.6 and 104.1 MiB with one product at
+# a time.
 STACK_CELLS = 1 << 14
 # Largest prime find_irreducibility_witness tries.
 WITNESS_BOUND = 1000
@@ -164,21 +175,29 @@ class TClass:
 
 
 def classify_t(ell: int, p: int, t: int) -> TClass:
-    params = structure_params(ell, p, 1)  # checks the domain first
-    tbar = t % p
-    ordv, _ = alpha_order(make_field(p, 1).from_int(tbar))
-    rho = nu(ordv, ell)
-    d0 = ordv // ell ** rho
-    if params.d1 % d0 == 0:
-        branch = D1
-    elif params.d2 % d0 == 0:
-        branch = D2
-    else:
-        raise ArithmeticError(f"cycle divisor {d0} divides neither "
-                              f"D1={params.d1} nor D2={params.d2}")
-    special = tbar in (2 % p, (-2) % p) or (ell == 2 and tbar == 0)
-    return TClass(ell, p, tbar, rho, branch, special, d0, params.v,
-                  params.mu)
+    return next(_classes(structure_params(ell, p, 1), (t,)))  # domain first
+
+
+def _classes(params, ts: Iterable[int]) -> Iterator[TClass]:
+    """The class of each t in ts, with (ell, p) proved and its invariants
+    derived once, in params = structure_params(ell, p, 1)."""
+    ell, p = params.ell, params.p
+    ctx = make_field(p, 1)
+    specials = (2 % p, (-2) % p) + ((0,) if ell == 2 else ())
+    for t in ts:
+        tbar = t % p
+        ordv, _ = alpha_order(ctx.from_int(tbar))
+        rho = nu(ordv, ell)
+        d0 = ordv // ell ** rho
+        if params.d1 % d0 == 0:
+            branch = D1
+        elif params.d2 % d0 == 0:
+            branch = D2
+        else:
+            raise ArithmeticError(f"cycle divisor {d0} divides neither "
+                                  f"D1={params.d1} nor D2={params.d2}")
+        yield TClass(ell, p, tbar, rho, branch, tbar in specials, d0,
+                     params.v, params.mu)
 
 
 def _geom_sum(ell: int, kmax: int) -> int:
@@ -189,8 +208,27 @@ def _geom_sum(ell: int, kmax: int) -> int:
 def factor_pattern_predicted(ell: int, p: int, n: int, t: int) -> FactorPattern:
     """Pattern of T_ell^n(x) - t mod p from the closed-form case analysis:
     no polynomial arithmetic, only the class of t mod p."""
-    check_domain(n=n)  # classify_t checks ell and p
-    return _predicted(classify_t(ell, p, t), n)
+    return next(factor_patterns_predicted(ell, p, n, (t,)))
+
+
+def factor_patterns_predicted(ell: int, p: int, n: int, ts: Iterable[int]
+                              ) -> Iterator[FactorPattern]:
+    """The closed-form pattern of T_ell^n(x) - t mod p for each t in ts, in
+    order, with (ell, p) proved once and the case analysis run once per
+    class key: the pattern reads t only through its class, and t itself
+    only at the special values, which the key holds.  The domain is
+    checked before the first pattern is asked for."""
+    check_domain(n=n)
+    classes = _classes(structure_params(ell, p, 1), ts)  # checks ell, p
+    seen: dict[tuple, FactorPattern] = {}
+
+    def pattern(cls: TClass) -> FactorPattern:
+        key = (cls.rho, cls.branch, cls.tbar if cls.is_special else -1)
+        if key not in seen:
+            seen[key] = _predicted(cls, n)
+        return seen[key]
+
+    return map(pattern, classes)
 
 
 def _predicted(cls: TClass, n: int) -> FactorPattern:

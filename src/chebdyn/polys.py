@@ -16,6 +16,14 @@ product of length 2^k from there on, exact while Percival's error
 bound, assumed to hold for numpy's transform, stays below 1/2,
 m n ((B - 1) (p - 1) (16k + 3))^2 < 2^104 (fft_limb_width).  Sums are
 reduced as x - p floor(x / p), exact for integers 0 <= x <= 2^53 (_mod).
+The kernel stacks its independent products, so that each reads the
+reduction matrix once for many rows (one matrix product, not one
+matrix-vector product a row): a product of s residues is a pairwise
+tree, each level one stacked mulmod (tree_product); the reduction table
+is built a block of ceil(sqrt(d)) rows at a time, each block one matrix
+product with the first (_fill_rows); and x^p starts from its monomial
+head, x^e0 for e0 the longest prefix of p's bits below d, with one
+mulmod a further bit, a squaring or x r times r (x_power).
 gcd is one Euclid in two step engines: int64 numpy divisions with
 delayed reduction while the divisor is long and p < 2^31, the exact list
 loop for short divisors and every larger p; it is where kernel residues
@@ -264,8 +272,24 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     both are exact.  np.fmod and the float % give the
     same residues at a cost that grows with the quotient: on 4,095 entries
     below 2^53 they took 0.4-1.4 ms and 70-95 us against 11-17 us here.
+    The quotient's one array takes every step in place, 63 against 289
+    us with a new array a step at 37,179 entries (a level of
+    tree_product at d = 2187, 2-core host): fewer temporaries keep the
+    stacked products within the peak RSS of one-row ones (DEGREE_CAP).
     """
-    return x - p * np.floor(x / p)
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
+def _sub_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a - b mod p for residues a and b (broadcast), p added in place
+    where the difference is negative: no temporary of the result's size
+    besides a mask."""
+    out = np.subtract(a, b)
+    np.add(out, p, out=out, where=out < 0)
+    return out
 
 
 def _limb_shifts(p: int, w: int) -> range:
@@ -334,23 +358,38 @@ def fft_limb_width(m: int, n: int, p: int) -> int | None:
     return w or None
 
 
-# _product multiplies a stack of at least this many rows through one
-# batched np.fft.rfft at every length; fewer rows take one np.convolve per
-# row below FFT_LENGTH.  Measured on a 2-core host, one BLAS thread, per
-# product of two stacks of residues mod 31 (best of 3 x 20 calls), per-row
-# np.convolve against the batched rfft: at d = 9, 8-18 against 29-32 us
-# for 2 to 5 rows, 20 against 22 at 10 and 56 against 28 at 30; at d = 81,
-# 10-25 against 24-33 us for 2 to 5 rows, 52 against 43 at 10 and 198
-# against 118 at 30; at d = 243, 535 against 248 us for 31 rows.
+# _product multiplies a stack of at least this many rows (every leading
+# axis counted) through one batched np.fft.rfft at every length; fewer
+# rows take one np.convolve per row below FFT_LENGTH.  Measured on a
+# 2-core host, one BLAS thread, per product of two stacks of residues mod
+# 31 (best of 3 x 20 calls), per-row np.convolve against the batched
+# rfft: at d = 9, 8-18 against 29-32 us for 2 to 5 rows, 20 against 22 at
+# 10 and 56 against 28 at 30; at d = 81, 10-25 against 24-33 us for 2 to
+# 5 rows, 52 against 43 at 10 and 198 against 118 at 30; at d = 243, 535
+# against 248 us for 31 rows.
 FFT_ROWS = 8
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.convolve of each row of a with the same row of b; one call for a
-    stack of one row."""
+    """np.convolve of each row of a with the same row of b, every leading
+    axis flattened into rows; one call for a stack of one row."""
+    if a.ndim > 2:
+        out = _convolve(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+        return out.reshape(a.shape[:-1] + out.shape[-1:])
     if len(a) == 1:
         return np.convolve(a[0], b[0])[None]
     return np.array(list(map(np.convolve, a, b)))
+
+
+def _matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for a matrix m, every leading axis of a flattened into one
+    matrix product: numpy's stacked @ runs one product per leading index
+    (218 against 56 us for an (11, 1, 243) stack, 2-core host)."""
+    if a.ndim == 2:
+        return a @ m
+    lead = a.shape[:-1]
+    return (a.reshape(math.prod(lead), a.shape[-1]) @ m).reshape(
+        lead + m.shape[-1:])
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -374,7 +413,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if m > n:
         a, b, m, n = b, a, n, m
     w = (fft_limb_width(m, n, p)
-         if m >= FFT_LENGTH or len(a) >= FFT_ROWS else None)
+         if m >= FFT_LENGTH or a.size // m >= FFT_ROWS else None)
     fft = w is not None
     if not fft:
         w = limb_width(m, p)
@@ -382,17 +421,27 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             return _convolve(a, b)
     limbs = _limbs(a, _limb_shifts(p, w or (p - 1).bit_length()))
     if fft:
+        # in place where the spectra allow: a stack's transforms are the
+        # largest temporaries of a mulmod
         size = 1 << (m + n - 2).bit_length()
         fb = np.fft.rfft(b, size)
-        parts = [np.rint(np.fft.irfft(
-            (fb if limb is b else np.fft.rfft(limb, size)) * fb,
-            size)[..., :m + n - 1]) for limb in limbs]
+        parts = []
+        for limb in limbs:
+            spec = fb.copy() if limb is b else np.fft.rfft(limb, size)
+            spec *= fb
+            part = np.fft.irfft(spec, size)[..., :m + n - 1]
+            del spec
+            parts.append(np.rint(part, out=part))
     else:
         parts = [_convolve(limb, b) for limb in limbs]
     out = parts[0]
     for part in parts[1:]:
         out = _mod(out, p) * 2.0 ** w + part
     return out
+
+
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1 if n else 0
 
 
 class ModulusKernel:
@@ -402,17 +451,19 @@ class ModulusKernel:
     Residues are (len(shifts), d) float64 stacks from end to end, row r a
     residue mod f - shifts[r], one row for a kernel of one modulus; gcd
     takes a row as it is and converts it to ints.  A product is
-    _product's one float64 product of two stacks.
+    _product's one float64 product of two stacks, of residues or of one
+    residue and one of degree d, such as x r, the residue r shifted up.
     Reduction rests on R_j = x^(d+j) mod f and Q_j = x^(d+j) div f for
-    j <= d - 2, so deg Q_j = j < d.  Since f = c mod (f - c), a product A
-    of degree <= 2d - 2 reduces exactly as
+    j <= d - 1, so deg Q_j = j < d.  Since f = c mod (f - c), a product A
+    of degree <= 2d - 1 reduces exactly as
         A mod (f - c) = A_low + sum_j A_(d+j) (R_j + c Q_j),
     with no second reduction: one float64 matrix product of the stack's
     high halves against the rows of R and, only when some shift is
     nonzero, one against the rows of Q, whose sum each row scales by its
     c.  Memory is O(d^2) whatever the number of shifts.
     Every sum has at most d + 1 terms, each a residue below p times a
-    value below B, so it is exact, and _mod reduces it exactly, while
+    value below B (a product with a factor of degree d has d high terms
+    and takes no add), so it is exact, and _mod reduces it exactly, while
     (d + 1) B p <= 2^53; Q holds residues as R does, so every bound here
     holds for both.  When (d + 1) p^2 <= 2^53 the residues are used whole
     (B = p); above that the rows are split into limbs of w bits (B = 2^w,
@@ -435,30 +486,16 @@ class ModulusKernel:
         self.offsets = _limb_shifts(p, w)
         self.limbs = len(self.offsets)
         # the product goes into the rows unreduced while d^2 (p - 1)^3 <=
-        # 2^53: d terms below d (p - 1)^2 times rows below p, plus the
-        # head, stay within 2^53 (and residues go whole on both engines)
+        # 2^53: d - 1 terms below d (p - 1)^2 times rows below p, plus the
+        # head, stay within 2^53, and so do the d terms of a product by
+        # x r, whose coefficient d + j has d - j terms (and residues go
+        # whole on both engines)
         self.lazy = d * d * (p - 1) ** 3 <= FLOAT_EXACT
         self._powers = None  # (h, its baby steps, h^s) of compose
-        self.rows = np.empty((max(d - 1, 0), self.limbs * d))
-        # rows are split into limbs 64 at a time: a split per row costs more
-        # than the row, and one split of all rows triples the peak memory
-        block = np.empty((min(d, 64), d))
-        self.base = row = _mod(-self.f[:d], p)  # x^d mod f
-        for j in range(d - 1):
-            # whole residues add at most (p - 1)^2 a step, so a block of
-            # rows stays below (d + 1) p^2 <= 2^53 unreduced until it is
-            # stored; limb sums are reduced every step
-            if j:
-                row = self._times_x(row)
-                if self.limbs > 1:
-                    row = _mod(row, p)
-            k = j % len(block)
-            block[k] = row
-            if k == len(block) - 1 or j == d - 2:
-                rows = _mod(block[:k + 1], p)
-                self.rows[j - k:j + 1] = self._split(rows)
-                row = rows[-1]
         self.c = self.quot = None  # the shifts as a column, and Q's rows
+        self.base = _mod(-self.f[:d], p)  # x^d mod f
+        self.rows = np.empty((d, self.limbs * d))
+        self._fill_rows()
         if any(shifts):
             self.c = np.array(shifts, dtype=np.float64)[:, None]
             # Q_0 = 1 and Q_(j+1) = x Q_j + top[j], top[j] the x^(d-1) term
@@ -466,10 +503,10 @@ class ModulusKernel:
             # Q_j = sum over i <= j of tau_(j-i) x^i with tau = (1, top[0],
             # top[1], ...): row j is a window of tau reversed, then zeros
             top = self.rows[:, d - 1::d] @ 2.0 ** np.array(self.offsets)
-            tau = np.concatenate(([1.0], top))[:d - 1]
+            tau = np.concatenate(([1.0], top))[:d]
             windows = np.lib.stride_tricks.sliding_window_view(
                 np.concatenate((tau[::-1], np.zeros(d))), d)
-            self.quot = self._split(windows[:d - 1][::-1])
+            self.quot = self._split(np.ascontiguousarray(windows[:d][::-1]))
 
     def row(self, r: int) -> "ModulusKernel":
         """The one-row kernel of f - shifts[r], sharing these tables; the
@@ -492,16 +529,47 @@ class ModulusKernel:
             acc = _mod(acc, self.p) * self.radix + limb * v
         return acc
 
+    def _fill_rows(self) -> None:
+        """R_j = x^(d+j) mod f into self.rows, a block of b = ceil(sqrt(d))
+        rows at a time.
+
+        The first block steps by x (_times_x).  Each later block is x^b
+        times the one before it, x^b R_i = R_(i+b):
+            x^b R_i = (R_i shifted up by b) + sum_(k<b) R_i[d-b+k] R_k,
+        so one (b x b) @ R_(0..b-1) product reduces the whole block, a sum
+        of b + 1 <= d terms within the bounds of mulmod's reduction,
+        limbs included (the shift joins the last limb's sum).  Only the
+        block before is kept whole; self.rows holds the limbs.
+        """
+        d, n = self.d, len(self.rows)
+        b = _ceil_sqrt(d)
+        block = np.empty((b, d))
+        block[0] = self.base
+        for j in range(1, b):
+            block[j] = self._times_x(block[j - 1])
+        self.rows[:b] = self._split(block)
+        low = self.rows[:b]
+        for k in range(b, n, b):
+            m = min(b, n - k)
+            prev = block[:m]  # R_(k-b) .. R_(k-b+m-1)
+            u = prev[:, d - b:] @ low
+            u[:, b - d:] += prev[:, :d - b]  # the shift, in the last limb
+            block = self._recombine(u)
+            self.rows[k:k + m] = self._split(block)
+
     def _times_x(self, r: np.ndarray) -> np.ndarray:
-        """x r mod f, unreduced: r shifted up, with top * (x^d mod f)
-        folded back in, so for a residue r every entry stays below
-        p + 2 B p."""
-        top = float(int(r[-1]) % self.p)
-        return np.concatenate(([0.0], r[:-1])) + self._scale(self.base, top)
+        """x r mod f for a residue vector r at d >= 2: r shifted up, with
+        its top coefficient times x^d mod f folded back in, a sum below
+        p + 2 B p <= (d + 1) B p before its one reduction."""
+        return _mod(np.concatenate(([0.0], r[:-1]))
+                    + self._scale(self.base, r[-1:]), self.p)
 
     def _split(self, m: np.ndarray) -> np.ndarray:
         """The limbs of a matrix of residues side by side along the last
-        axis, top limb first (one limb at shift 0 is the matrix)."""
+        axis, top limb first: the matrix itself, uncopied, for one limb
+        at shift 0."""
+        if self.limbs == 1:
+            return m
         return np.concatenate(_limbs(m, self.offsets), axis=-1)
 
     def _recombine(self, u: np.ndarray, head=0.0) -> np.ndarray:
@@ -517,21 +585,38 @@ class ModulusKernel:
                add: np.ndarray | None = None) -> np.ndarray:
         """a b mod f - c, row by row, or a b + add for a stack of residues
         add, which rides in the one last reduction (every bound above has
-        room for it)."""
+        room for it).  One factor may have degree d (no add then)."""
         d, p = self.d, self.p
         raw = _product(a, b, p)
         if not self.lazy:
             raw = _mod(raw, p)
         head = raw[..., :d] if add is None else raw[..., :d] + add
         high = raw[..., d:]
+        k = high.shape[-1]
         if self.limbs == 1:
-            out = _mod(high @ self.rows + head, p)
+            out = _matmul(high, self.rows[:k])
+            out += head
+            out = _mod(out, p)
         else:
-            out = self._recombine(high @ self.rows, head)
+            out = self._recombine(_matmul(high, self.rows[:k]), head)
         if self.quot is None:
             return out
-        return _mod(out + self._scale(self._recombine(high @ self.quot),
-                                      self.c), p)
+        return _mod(out + self._scale(
+            self._recombine(_matmul(high, self.quot[:k])), self.c), p)
+
+    def tree_product(self, terms: np.ndarray) -> np.ndarray:
+        """The product of a stack of residue stacks along its first axis,
+        by pairwise products: each level multiplies the first half of the
+        stack by the second as one stacked mulmod, an odd last term
+        waiting for the next level.  That is ceil(log2(s)) mulmods of
+        s - 1 products in all, so the reduction matrix is read once a
+        level, not once a product."""
+        while len(terms) > 1:
+            h = len(terms) // 2
+            prod = self.mulmod(terms[:h], terms[h:2 * h])
+            terms = (np.concatenate((prod, terms[2 * h:])) if len(terms) % 2
+                     else prod)
+        return terms[0]
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
         """a^e, left to right from a: for e >= 1 that is bit_length(e) - 1
@@ -547,6 +632,26 @@ class ModulusKernel:
             r = self.mulmod(r, r)
             if bit == "1":
                 r = self.mulmod(r, a)
+        return r
+
+    def x_power(self, e: int) -> np.ndarray:
+        """x^e in every row, for e >= 1, from its monomial head: x^e0 for
+        e0 the longest prefix of e's bits below d, then one mulmod for
+        each further bit, a squaring r r or, where the bit is set, the
+        product of x r (r shifted up, of degree d) by r.  That is
+        bit_length(e) - bit_length(e0) mulmods, against bit_length(e) +
+        popcount(e) - 2 for powmod(x, e)."""
+        d, size = self.d, e.bit_length()
+        k = min(size, (d - 1).bit_length())  # the bits of the head
+        if e >> (size - k) >= d:
+            k -= 1
+        head = e >> (size - k)
+        r = np.zeros((len(self.shifts), d))
+        r[:, head:head + 1] = 1  # none past x^(d-1)
+        zero = np.zeros((len(r), 1))
+        for i in range(size - k - 1, -1, -1):
+            r = self.mulmod(np.concatenate((zero, r), axis=-1)
+                            if e >> i & 1 else r, r)
         return r
 
     def compose(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -615,10 +720,6 @@ def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
     return sorted(out, key=lambda part: part[1])
 
 
-def _ceil_sqrt(n: int) -> int:
-    return math.isqrt(n - 1) + 1 if n else 0
-
-
 def distinct_degree_counts(f: Poly, p: int, shifts: Sequence[int] = (0,)
                            ) -> list[dict[int, int]]:
     """[{degree: number of irreducible factors}] of f - c for each c in
@@ -659,18 +760,22 @@ def distinct_degree_counts(f: Poly, p: int, shifts: Sequence[int] = (0,)
     product is 0 (or at K).  The kernel is built on f - c_0, c_0 the
     first shift, so a stack of one row reduces by x^(d+j) mod f alone.
     Each row is then split by its own tree.  Memory is about
-    (2 J + 2 s + isqrt(d s) + 3) residues a row (the stored powers and
-    compose's table), times the limb count, on top of the kernel's d^2
-    or 2 d^2 floats; the caller bounds the rows.
+    (2 J + 3 s + isqrt(d s) + 3) residues a row (the stored powers, one
+    block's labels and compose's table), times the limb count, on top of
+    the kernel's d^2 or 2 d^2 floats; the caller bounds the rows.
 
     Range products multiply the whole-block products
     P_j = V_(js) V_(js-1) ... V_(js-s+1), so only the giant steps and the
-    J block products are stored.  A node of more than s labels splits at
-    the block start nearest below its middle, and since the root's range
-    starts at one, its left product is then whole blocks.  The tree runs
+    J block products are stored.  Each block product, and each range
+    product of the tree, is one ModulusKernel.tree_product of its terms
+    stacked: about log2(s) stacked mulmods, not s - 1 one-row ones.  A
+    node of more than s labels splits at the block start nearest below
+    its middle, and since the root's range starts at one, its left
+    product is then whole blocks.  The tree runs
     on an explicit stack: a recursive closure would be a reference cycle
     holding the kernel until the next collection.
-    The powers past x^p come by composing with x^p where that measures
+    x^p comes from its monomial head (ModulusKernel.x_power).  The
+    powers past x^p come by composing with x^p where that measures
     faster than powering by p, which is at p > 4 deg; the giant steps
     compose with one h throughout, so ModulusKernel.compose builds the
     powers of each h once.
@@ -694,42 +799,44 @@ def distinct_degree_counts(f: Poly, p: int, shifts: Sequence[int] = (0,)
     # d = 243 1.20, 0.83, 0.92, 0.73, 0.57, 0.55; d = 729 1.89, 1.62,
     # 1.32, 1.06, 0.95, 0.74; d = 2048 2.27, 2.00, 1.40, 1.03, 1.12, 0.86.
     by_compose = p > 4 * d
-    baby = [x, ker.powmod(x, p)]  # baby[i] = x^(p^i)
+    baby = [x, ker.x_power(p)]  # baby[i] = x^(p^i)
     while len(baby) <= s:
         baby.append(ker.compose(baby[-1], baby[1]) if by_compose
                     else ker.powmod(baby[-1], p))
+    # V_(js-i) = x^(p^(js)) - steps[i], i < s
+    steps, step = np.stack(baby[:s]), baby[s]
+    del baby
 
     def label(k: int, r) -> np.ndarray:
         """V_k in the rows r, from the block j = ceil(k / s)."""
         j = -(-k // s)
-        return _mod(giant[j - 1][r] - baby[j * s - k][r], p)
+        return _sub_mod(giant[j - 1][r], steps[j * s - k][r], p)
 
     def product(ker: ModulusKernel, r, lo: int, hi: int
                 ) -> np.ndarray:
         """V_lo V_(lo+1) ... V_(hi-1) in the rows r, ker their kernel."""
-        out, k = None, lo
+        terms, k = [], lo
         while k < hi:
             if (k - 1) % s == 0 and k + s <= hi:
-                term, k = blocks[(k - 1) // s][r], k + s
+                terms.append(blocks[(k - 1) // s][r])
+                k += s
             else:
-                term, k = label(k, r), k + 1
-            out = term if out is None else ker.mulmod(out, term)
-        return out
+                terms.append(label(k, r))
+                k += 1
+        return ker.tree_product(np.stack(terms))
 
-    giant = [baby[s]]  # giant[j - 1] = x^(p^(js))
+    giant = [step]  # giant[j - 1] = x^(p^(js))
     blocks = []  # blocks[j - 1] = P_j
     whole = None  # P_1 P_2 ... P_j
     while True:
         top = len(giant) * s
-        prod = label(top, ...)
-        for k in range(top - 1, top - s, -1):
-            prod = ker.mulmod(prod, label(k, ...))
+        prod = ker.tree_product(_sub_mod(giant[-1], steps, p))
         blocks.append(prod)
         whole = prod if whole is None else ker.mulmod(whole, prod)
         # d < 2 (Js + 1) once Js >= d // 2
         if top >= d // 2 or not whole.any():
             break
-        giant.append(ker.compose(giant[-1], baby[s]))
+        giant.append(ker.compose(giant[-1], step))
     counts = []
     for r, c in enumerate(cs):
         one = slice(r, r + 1)

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .factor import (DEGREE_CAP, factor_pattern_predicted,
-                     factor_patterns_actual)
+from .factor import (DEGREE_CAP, factor_patterns_actual,
+                     factor_patterns_predicted)
 from .ffield import check_domain, make_field, nu
 from .graph import (DEFAULT_CAP, VerifyReport, _divisor_classes,
                     build_graph, summarize, verify_structure)
@@ -44,7 +44,10 @@ def verify_instance(ell: int, p: int, n: int,
     The actual patterns come from one factor_patterns_actual pass over
     every t: the moduli T_ell^m - t differ only in their constant term,
     so one kernel and one run of Frobenius powers serve every t whose
-    modulus is squarefree.  The check names the first differing t.
+    modulus is squarefree.  The predicted ones come from one
+    factor_patterns_predicted pass, which proves (ell, p) once and runs
+    the case analysis once per class.  The check names the first
+    differing t.
     """
     check_domain(ell, p, n, cap)
     rep = VerifyReport(ell, p, n)
@@ -102,8 +105,8 @@ def verify_instance(ell: int, p: int, n: int,
         level -= 1
     mism = None
     actual = factor_patterns_actual(ell, p, level, range(p))
-    for t, ac in enumerate(actual):
-        pr = factor_pattern_predicted(ell, p, level, t)
+    predicted = factor_patterns_predicted(ell, p, level, range(p))
+    for t, (pr, ac) in enumerate(zip(predicted, actual)):
         if pr != ac:
             mism = (t, pr.entries, ac.entries)
             break

@@ -98,6 +98,36 @@ def test_unwritable_output_path_exit_2(argv, tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and str(path) in err, err
 
 
+@pytest.mark.parametrize("where", ("missing", "directory"))
+def test_unwritable_out_refused_before_any_work(where, tmp_path, capsys,
+                                                 monkeypatch):
+    # --out is checked before the subcommand runs: today's one stderr
+    # line, exit 2, and no verification made
+    path = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("verified for an unwritable --out path")
+
+    monkeypatch.setattr(cli, "verify_instance", no_verify)
+    code, out, err = run(capsys, ["verify", "--ell", "3", "--p", "20011",
+                                  "--n", "1", "--out", str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1, err
+    assert err.startswith("cannot write output: ") and str(path) in err, err
+
+
+@pytest.mark.parametrize("argv", (
+    ["verify", "--ell", "3", "--p", "3"],
+    ["factor", "--ell", "2", "--p", "3", "--n", "13", "--t", "0"],
+    ["graph", "--ell", "3", "--p", "53", "--cap", "50"]),
+    ids=("p_is_ell", "degree_cap", "enumeration_cap"))
+def test_refusal_leaves_no_out_file(argv, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, argv + ["--out", str(path)])
+    assert code == 3 and out == "" and err.startswith("refused: "), err
+    assert not path.exists()
+
+
 def test_verify_exit_and_phrase(capsys):
     code, out, _ = run(capsys, ["verify", "--ell", "3", "--p", "53", "--n", "1"])
     assert code == 0

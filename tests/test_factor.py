@@ -223,6 +223,23 @@ def test_a_closed_form_call_proves_ell_and_p_once(ell, p, t, monkeypatch):
     assert calls == [(ell,), (p,)]
 
 
+@pytest.mark.parametrize("ell,p,n", ((2, 13, 3), (2, 29, 2), (3, 53, 2),
+                                     (5, 11, 2), (7, 29, 1)))
+def test_predicted_patterns_prove_ell_and_p_once(ell, p, n, monkeypatch):
+    # every t in one call: ell and p proved once, the case analysis run
+    # once per class key (rho, branch, and t itself where it is special),
+    # and each pattern that of t alone
+    want = [factor_pattern_predicted(ell, p, n, t) for t in range(p)]
+    keys = {(c.rho, c.branch, c.tbar if c.is_special else -1)
+            for c in map(lambda t: classify_t(ell, p, t), range(p))}
+    primes = _record_calls(monkeypatch, ffield, "is_prime")
+    cases = _record_calls(monkeypatch, factor, "_predicted")
+    got = list(factor.factor_patterns_predicted(ell, p, n, range(p)))
+    assert got == want
+    assert primes == [(ell,), (p,)]
+    assert len(cases) == len(keys) < p
+
+
 def test_decompose_classifies_t_once(monkeypatch):
     calls = _record_calls(monkeypatch, factor, "classify_t")
     rep = decompose_prime(2, 105, 13, 5, witness=3)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.ffield import FieldCtx, element_degree, make_field
-from chebdyn.graph import (_cycle_min, build_graph, export_dot,
+from chebdyn.graph import (_cycle_min, _indegree, build_graph, export_dot,
                            orbit_stats_order, summarize, verify_structure)
 from chebdyn.predict import predict_summary
 from structure_reference import (SHAPES, full_succ, functional_graph,
@@ -96,12 +96,30 @@ def test_build_graph_memory_per_vertex():
     assert g.succ.dtype == np.int32 and fr.dtype == np.int32
 
 
-def test_verify_structure_memory_per_vertex():
-    # G(2,3,12): the structure check's traced peak above the built graph,
-    # 40.2 bytes per vertex measured with one rule for every tree (62.9
-    # with a level-by-level search of the special trees), and the bound
-    # leaves 3% above that
-    g = build_graph(2, make_field(3, 12))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_indegree_equals_bincount(shape):
+    # over every vertex and over verts, with blocks that split them
+    # unevenly and one block for all
+    succ, verts = functional_graph(shape, 5000, 7)
+    for block in (1000, 1 << 15):
+        got = _indegree(succ, block)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.bincount(succ, minlength=succ.size))
+        got = _indegree(succ, block, verts)
+        assert np.array_equal(got, np.bincount(succ[verts],
+                                               minlength=succ.size))
+
+
+@pytest.mark.parametrize("ell,p,n,bound", ((2, 3, 12, 38.5),
+                                           (3, 145007, 1, 37.4)))
+def test_verify_structure_memory_per_vertex(ell, p, n, bound):
+    # the structure check's traced peak above the built graph, 37.4 bytes
+    # per vertex measured at G(2,3,12) and 36.3 at G(3, 145007, 1) with
+    # the in-degrees counted as int32 a block at a time (40.2 and 42.5
+    # with np.bincount's intp copy and int64 counts; 62.9 at G(2,3,12)
+    # with a level-by-level search of the special trees); each bound
+    # leaves 3% above its measurement
+    g = build_graph(ell, make_field(p, n))
     tracemalloc.start()
     try:
         rep = verify_structure(g)
@@ -109,7 +127,7 @@ def test_verify_structure_memory_per_vertex():
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert peak / g.q <= 41.5, peak / g.q
+    assert peak / g.q <= bound, peak / g.q
 
 
 def test_summarize_memory_per_vertex():

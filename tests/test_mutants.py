@@ -13,6 +13,7 @@ practicing programmer", IEEE Computer 11(4), 1978.
 
 import __future__
 import inspect
+import random
 import textwrap
 
 import numpy as np
@@ -138,12 +139,64 @@ def patterns_equal_closed_form():
         assert got == want, (ell, p, n)
 
 
+def tree_product_equals_one_at_a_time():
+    """A stack of three residues, then five, by the pairwise tree against
+    one mulmod at a time: the odd term waits a level."""
+    rng = random.Random(3)
+    for count in (3, 5):
+        test_polys.check_tree_product(9, 31, (0, 4), count, rng)
+
+
+def kernel_rows_equal_powers_of_x():
+    """The rows R_j = x^(d+j) mod f at d = 11 (blocks of 4, the last of
+    3) and d = 40 (blocks of 7), whole and in two limbs."""
+    rng = random.Random(4)
+    for d in (11, 40):
+        for p in (31, 10 ** 9 + 7):
+            test_polys.check_kernel_rows(
+                [rng.randrange(p) for _ in range(d)] + [1], p)
+
+
+def x_power_equals_powering():
+    """x^e from its monomial head against powering, at e = 47 and d = 10,
+    whose 4-bit prefix 11 is past d, and at d = 9 and e = p, whole and
+    in two limbs, with a shifted row."""
+    rng = random.Random(5)
+    test_polys.check_x_power(10, 47, (0, 5), 47, rng)
+    for p in (31, 10 ** 9 + 7):
+        test_polys.check_x_power(9, p, (0, 5), p, rng)
+
+
+def rfft_product_exact():
+    """The rfft engine against the exact convolution of two stacks of
+    length FFT_LENGTH + 1, whole residues and in limbs."""
+    rng = random.Random(6)
+    m = polys.FFT_LENGTH + 1
+    for p in (3, 10 ** 6 + 3):
+        a, b = ([[rng.randrange(p) for _ in range(m)] for _ in range(2)]
+                for _ in range(2))
+        want = [(np.convolve(np.array(x, dtype=object),
+                             np.array(y, dtype=object)) % p).tolist()
+                for x, y in zip(a, b)]
+        got = polys._mod(polys._product(np.array(a, dtype=np.float64),
+                                        np.array(b, dtype=np.float64), p), p)
+        assert got.tolist() == want, p
+
+
+fft_limb_width_widest = (
+    test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
+powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
+
+
 DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              order_tables_equal_gcd_formula,
              cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
              ddf_counts_two_of_each_degree, moduli_are_pinned,
-             stacked_patterns_equal_one_t, patterns_equal_closed_form)
+             stacked_patterns_equal_one_t, patterns_equal_closed_form,
+             tree_product_equals_one_at_a_time, kernel_rows_equal_powers_of_x,
+             x_power_equals_powering, rfft_product_exact,
+             fft_limb_width_widest, powmod_counts_products)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -266,6 +319,39 @@ MUTANTS = {
         factor, "_patterns",
         [("if polys.gcd(ft, df, p) == [1]:", "if True:")],
         patterns_equal_closed_form),
+    # the pairwise product drops an odd leftover term
+    "tree_product_drops_odd_term": (
+        polys.ModulusKernel, "tree_product",
+        [("(np.concatenate((prod, terms[2 * h:])) if len(terms) % 2\n"
+          "                 else prod)", "prod")],
+        tree_product_equals_one_at_a_time),
+    # the blocked R reads its previous block one row off
+    "rows_block_one_row_off": (
+        polys.ModulusKernel, "_fill_rows",
+        [("prev = block[:m]", "prev = np.roll(block, -1, axis=0)[:m]")],
+        kernel_rows_equal_powers_of_x),
+    # x^p's head takes one bit too many, e0 >= d
+    "x_power_head_one_bit_long": (
+        polys.ModulusKernel, "x_power",
+        [("if e >> (size - k) >= d:", "if False:")],
+        x_power_equals_powering),
+    # the rfft limb one bit wider than Percival's bound allows
+    "fft_limb_width_one_bit_wide": (
+        polys, "fft_limb_width",
+        [("w = (top + 1).bit_length() - 1", "w = (top + 1).bit_length()")],
+        fft_limb_width_widest),
+    # the rfft product left unrounded
+    "rfft_product_without_rint": (
+        polys, "_product",
+        [("parts.append(np.rint(part, out=part))", "parts.append(part)")],
+        rfft_product_exact),
+    # powmod starting from the unit: a squaring and a product wasted
+    "powmod_from_the_unit": (
+        polys.ModulusKernel, "powmod",
+        [("    r = a\n    for bit in bin(e)[3:]:\n",
+          "    r = np.ones_like(a)\n    r[..., 1:] = 0\n"
+          "    for bit in bin(e)[2:]:\n")],
+        powmod_counts_products),
 }
 
 

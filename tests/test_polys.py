@@ -421,6 +421,57 @@ def test_modulus_kernel_powmod_counts_products():
         assert got == powmod(a, e, f, p), e
 
 
+def kernel_rows(ker):
+    """The rows R_j = x^(d+j) mod f of a ModulusKernel as int lists, their
+    limbs recombined."""
+    n, d = len(ker.rows), ker.d
+    limbs = ker.rows.reshape(n, ker.limbs, d).astype(np.int64)
+    weights = np.array([1 << k for k in ker.offsets], dtype=np.int64)
+    return (limbs * weights[:, None]).sum(axis=1).tolist()
+
+
+def check_kernel_rows(f, p):
+    """Every row of the kernel of f against x^(d+j) mod f: rows that the
+    blocks reduce by the recurrence x R_j = R_(j+1) on the list routines,
+    and the first and last row of each of the first two blocks and the
+    last row by powering (poly_reference)."""
+    ker = polys.ModulusKernel(f, p)
+    d = ker.d
+    got = kernel_rows(ker)
+    assert len(got) == d
+    want, r = [], polys.rem([0] * d + [1], f, p)
+    for _ in range(d):
+        want.append(r + [0] * (d - len(r)))
+        r = polys.rem([0] + r, f, p)
+    assert got == want, (d, p)
+    b = math.isqrt(d - 1) + 1  # the block: ceil(sqrt(d)) rows
+    for j in {0, b - 1, b, 2 * b - 1, d - 1} & set(range(d)):
+        assert polys.trim(got[j][:]) == powmod([0, 1], d + j, f, p), (d, p, j)
+
+
+def check_x_power(d, p, shifts, e, rng):
+    """ModulusKernel.x_power(e) in every row against x^e mod f - c by
+    powering (poly_reference)."""
+    f = [rng.randrange(p) for _ in range(d)] + [1]
+    ker = polys.ModulusKernel(f, p, shifts)
+    got = to_lists(ker.x_power(e))
+    for r, fr in enumerate(moduli(ker)):
+        assert got[r] == powmod([0, 1], e, fr, p), (d, p, shifts, e, r)
+
+
+def check_tree_product(d, p, shifts, count, rng):
+    """ModulusKernel.tree_product of count residue stacks against their
+    product by one mulmod at a time."""
+    f = [rng.randrange(p) for _ in range(d)] + [1]
+    ker = polys.ModulusKernel(f, p, shifts)
+    terms = np.stack([lift(ker, [rng.randrange(p) for _ in range(d)])
+                      for _ in range(count)])
+    want = terms[0]
+    for term in terms[1:]:
+        want = ker.mulmod(want, term)
+    assert np.array_equal(ker.tree_product(terms), want), (d, p, count)
+
+
 def _compose_mod(g, h, f, p):
     """g(h) mod f by Horner on the exact list routines."""
     out = []
@@ -481,6 +532,76 @@ def test_modulus_kernel_exact_up_to_its_bound(data, d, rng):
         assert ab_of[r] == _compose_mod(a, b, fr, p), r
 
 
+@_HYPOTHESIS
+@given(data=st.data(), rng=st.randoms(use_true_random=True))
+def test_kernel_rows_blocked_equal_powers_of_x(data, rng):
+    # R_0 .. R_(d-1) a block of b = ceil(sqrt(d)) rows at a time, with d
+    # not a multiple of b, so the last block is short; p on both sides of
+    # limb_width's bound (d + 1) p^2 <= 2^53, and up to the kernel's
+    d = data.draw(st.integers(3, 160).filter(
+        lambda d: d % (math.isqrt(d - 1) + 1)), label="d")
+    whole = math.isqrt((1 << 53) // (d + 1))
+    p = data.draw(st.one_of(
+        st.sampled_from((3, prevprime(whole + 1), nextprime(whole))),
+        _prime_upto(_kernel_bound(d))), label="p")
+    assert polys.limb_width(d, p) == 0 or p > whole
+    check_kernel_rows([rng.randrange(p) for _ in range(d)] + [1], p)
+
+
+def test_kernel_rows_blocked_at_small_degrees():
+    # every degree up to 40, one block or many, at p = 5 and with limbs
+    rng = random.Random(40)
+    for d in range(1, 41):
+        for p in (5, 10 ** 9 + 7):
+            check_kernel_rows([rng.randrange(p) for _ in range(d)] + [1], p)
+
+
+def test_modulus_kernel_x_power_counts_products():
+    # x^e from the monomial x^e0, e0 the longest prefix of e's bits below
+    # d, and one squaring a further bit; the products by x are folded in
+    # without a mulmod.  At d = 10: e = 47 = 101111b has e0 = 101b = 5, so
+    # 3 mulmods (9 for powmod(x, 47)); e = 3 < d none; e = 10007 =
+    # 10011100010111b has e0 = 1001b = 9, so 10
+    p = 47
+    rng = random.Random(10)
+    f = [rng.randrange(p) for _ in range(10)] + [1]
+    ker = polys.ModulusKernel(f, p, (0, 5))
+    calls = []
+    mulmod = ker.mulmod
+
+    def counted(*args):
+        calls.append(1)
+        return mulmod(*args)
+
+    ker.mulmod = counted
+    for e, want in ((47, 3), (3, 0), (10, 1), (10007, 10)):
+        calls.clear()
+        got = to_lists(ker.x_power(e))
+        assert len(calls) == want, e
+        for r, fr in enumerate(moduli(ker)):
+            assert got[r] == powmod([0, 1], e, fr, p), (e, r)
+
+
+def test_modulus_kernel_x_power_exact():
+    # whole residues and limbs, shifted rows among them, degree 1 up
+    rng = random.Random(11)
+    for d in (1, 2, 3, 9, 10, 33):
+        for p in (3, 47, 10 ** 9 + 7, prevprime(_kernel_bound(d))):
+            for e in {1, d - 1, d, p % (1 << 24), rng.randrange(1, 1 << 24)}:
+                if e >= 1:
+                    check_x_power(d, p, (0, p - 1, rng.randrange(p)), e, rng)
+
+
+def test_tree_product_equals_one_product_at_a_time():
+    # odd and even counts at every level, one row and shifted rows, on
+    # both engines of _product (FFT_ROWS counts the rows of the stack)
+    rng = random.Random(12)
+    for count in range(1, 10):
+        for d, p, shifts in ((9, 31, (0,)), (9, 10 ** 9 + 7, (0, 7)),
+                             (81, 47, (0, 3, 46))):
+            check_tree_product(d, p, shifts, count, rng)
+
+
 def test_modulus_kernel_unreduced_feed_at_its_bound():
     # the product enters the rows unreduced while d^2 (p - 1)^3 <= 2^53;
     # primes on both sides of that bound and past it, all entries p - 1,
@@ -497,6 +618,11 @@ def test_modulus_kernel_unreduced_feed_at_its_bound():
             A = lift(ker, a)
             want = [polys.rem(polys.mul(a, a, p), fr, p) for fr in moduli(ker)]
             assert to_lists(ker.mulmod(A, A)) == want, (d, p)
+            # x a, a of degree d, times a: d high terms, d - j in the j-th
+            xa = np.concatenate((np.zeros((len(A), 1)), A), axis=-1)
+            assert to_lists(ker.mulmod(xa, A)) == [
+                polys.rem(polys.mul([0] + a, a, p), fr, p)
+                for fr in moduli(ker)], (d, p)
             # one modulus runs on a one-row stack
             assert to_list(ker.row(0).mulmod(A[:1], A[:1])) == want[0], (
                 d, p)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chebdyn import verify
+from chebdyn import ffield, verify
 from chebdyn.cli import main
 from chebdyn.factor import FactorPattern, factor_pattern_actual
 
@@ -59,13 +59,14 @@ def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
 def test_factor_check_names_the_differing_t(monkeypatch):
     # one wrong prediction at t = 17 of G(3, 53, 1): a double root where
     # t is not +-2 cannot be the actual pattern
-    predicted = verify.factor_pattern_predicted
+    predicted = verify.factor_patterns_predicted
     wrong = FactorPattern.from_entries([(1, 1, 1), (1, 2, 1)])
 
-    def patched(ell, p, n, t):
-        return wrong if t == 17 else predicted(ell, p, n, t)
+    def patched(ell, p, n, ts):
+        return (wrong if t == 17 else pat
+                for t, pat in zip(ts, predicted(ell, p, n, ts)))
 
-    monkeypatch.setattr(verify, "factor_pattern_predicted", patched)
+    monkeypatch.setattr(verify, "factor_patterns_predicted", patched)
     rep = verify.verify_instance(3, 53, 1)
     ok, detail = _check(rep, "factor patterns at level 1")
     actual = factor_pattern_actual(3, 53, 1, 17)
@@ -74,3 +75,19 @@ def test_factor_check_names_the_differing_t(monkeypatch):
     assert [name for name, ok, _ in rep.checks if not ok] == [
         "factor patterns at level 1: predicted == actual for all t in "
         "[0, 53)"]
+
+
+def test_factor_check_proves_ell_and_p_once(monkeypatch):
+    # the closed form of every t comes from one pass that proves (ell, p)
+    # once: fewer primality tests in the whole verify than there are t
+    # (each t proved ell and p again before, 2 p tests in all)
+    calls = []
+    real = ffield.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ffield, "is_prime", counted)
+    assert verify.verify_instance(3, 1009, 1).ok
+    assert 0 < len(calls) < 1009
