@@ -106,13 +106,17 @@ def factor_patterns_actual(ell: int, p: int, n: int,
     """The pattern of T_ell^n(x) - t mod p for each t in ts, in order, by
     direct factorization.
 
-    Each t is tested by gcd(T_ell^n - t, T_ell^n') = 1, the derivative
-    formed once.  Every t whose T_ell^n - t is squarefree joins one
-    distinct-degree split of the stack of moduli T_ell^n - t
-    (polys.distinct_degree_counts with shifts), which differ only in
-    their constant term; the other t go through the squarefree loop, and
-    their parts are split one at a time.  Equal-degree splitting is
-    never needed, since only the pattern is reported.  The ts run in
+    One minimal polynomial tests every t: with f = T_ell^n, f - t is
+    squarefree exactly when mu(t) != 0, mu the minimal polynomial of
+    f mod f' (polys.minimal_polynomial), formed once per call before the
+    first chunk; every critical value of T_d is +-2, so mu divides
+    T^2 - 4 and a t costs one evaluation.  Every t whose T_ell^n - t is
+    squarefree joins one distinct-degree split of the stack of moduli
+    T_ell^n - t (polys.distinct_degree_counts with shifts), which differ
+    only in their constant term; the other t go through the squarefree
+    loop, whose first step is their one gcd(f - t, f'), and their parts
+    are split one at a time.  Equal-degree splitting is never needed,
+    since only the pattern is reported.  The ts run in
     chunks of STACK_CELLS // ell^n (at least one), so a stack holds at
     most that many rows.  The domain and the degree are checked before
     the first pattern is asked for.
@@ -129,17 +133,20 @@ def factor_patterns_actual(ell: int, p: int, n: int,
 def _patterns(f: list[int], p: int, ts: Iterator[int]
               ) -> Iterator[FactorPattern]:
     d = len(f) - 1
-    df = polys.deriv(f, p)
+    mu = polys.minimal_polynomial(f, polys.deriv(f, p), p)
     while chunk := list(islice(ts, max(1, STACK_CELLS // d))):
         entries: list[list[tuple[int, int, int]]] = []
         flat = []  # (index in chunk, t) of the squarefree moduli
         for t in chunk:
-            ft = f[:]
-            ft[0] = (ft[0] - t) % p
-            if polys.gcd(ft, df, p) == [1]:  # squarefree: stacked
+            mu_t = 0
+            for c in reversed(mu):
+                mu_t = (mu_t * t + c) % p
+            if mu_t:  # squarefree: stacked
                 flat.append((len(entries), t))
                 entries.append([])
                 continue
+            ft = f[:]
+            ft[0] = (ft[0] - t) % p
             entries.append([(deg, mult, count)
                             for part, mult in polys.squarefree_parts(ft, p)
                             for deg, count in polys.distinct_degree_counts(

@@ -297,6 +297,9 @@ class FieldCtx:
         red = (polys.rem([0] * k + [1], [*modulus, 1], p)
                for k in range(n, 2 * n - 1))
         self._red = tuple(tuple(r + [0] * (n - len(r))) for r in red)
+        # the same rows as int64 columns, for the column product
+        self._red_cols = np.array(self._red, dtype=np.int64).reshape(
+            n - 1, n, 1)
         self._pow_p = tuple(p ** i for i in range(n))
         self._cache: dict[str, object] = {}
 
@@ -368,37 +371,62 @@ class FieldCtx:
         matrix."""
         return np.array(self._pow_p, dtype=np.int64) @ cols
 
+    def _mul_cols(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product of each column of a by the same column of b, two
+        (n, m) int64 matrices of reduced coefficient columns, before its
+        last reduction mod p: each product is formed column by column,
+        and its rows of degree n..2n-2 are reduced mod p and folded back
+        through the rows of x^k mod the modulus, so every entry is below
+        (2n - 1) p^2 (q <= TABLE_CAP keeps that below 2^51)."""
+        n = self.n
+        raw = np.empty((2 * n - 1, a.shape[1]), dtype=np.int64)
+        tmp = np.empty(a.shape[1], dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                if i == 0 or j == n - 1:  # first term of raw[i + j]
+                    np.multiply(a[i], b[j], out=raw[i + j])
+                else:
+                    np.multiply(a[i], b[j], out=tmp)
+                    raw[i + j] += tmp
+        raw[n:] %= self.p
+        acc = raw[:n]
+        for k in range(n, 2 * n - 1):
+            acc += self._red_cols[k - n] * raw[k]
+        return acc
+
     def eval_cols(self, coeffs: list[int], x: np.ndarray) -> np.ndarray:
         """The polynomial coeffs[0] + coeffs[1] X + ... over F_p, of degree
         at least 1, at each column of x, an (n, m) int64 matrix of reduced
-        coefficient columns (coeff_cols).  Horner in int64: each product
-        is formed column by column, and its rows of degree n..2n-2 are
-        folded back through the rows of x^k mod the modulus."""
-        n, p = self.n, self.p
-        red = np.array(self._red, dtype=np.int64)
-        tmp = np.empty(x.shape[1], dtype=np.int64)
+        coefficient columns (coeff_cols), by Horner in int64: one column
+        product (_mul_cols) a coefficient."""
+        p = self.p
         # the first step multiplies by a constant
         acc = coeffs[-1] * x
         acc[0] += coeffs[-2]
         acc %= p
         for c in coeffs[-3::-1]:
-            raw = np.empty((2 * n - 1, x.shape[1]), dtype=np.int64)
-            for i in range(n):
-                for j in range(n):
-                    if i == 0 or j == n - 1:  # first term of raw[i + j]
-                        np.multiply(acc[i], x[j], out=raw[i + j])
-                    else:
-                        np.multiply(acc[i], x[j], out=tmp)
-                        raw[i + j] += tmp
-            # only the rows folded back through red need reducing first:
-            # the head stays below (2n - 1) p^2 + p
-            raw[n:] %= p
-            acc = raw[:n]
-            for k in range(n, 2 * n - 1):
-                acc += red[k - n][:, None] * raw[k]
+            acc = self._mul_cols(acc, x)
             acc[0] += c
             acc %= p
         return acc
+
+    def ladder_cols(self, d: int, x: np.ndarray) -> np.ndarray:
+        """T_d, d >= 1, at each column of x (as eval_cols) by the pair
+        ladder of _cheb_ladder, T_2k = T_k^2 - 2 and T_2k+1 = T_k T_k+1 - x:
+        two column products a bit of d, against d - 1 for Horner over the
+        coefficients of T_d."""
+        p = self.p
+        two = np.zeros((self.n, 1), dtype=np.int64)
+        two[0] = 2 % p
+        u, v = x, (self._mul_cols(x, x) - two) % p  # (T_1, T_2): d's top bit
+        for bit in bin(d)[3:]:
+            if bit == "0":
+                u, v = self._mul_cols(u, u) - two, self._mul_cols(u, v) - x
+            else:
+                u, v = self._mul_cols(u, v) - x, self._mul_cols(v, v) - two
+            u %= p
+            v %= p
+        return u
 
     def mul_matrix(self, h: "FFElem") -> np.ndarray:
         """(n, n) matrix M with row_vec(a) @ M = row_vec(a * h)."""

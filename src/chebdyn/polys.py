@@ -25,11 +25,14 @@ product with the first (_fill_rows); and x^p starts from its monomial
 head, x^e0 for e0 the longest prefix of p's bits below d, with one
 mulmod a further bit, a squaring or x r times r (x_power).
 gcd is one Euclid in two step engines: int64 numpy divisions with
-delayed reduction while the divisor is long and p < 2^31, the exact list
-loop for short divisors and every larger p; it is where kernel residues
-become ints.  Exact divisions stay on the list routines.
-Factoring has one path per step: gcd(f, f') = 1 tests squarefreeness,
-the characteristic-p squarefree loop, whose p-th-root step also covers
+delayed reduction (_np_rem) while the divisor is long and p < 2^31, the
+exact list loop for short divisors and every larger p; it is where
+kernel residues become ints.  Exact divisions stay on the list routines.
+Factoring has one path per step: squarefreeness is tested for a whole
+family f - t at once by the minimal polynomial mu of f mod f', f - t
+squarefree exactly when mu(t) != 0 (minimal_polynomial, on gcd's
+engines and _product), and for one polynomial by gcd(f, f') = 1; the
+characteristic-p squarefree loop, whose p-th-root step also covers
 f' = 0, splits what fails the test, and the baby-step giant-step
 distinct-degree split at every degree >= 2, by one tree over the degree
 range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
@@ -210,28 +213,37 @@ def _np_trim(a: np.ndarray) -> np.ndarray:
 def _np_euclid(a: np.ndarray, b: np.ndarray, p: int,
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """Euclid's divisions on trimmed int64 residues, which it may
-    overwrite, while deg b >= GCD_NUMPY_DEGREE, reducing mod p every k
-    steps; returns the last (a, b), both trimmed residues."""
+    overwrite, while deg b >= GCD_NUMPY_DEGREE; returns the last (a, b),
+    both trimmed residues."""
     if len(a) < len(b):
         a, b = b, a
     buf = np.empty(len(b), dtype=np.int64)
     while len(b) > GCD_NUMPY_DEGREE:
-        db = len(b) - 1
-        inv = pow(b.item(db), -1, p)
-        low, prod = b[:-1], buf[:db]
-        left = k
-        for top in range(len(a) - 1, db - 1, -1):
-            c = a.item(top) % p * inv % p
-            if c:
-                if not left:
-                    a[:top] %= p
-                    left = k
-                part = a[top - db:top]
-                np.multiply(low, c, out=prod)
-                np.subtract(part, prod, out=part)
-                left -= 1
-        a, b = b, _np_trim(a[:db] % p)
+        a, b = b, _np_rem(a, b, p, k, buf)
     return a, b
+
+
+def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
+            buf: np.ndarray) -> np.ndarray:
+    """a mod b, trimmed residues, for trimmed int64 residues a (which it
+    overwrites) and b, deg b >= 1: one division with delayed reduction,
+    the remainder reduced mod p every k steps and once at the end; buf,
+    of length at least deg b, holds each step's product."""
+    db = len(b) - 1
+    inv = pow(b.item(db), -1, p)
+    low, prod = b[:-1], buf[:db]
+    left = k
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a.item(top) % p * inv % p
+        if c:
+            if not left:
+                a[:top] %= p
+                left = k
+            part = a[top - db:top]
+            np.multiply(low, c, out=prod)
+            np.subtract(part, prod, out=part)
+            left -= 1
+    return _np_trim(a[:db] % p)
 
 
 def deriv(a: Poly, p: int) -> Poly:
@@ -687,6 +699,73 @@ class ModulusKernel:
         for k in range(parts.shape[-2] - 2, -1, -1):
             out = self.mulmod(out, hs, parts[..., k, :])
         return out
+
+
+def minimal_polynomial(g: Poly, m: Poly, p: int) -> Poly:
+    """The minimal polynomial mu of g in F_p[x]/(m), m nonzero: the monic
+    mu of least degree with mu(g) = 0 mod m ([1] for a constant m, where
+    the ring is 0).
+
+    It is the squarefree test of a whole family: for every t at once,
+    gcd(g - t, m) = 1 exactly when mu(t) != 0 mod p, so with g = f and
+    m = f', f - t is squarefree exactly when mu(t) != 0.  Proof: write
+    mu(T) = (T - t) q(T) + mu(t), so (g - t) q(g) = -mu(t) in the ring.
+    If mu(t) != 0, -q(g) / mu(t) inverts g - t.  If mu(t) = 0, then
+    (g - t) q(g) = 0 with q(g) != 0, since deg q < deg mu, so g - t is a
+    zero divisor, not a unit.  And g - t is a unit mod m exactly when
+    gcd(g - t, m) = 1.  The test is exact for any g; what it costs is
+    deg mu, which for f = T_d is at most 2: T_d(z + 1/z) = z^d + z^-d,
+    so every critical value of T_d is +-2, and mu divides T^2 - 4.
+
+    The Krylov sequence 1, g, g^2, ... mod m (Wiedemann, IEEE Trans. Inf.
+    Theory 32(1), 1986) is eliminated power by power, each reduced power
+    pivoting on its degree, with the combination of powers it stands
+    for; the first power that reduces to 0 gives mu, at the latest g^dm,
+    dm = deg m.  Products and remainders take gcd's engines: the list
+    routines for short moduli, and for m of degree at least
+    GCD_NUMPY_DEGREE with p < 2^31, _product and one numpy division with
+    delayed reduction (_np_rem).
+    """
+    m = _residues(m, p)
+    if not m:
+        raise ZeroDivisionError("zero modulus")
+    dm = len(m) - 1
+    if not dm:
+        return [1]
+    steps = _STEP_BOUND // (p * p)
+    if steps and len(m) > GCD_NUMPY_DEGREE:
+        mod, buf = _np_residues(m, p), np.empty(dm, dtype=np.int64)
+        g = _np_rem(_np_residues(g, p), mod, p, steps, buf)
+        stack = g.astype(np.float64)[None]
+        g = g.tolist()
+
+        def times_g(a: Poly) -> Poly:
+            raw = _mod(_product(np.array([a], dtype=np.float64), stack, p), p)
+            return _np_rem(raw[0].astype(np.int64), mod, p, steps,
+                           buf).tolist()
+    else:
+        g = [c % p for c in g]
+        _reduce(g, m, p)
+
+        def times_g(a: Poly) -> Poly:
+            out = mul(a, g, p)
+            _reduce(out, m, p)
+            return out
+    # (pivot, its inverse, reduced power, combination of powers), from 1
+    rows = [(0, 1, [1], [1])]
+    power = g  # g^k mod m
+    for k in range(1, dm + 1):
+        v, comb = power[:], [0] * k + [1]
+        for j, inv, row, c in rows:
+            x = v[j] * inv % p if j < len(v) else 0
+            if x:
+                v[:j + 1] = [(y - x * z) % p for y, z in zip(v, row)]
+                comb[:len(c)] = [(y - x * z) % p for y, z in zip(comb, c)]
+        if not trim(v):
+            break
+        rows.append((len(v) - 1, pow(v[-1], -1, p), v, comb))
+        power = times_g(power)
+    return comb
 
 
 def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:

@@ -40,16 +40,22 @@ def verify_instance(ell: int, p: int, n: int,
     Builds the graph, compares summaries row for row, checks the point
     counts, the per-element orbit oracle, the structural shape, the
     density, and the factorization pattern for every t in [0, p) at the
-    largest level m <= n with ell^m <= DEGREE_CAP (level 1 at least).
+    largest level m <= n with ell^m <= DEGREE_CAP (level 1 at least), and
+    refuses (ValueError) an ell past DEGREE_CAP before any of it.
     The actual patterns come from one factor_patterns_actual pass over
     every t: the moduli T_ell^m - t differ only in their constant term,
     so one kernel and one run of Frobenius powers serve every t whose
-    modulus is squarefree.  The predicted ones come from one
-    factor_patterns_predicted pass, which proves (ell, p) once and runs
-    the case analysis once per class.  The check names the first
-    differing t.
+    modulus is squarefree, and one minimal polynomial tests which are.
+    The predicted ones come from one factor_patterns_predicted pass,
+    which proves (ell, p) once and runs the case analysis once per
+    class.  The check names the first differing t.
     """
     check_domain(ell, p, n, cap)
+    level = n
+    while ell ** level > DEGREE_CAP and level > 1:
+        level -= 1
+    # refuses a degree past the cap before the graph is built
+    actual = factor_patterns_actual(ell, p, level, range(p))
     rep = VerifyReport(ell, p, n)
     g = build_graph(ell, make_field(p, n), cap=cap)
     rep.q = g.q
@@ -100,11 +106,7 @@ def verify_instance(ell: int, p: int, n: int,
     rep.add("density == (omega- + omega+)/(2 q)",
             periodic_density(ell, p, n) == Fraction(rep.periodic, g.q))
 
-    level = n
-    while ell ** level > DEGREE_CAP and level > 1:
-        level -= 1
     mism = None
-    actual = factor_patterns_actual(ell, p, level, range(p))
     predicted = factor_patterns_predicted(ell, p, level, range(p))
     for t, (pr, ac) in enumerate(zip(predicted, actual)):
         if pr != ac:

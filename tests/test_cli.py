@@ -172,7 +172,13 @@ def test_unbounded_sizes_refused_before_the_work(capsys):
              "13^100000000 + 1 exceeds the 2^96 factorization bound"),
             (["decompose", "--ell", "2", "--t", "105", "--p", "13",
               "--max-level", "1000000"],
-             f"2^1000000 of level 1000000 has more than {limit} digits")):
+             f"2^1000000 of level 1000000 has more than {limit} digits"),
+            # the pattern check's degree, not after the whole graph (3.5 s)
+            (["verify", "--ell", "4099", "--p", "145007", "--n", "1"],
+             "degree 4099^1 exceeds cap 4096"),
+            # the ladder needs no coefficients, but the cap stays
+            (["graph", "--ell", "65537", "--p", "3", "--n", "10"],
+             "degree 65537 exceeds the coefficient cap 65536")):
         start = time.perf_counter()
         code, _, err = run(capsys, argv)
         assert time.perf_counter() - start < 1, argv

@@ -9,22 +9,24 @@ call runs under a time budget.  Property-based, after MacIver et al.
 2019, "Hypothesis: a new approach to property-based testing", JOSS 4(43).
 """
 
+import io
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import isprime, nextprime, prevprime
 
 from chebdyn import (classify_t, critical_factorization, disc_factored,
                      factor_pattern_actual, factor_pattern_predicted,
                      factor_patterns_actual, make_field, nu_2n,
-                     orbit_stats_order, predict_summary,
+                     orbit_stats_order, polys, predict_summary,
                      ramified_candidates, structure_params)
 from chebdyn.cli import MAX_LEVEL, main
 from chebdyn.ffield import nu
+from chebdyn.polys import FLOAT_EXACT
 
 # A refusal comes before any work; accepted calls get room for the work
 # itself (the slowest draw below, the closed-form summary of G(2, 3, 54),
@@ -173,3 +175,64 @@ def test_cli_decompose_refuses_levels_past_its_limit(capsys):
     with budget(WORK_BUDGET_S):
         assert main(argv + [str(MAX_LEVEL)]) == 0
     assert f"level {MAX_LEVEL}:" in capsys.readouterr().out
+
+
+# (ell, n) with ell^n <= 81: every degree factor_large_p draws, and 7, 49
+LARGE_P_ITERATES = tuple((ell, n) for ell in (2, 3, 5, 7)
+                         for n in range(1, 7) if ell ** n <= 81)
+# a draw takes at most about 0.2 s (degree 81 near the kernel bound)
+LARGE_P_BUDGET_S = 5.0
+
+
+def factor_exit(ell: int, p: int, n: int, t: int) -> int:
+    """The exit code of `chebdyn factor`, output discarded, under the
+    per-draw budget."""
+    with budget(LARGE_P_BUDGET_S), redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        return main(["factor", "--ell", str(ell), "--p", str(p), "--n",
+                     str(n), "--t", str(t)])
+
+
+def kernel_bound(d: int) -> int:
+    """The largest p the factoring kernel takes at degree d, 2^52 / (d + 1)
+    (polys.limb_width)."""
+    return (FLOAT_EXACT // 2) // (d + 1)
+
+
+@st.composite
+def large_p_draws(draw):
+    """(ell, p, n, t): p from 2^26 to twice the kernel bound at d = ell^n,
+    its octave below the bound (or the octave past it) drawn uniformly,
+    and t random or +-2 (not squarefree, the squarefree loop's case)."""
+    ell, n = draw(st.sampled_from(LARGE_P_ITERATES), label="(ell, n)")
+    bound = kernel_bound(ell ** n)
+    k = draw(st.integers(-1, bound.bit_length() - 27), label="octave")
+    lo, hi = (bound, 2 * bound) if k < 0 else (bound >> (k + 1), bound >> k)
+    p = nextprime(draw(st.integers(lo, hi), label="start"))
+    t = draw(st.one_of(st.integers(0, p - 1), st.sampled_from((2, p - 2))),
+             label="t")
+    return ell, p, n, t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=large_p_draws())
+@example(case=(3, prevprime(kernel_bound(81) + 1), 4, 2))
+@example(case=(3, nextprime(kernel_bound(81)), 4, 12345))
+def test_factor_past_the_kernel_bound_answers_or_refuses(case):
+    # p from where one float64 product of residues no longer fits (2^26.5)
+    # to past the kernel bound: the two routes agree (exit 0) up to the
+    # bound and the input is refused (exit 3) above it, never exit 1
+    ell, p, n, t = case
+    want = 3 if p > kernel_bound(ell ** n) else 0
+    assert factor_exit(ell, p, n, t) == want, case
+
+
+def test_the_large_p_gate_sees_a_forced_single_limb(monkeypatch):
+    # with every product taken on whole residues, the p ~ 1e8 defect the
+    # limb split mended comes back, and the gate sees the mismatch
+    p = nextprime(10 ** 8)
+    cases = ((5, 2, 12345), (2, 4, 12345), (3, 4, 2))
+    assert [factor_exit(ell, p, n, t) for ell, n, t in cases] == [0, 0, 0]
+    monkeypatch.setattr(polys, "limb_width", lambda d, p: 0)
+    assert [factor_exit(ell, p, n, t) for ell, n, t in cases] == [1, 1, 1]

@@ -259,6 +259,41 @@ def test_squarefree_loop_runs_where_the_gcd_test_fails(ell, p, n,
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("cells", (None, 2 * 9))
+def test_one_minimal_polynomial_tests_every_t(cells, monkeypatch):
+    # f' enters gcd only inside the squarefree loop, as its first step on
+    # the t that fail the test (+-2), not once per t; mu is formed once
+    # per call, also over chunks of two t
+    ell, p, n = 3, 1009, 2
+    if cells:
+        monkeypatch.setattr(factor, "STACK_CELLS", cells)
+    df = polys.deriv(cheb_coeffs(ell ** n, p), p)
+    mus = _record_calls(monkeypatch, polys, "minimal_polynomial")
+    log = []  # ("loop", t) and ("gcd", inside a loop) for gcds with f'
+    real_loop, real_gcd = polys.squarefree_parts, polys.gcd
+
+    def loop(f, p):
+        log.append(("loop", -f[0] % p))  # T_9 has no constant term
+        inside.append(True)
+        try:
+            return real_loop(f, p)
+        finally:
+            inside.pop()
+
+    def gcd(a, b, p):
+        if any(isinstance(x, list) and x == df for x in (a, b)):
+            log.append(("gcd", bool(inside)))
+        return real_gcd(a, b, p)
+
+    inside = []
+    monkeypatch.setattr(polys, "squarefree_parts", loop)
+    monkeypatch.setattr(polys, "gcd", gcd)
+    got = list(factor_patterns_actual(ell, p, n, range(p)))
+    assert got == list(factor.factor_patterns_predicted(ell, p, n, range(p)))
+    assert len(mus) == 1
+    assert log == [("loop", 2), ("gcd", True), ("loop", p - 2), ("gcd", True)]
+
+
 def test_decompose_cyclotomic_z2():
     # splitting in the t = 0 tower is governed by p mod 2^(n+2)
     for p in (7, 17, 31, 97, 23):

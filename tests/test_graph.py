@@ -79,6 +79,34 @@ def test_succ_and_weight_equal_full_evaluation():
         check_succ_and_weight_by_ffelem(g)
 
 
+@pytest.mark.parametrize("p,n", ((1009, 1), (3, 4), (5, 3), (7, 2)))
+def test_ladder_successors_equal_horner(p, n, monkeypatch):
+    # from LADDER_ELL on, T_ell is the pair ladder: equal to Horner over
+    # the coefficients at every column and every ell, below the handoff
+    # too, and its successor tables byte-equal to Horner's, and to FFElem
+    # arithmetic at sampled vertices
+    ctx = make_field(p, n)
+    x = ctx.coeff_cols(np.arange(ctx.q))
+    for ell in (2, 3, 5, 7, 11, 13, 101, 1021):
+        if ell != p:
+            want = ctx.eval_cols(cheb_coeffs(ell, p), x)
+            assert np.array_equal(ctx.ladder_cols(ell, x), want), ell
+    ladders, real = [], FieldCtx.ladder_cols
+
+    def ladder(self, d, x):
+        ladders.append(d)
+        return real(self, d, x)
+
+    monkeypatch.setattr(FieldCtx, "ladder_cols", ladder)
+    for ell in (11, 13, 1021):
+        g = build_graph(ell, ctx)
+        assert ladders[-1] == ell
+        assert g.succ.tobytes() == full_succ(ctx, ell).astype(
+            np.int32).tobytes(), ell
+        if ell < 100:
+            check_succ_and_weight_by_ffelem(g)
+
+
 def test_build_graph_memory_per_vertex():
     # G(2,3,12), q = 531441: the build's traced peak above the field's
     # cached order tables and Frobenius map (32.9 bytes per vertex

@@ -183,6 +183,18 @@ def rfft_product_exact():
         assert got.tolist() == want, p
 
 
+def minimal_polynomial_annihilates_g():
+    """mu(g) = 0 mod f', g = f mod f', and mu(t) != 0 exactly where
+    gcd(f - t, f') = 1, for random monic f of degree 3 to 12 at p = 31,
+    where deg mu often reaches deg f', and of degree 33 in two limbs on
+    the numpy engines."""
+    rng = random.Random(7)
+    for p, degrees in ((31, range(3, 13)), (test_polys.TWO_LIMB_P, (33,))):
+        for d in degrees:
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            test_polys.check_minimal_polynomial(f, p, range(31))
+
+
 fft_limb_width_widest = (
     test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
 powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
@@ -196,7 +208,8 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              stacked_patterns_equal_one_t, patterns_equal_closed_form,
              tree_product_equals_one_at_a_time, kernel_rows_equal_powers_of_x,
              x_power_equals_powering, rfft_product_exact,
-             fft_limb_width_widest, powmod_counts_products)
+             minimal_polynomial_annihilates_g, fft_limb_width_widest,
+             powmod_counts_products)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -221,9 +234,9 @@ MUTANTS = {
     # the column product folds each raw row through the reduction row
     # one before its own (the first row through the last)
     "column_product_row_shifted": (
-        FieldCtx, "eval_cols",
-        [("acc += red[k - n][:, None] * raw[k]",
-          "acc += red[k - n - 1][:, None] * raw[k]")],
+        FieldCtx, "_mul_cols",
+        [("acc += self._red_cols[k - n] * raw[k]",
+          "acc += self._red_cols[k - n - 1] * raw[k]")],
         succ_equals_ffelem_horner),
     # the divisor-digit strides started at lo instead of at the first
     # multiple
@@ -317,8 +330,14 @@ MUTANTS = {
     # every t stacked for the distinct-degree split, squarefree or not
     "patterns_skip_squarefree_test": (
         factor, "_patterns",
-        [("if polys.gcd(ft, df, p) == [1]:", "if True:")],
+        [("if mu_t:", "if True:")],
         patterns_equal_closed_form),
+    # the Krylov sequence stops before g^dm, so a g whose minimal
+    # polynomial has degree dm gets one of degree dm - 1
+    "krylov_stops_one_power_early": (
+        polys, "minimal_polynomial",
+        [("    for k in range(1, dm + 1):\n", "    for k in range(1, dm):\n")],
+        minimal_polynomial_annihilates_g),
     # the pairwise product drops an odd leftover term
     "tree_product_drops_odd_term": (
         polys.ModulusKernel, "tree_product",
