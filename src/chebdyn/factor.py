@@ -106,20 +106,24 @@ def factor_patterns_actual(ell: int, p: int, n: int,
     """The pattern of T_ell^n(x) - t mod p for each t in ts, in order, by
     direct factorization.
 
-    One minimal polynomial tests every t: with f = T_ell^n, f - t is
-    squarefree exactly when mu(t) != 0, mu the minimal polynomial of
-    f mod f' (polys.minimal_polynomial), formed once per call before the
-    first chunk; every critical value of T_d is +-2, so mu divides
-    T^2 - 4 and a t costs one evaluation.  Every t whose T_ell^n - t is
-    squarefree joins one distinct-degree split of the stack of moduli
-    T_ell^n - t (polys.distinct_degree_counts with shifts), which differ
-    only in their constant term; the other t go through the squarefree
-    loop, whose first step is their one gcd(f - t, f'), and their parts
-    are split one at a time.  Equal-degree splitting is never needed,
-    since only the pattern is reported.  The ts run in
-    chunks of STACK_CELLS // ell^n (at least one), so a stack holds at
-    most that many rows.  The domain and the degree are checked before
-    the first pattern is asked for.
+    One check per call tests every t: with f = T_ell^n and g = f mod f',
+    T^2 - 4 annihilates g, that is g^2 = 4 mod f' (polys.mul_rem, checked
+    before the first chunk; an ArithmeticError if it fails).  Then
+    f - t is squarefree whenever t^2 != 4 mod p: T^2 - 4 =
+    (T - t)(T + t) + t^2 - 4, so (g - t)(g + t) = 4 - t^2, a nonzero
+    constant, mod f', g - t is a unit, and gcd(f - t, f') =
+    gcd(g - t, f') = 1.  The check holds since every critical value of
+    T_d is +-2: T_d(z + 1/z) = z^d + z^-d gives (x^2 - 4) f'^2 =
+    d^2 (f^2 - 4), and p does not divide d.  Every t with t^2 != 4
+    joins one distinct-degree split of the stack of moduli T_ell^n - t
+    (polys.distinct_degree_counts with shifts), which differ only in
+    their constant term; t = +-2 go through the squarefree loop, whose
+    first step is their one gcd(f - t, f'), and their parts are split
+    one at a time.  Equal-degree splitting is never needed, since only
+    the pattern is reported.  The ts run in chunks of
+    STACK_CELLS // ell^n (at least one), so a stack holds at most that
+    many rows.  The domain and the degree are checked before the first
+    pattern is asked for.
     """
     check_domain(ell, p, n)
     # ell >= 2, so ell^n >= 2^n > DEGREE_CAP once n >= its bit length
@@ -133,15 +137,15 @@ def factor_patterns_actual(ell: int, p: int, n: int,
 def _patterns(f: list[int], p: int, ts: Iterator[int]
               ) -> Iterator[FactorPattern]:
     d = len(f) - 1
-    mu = polys.minimal_polynomial(f, polys.deriv(f, p), p)
+    df = polys.deriv(f, p)
+    g = polys.rem(f, df, p)
+    if polys.mul_rem(g, g, df, p) != [4 % p]:
+        raise ArithmeticError("T^2 - 4 does not annihilate f mod f'")
     while chunk := list(islice(ts, max(1, STACK_CELLS // d))):
         entries: list[list[tuple[int, int, int]]] = []
         flat = []  # (index in chunk, t) of the squarefree moduli
         for t in chunk:
-            mu_t = 0
-            for c in reversed(mu):
-                mu_t = (mu_t * t + c) % p
-            if mu_t:  # squarefree: stacked
+            if (t * t - 4) % p:  # squarefree: stacked
                 flat.append((len(entries), t))
                 entries.append([])
                 continue

@@ -394,38 +394,37 @@ class FieldCtx:
             acc += self._red_cols[k - n] * raw[k]
         return acc
 
-    def eval_cols(self, coeffs: list[int], x: np.ndarray) -> np.ndarray:
-        """The polynomial coeffs[0] + coeffs[1] X + ... over F_p, of degree
-        at least 1, at each column of x, an (n, m) int64 matrix of reduced
-        coefficient columns (coeff_cols), by Horner in int64: one column
-        product (_mul_cols) a coefficient."""
-        p = self.p
-        # the first step multiplies by a constant
-        acc = coeffs[-1] * x
-        acc[0] += coeffs[-2]
-        acc %= p
-        for c in coeffs[-3::-1]:
-            acc = self._mul_cols(acc, x)
-            acc[0] += c
-            acc %= p
-        return acc
-
     def ladder_cols(self, d: int, x: np.ndarray) -> np.ndarray:
-        """T_d, d >= 1, at each column of x (as eval_cols) by the pair
-        ladder of _cheb_ladder, T_2k = T_k^2 - 2 and T_2k+1 = T_k T_k+1 - x:
-        two column products a bit of d, against d - 1 for Horner over the
-        coefficients of T_d."""
-        p = self.p
-        two = np.zeros((self.n, 1), dtype=np.int64)
-        two[0] = 2 % p
-        u, v = x, (self._mul_cols(x, x) - two) % p  # (T_1, T_2): d's top bit
-        for bit in bin(d)[3:]:
-            if bit == "0":
-                u, v = self._mul_cols(u, u) - two, self._mul_cols(u, v) - x
-            else:
-                u, v = self._mul_cols(u, v) - x, self._mul_cols(v, v) - two
-            u %= p
+        """T_d, d >= 1, at each column of x, an (n, m) int64 matrix of
+        reduced coefficient columns (coeff_cols), by the pair ladder of
+        _cheb_ladder, T_2k = T_k^2 - 2 and T_2k+1 = T_k T_k+1 - x, one
+        column product (_mul_cols) a step.  d = o 2^s with o odd: the
+        pairs (T_k, T_k+1) run down o's bits, two products a bit after
+        the first, which takes one, and the last forms T_o alone; then
+        s squarings.  That is at most 2 log2(d) products, and never more
+        than the d - 1 of Horner over T_d's coefficients (one at d = 2,
+        two at d = 3, four at d = 5)."""
+        p, s = self.p, (d & -d).bit_length() - 1
+        o = d >> s
+        u = x
+        if o > 1:
+            v = self._mul_cols(x, x)  # (T_1, T_2)
+            v[0] -= 2
             v %= p
+            for bit in bin(o)[3:-1]:
+                if bit == "0":
+                    u, v = self._mul_cols(u, u), self._mul_cols(u, v) - x
+                    u[0] -= 2
+                else:
+                    u, v = self._mul_cols(u, v) - x, self._mul_cols(v, v)
+                    v[0] -= 2
+                u %= p
+                v %= p
+            u = (self._mul_cols(u, v) - x) % p  # o's last bit is 1
+        for _ in range(s):
+            u = self._mul_cols(u, u)
+            u[0] -= 2
+            u %= p
         return u
 
     def mul_matrix(self, h: "FFElem") -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cheb import COEFF_DEGREE_CAP, cheb_coeffs
+from .cheb import COEFF_DEGREE_CAP
 from .ffield import (MINUS, PLUS, Branch, FFElem, FieldCtx, alpha_order,
                      check_domain, nu)
 from .predict import half_order, structure_params
@@ -40,14 +40,6 @@ __all__ = [
 # Enumeration cap on q = p^n, measured where FieldCtx.TABLE_CAP is
 # defined; --cap overrides.
 DEFAULT_CAP = FieldCtx.TABLE_CAP
-
-# T_ell is evaluated by the pair ladder (FieldCtx.ladder_cols) from this ell
-# on, and by Horner over its coefficients below it.  Measured per block of
-# 32,768 columns on a 2-core host (best of 5 x 3 calls), Horner against the
-# ladder in ms: at F_145007, 0.50/0.70 at ell = 3, 1.24/1.11 at 7,
-# 1.93/1.45 at 11 and 4.29/1.92 at 23; at F_(53^3), 4.00/5.05, 8.72/7.87,
-# 13.5/10.1 and 26.2/12.2; at F_(3^10), 69.0/85.3 at 7 and 158/83.2 at 11.
-LADDER_ELL = 11
 
 
 @dataclass
@@ -111,11 +103,10 @@ def _succ_and_weight(ctx: FieldCtx,
     orbit minima, a block at a time in column-major (n, block) layout, and
     n - 1 steps along fr carry each value round its orbit (an orbit of
     length w | n revisits its entries with the same values).  At n = 1
-    every vertex is a minimum and fr is never built.  T_ell is Horner over
-    its coefficients below LADDER_ELL and the pair ladder from there on:
-    ell - 1 column products against 2 log2(ell), the same product in both.
+    every vertex is a minimum and fr is never built.  T_ell is the pair
+    ladder (FieldCtx.ladder_cols), at most 2 log2(ell) column products.
     """
-    p, q, n = ctx.p, ctx.q, ctx.n
+    q, n = ctx.q, ctx.n
     fr = ctx.frobenius_indices() if n > 1 else None
     ar = np.arange(q, dtype=np.int32)
     is_min, cur = np.ones(q, dtype=bool), ar
@@ -127,12 +118,10 @@ def _succ_and_weight(ctx: FieldCtx,
     mins = np.flatnonzero(is_min)
     del ar, is_min, cur
 
-    coeffs = cheb_coeffs(ell, p) if ell < LADDER_ELL else None
     vals = np.empty(mins.size, dtype=np.int32)
     for lo in range(0, mins.size, ctx.BLOCK):
         x = ctx.coeff_cols(mins[lo:lo + ctx.BLOCK])
-        vals[lo:lo + ctx.BLOCK] = ctx.encode_cols(
-            ctx.eval_cols(coeffs, x) if coeffs else ctx.ladder_cols(ell, x))
+        vals[lo:lo + ctx.BLOCK] = ctx.encode_cols(ctx.ladder_cols(ell, x))
     succ = np.empty(q, dtype=np.int32)
     succ[mins] = vals
     r, v = mins, vals

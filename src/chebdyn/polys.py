@@ -2,7 +2,8 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
-plain Python.  The ModulusKernel gives exact multiply-reduce, powering
+plain Python; mul is one big-integer product (Kronecker substitution).
+The ModulusKernel gives exact multiply-reduce, powering
 and composition for the Frobenius powers of the factoring sweeps, on
 stacks of float64 residues from end to end: one row for each modulus
 f - c of a stack that differs only in the constant term, all reduced
@@ -28,12 +29,11 @@ gcd is one Euclid in two step engines: int64 numpy divisions with
 delayed reduction (_np_rem) while the divisor is long and p < 2^31, the
 exact list loop for short divisors and every larger p; it is where
 kernel residues become ints.  Exact divisions stay on the list routines.
-Factoring has one path per step: squarefreeness is tested for a whole
-family f - t at once by the minimal polynomial mu of f mod f', f - t
-squarefree exactly when mu(t) != 0 (minimal_polynomial, on gcd's
-engines and _product), and for one polynomial by gcd(f, f') = 1; the
-characteristic-p squarefree loop, whose p-th-root step also covers
-f' = 0, splits what fails the test, and the baby-step giant-step
+Factoring has one path per step: gcd(f, f') = 1 tests squarefreeness
+(for the whole family T_d - t, factor checks g^2 = 4 mod f' once, g =
+f mod f', by mul_rem on gcd's division engines, and t^2 != 4 then
+suffices), the characteristic-p squarefree loop, whose p-th-root step
+also covers f' = 0, splits what fails the test, and the baby-step giant-step
 distinct-degree split at every degree >= 2, by one tree over the degree
 range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
 when e | k = js - i, so one gcd with the product of every V_k, k <= K,
@@ -87,14 +87,23 @@ def sub(a: Poly, b: Poly, p: int) -> Poly:
 
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
+    """a b mod p for lists of ints, by Kronecker substitution: each factor,
+    reduced mod p, is packed into one integer of k bytes a coefficient,
+    with 2^(8k) > min(len a, len b) (p - 1)^2, a bound on every coefficient
+    of the product, so one big-integer product holds the coefficients in
+    their slots with no carry between them."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return trim([v % p for v in out])
+    k = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    n = len(a) + len(b) - 1
+    raw = (_pack(a, p, k) * _pack(b, p, k)).to_bytes(n * k, "little")
+    return trim([int.from_bytes(raw[i:i + k], "little") % p
+                 for i in range(0, n * k, k)])
+
+
+def _pack(a: Poly, p: int, k: int) -> int:
+    return int.from_bytes(b"".join([(c % p).to_bytes(k, "little")
+                                    for c in a]), "little")
 
 
 def mul_scalar(a: Poly, k: int, p: int) -> Poly:
@@ -135,7 +144,12 @@ def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
 
 
 def rem(a: Poly, b: Poly, p: int) -> Poly:
-    return divmod_(a, b, p)[1]
+    b = trim([c % p for c in b])
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = trim([c % p for c in a])
+    _reduce(a, b, p)
+    return a
 
 
 def monic(a: Poly, p: int) -> Poly:
@@ -244,6 +258,21 @@ def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
             np.subtract(part, prod, out=part)
             left -= 1
     return _np_trim(a[:db] % p)
+
+
+def mul_rem(a: Poly, b: Poly, m: Poly, p: int) -> Poly:
+    """a b mod m, m nonzero: the product by mul, the remainder on gcd's
+    engines, one int64 numpy division with delayed reduction (_np_rem)
+    when m has degree at least GCD_NUMPY_DEGREE and p < 2^31, the list
+    loop otherwise."""
+    out = mul(a, b, p)
+    k = _STEP_BOUND // (p * p)
+    if k and len(m) > GCD_NUMPY_DEGREE:
+        return _np_rem(np.array(out, dtype=np.int64),
+                       np.array(m, dtype=np.int64), p, k,
+                       np.empty(len(m) - 1, dtype=np.int64)).tolist()
+    _reduce(out, m, p)
+    return out
 
 
 def deriv(a: Poly, p: int) -> Poly:
@@ -699,73 +728,6 @@ class ModulusKernel:
         for k in range(parts.shape[-2] - 2, -1, -1):
             out = self.mulmod(out, hs, parts[..., k, :])
         return out
-
-
-def minimal_polynomial(g: Poly, m: Poly, p: int) -> Poly:
-    """The minimal polynomial mu of g in F_p[x]/(m), m nonzero: the monic
-    mu of least degree with mu(g) = 0 mod m ([1] for a constant m, where
-    the ring is 0).
-
-    It is the squarefree test of a whole family: for every t at once,
-    gcd(g - t, m) = 1 exactly when mu(t) != 0 mod p, so with g = f and
-    m = f', f - t is squarefree exactly when mu(t) != 0.  Proof: write
-    mu(T) = (T - t) q(T) + mu(t), so (g - t) q(g) = -mu(t) in the ring.
-    If mu(t) != 0, -q(g) / mu(t) inverts g - t.  If mu(t) = 0, then
-    (g - t) q(g) = 0 with q(g) != 0, since deg q < deg mu, so g - t is a
-    zero divisor, not a unit.  And g - t is a unit mod m exactly when
-    gcd(g - t, m) = 1.  The test is exact for any g; what it costs is
-    deg mu, which for f = T_d is at most 2: T_d(z + 1/z) = z^d + z^-d,
-    so every critical value of T_d is +-2, and mu divides T^2 - 4.
-
-    The Krylov sequence 1, g, g^2, ... mod m (Wiedemann, IEEE Trans. Inf.
-    Theory 32(1), 1986) is eliminated power by power, each reduced power
-    pivoting on its degree, with the combination of powers it stands
-    for; the first power that reduces to 0 gives mu, at the latest g^dm,
-    dm = deg m.  Products and remainders take gcd's engines: the list
-    routines for short moduli, and for m of degree at least
-    GCD_NUMPY_DEGREE with p < 2^31, _product and one numpy division with
-    delayed reduction (_np_rem).
-    """
-    m = _residues(m, p)
-    if not m:
-        raise ZeroDivisionError("zero modulus")
-    dm = len(m) - 1
-    if not dm:
-        return [1]
-    steps = _STEP_BOUND // (p * p)
-    if steps and len(m) > GCD_NUMPY_DEGREE:
-        mod, buf = _np_residues(m, p), np.empty(dm, dtype=np.int64)
-        g = _np_rem(_np_residues(g, p), mod, p, steps, buf)
-        stack = g.astype(np.float64)[None]
-        g = g.tolist()
-
-        def times_g(a: Poly) -> Poly:
-            raw = _mod(_product(np.array([a], dtype=np.float64), stack, p), p)
-            return _np_rem(raw[0].astype(np.int64), mod, p, steps,
-                           buf).tolist()
-    else:
-        g = [c % p for c in g]
-        _reduce(g, m, p)
-
-        def times_g(a: Poly) -> Poly:
-            out = mul(a, g, p)
-            _reduce(out, m, p)
-            return out
-    # (pivot, its inverse, reduced power, combination of powers), from 1
-    rows = [(0, 1, [1], [1])]
-    power = g  # g^k mod m
-    for k in range(1, dm + 1):
-        v, comb = power[:], [0] * k + [1]
-        for j, inv, row, c in rows:
-            x = v[j] * inv % p if j < len(v) else 0
-            if x:
-                v[:j + 1] = [(y - x * z) % p for y, z in zip(v, row)]
-                comb[:len(c)] = [(y - x * z) % p for y, z in zip(comb, c)]
-        if not trim(v):
-            break
-        rows.append((len(v) - 1, pow(v[-1], -1, p), v, comb))
-        power = times_g(power)
-    return comb
 
 
 def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:

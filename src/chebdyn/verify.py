@@ -45,7 +45,7 @@ def verify_instance(ell: int, p: int, n: int,
     The actual patterns come from one factor_patterns_actual pass over
     every t: the moduli T_ell^m - t differ only in their constant term,
     so one kernel and one run of Frobenius powers serve every t whose
-    modulus is squarefree, and one minimal polynomial tests which are.
+    modulus is squarefree, and one check per pass tests which are.
     The predicted ones come from one factor_patterns_predicted pass,
     which proves (ell, p) once and runs the case analysis once per
     class.  The check names the first differing t.

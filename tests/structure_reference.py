@@ -1,7 +1,8 @@
 """Reference versions of `chebdyn.graph` internals.
 
-`full_succ` evaluates T_ell at every field element, with no use of the
-Frobenius symmetry; tests require `build_graph(...).succ` to equal it.
+`full_succ` evaluates T_ell at every field element by Horner over its
+coefficients (`horner_cols`), with no use of the Frobenius symmetry or
+of the pair ladder; tests require `build_graph(...).succ` to equal it.
 
 `reference_cycle_min` walks each successor path one step at a time;
 tests require `graph._cycle_min` to equal it.
@@ -22,6 +23,22 @@ from chebdyn.ffield import MINUS, PLUS, Branch, FieldCtx, nu
 from chebdyn.graph import FuncGraph, VerifyReport
 
 
+def horner_cols(ctx: FieldCtx, coeffs: list[int],
+                x: np.ndarray) -> np.ndarray:
+    """The polynomial coeffs[0] + coeffs[1] X + ..., of degree at least 1,
+    at each column of x, an (n, m) int64 matrix of reduced coefficient
+    columns, by Horner: one column product a coefficient."""
+    p = ctx.p
+    acc = coeffs[-1] * x
+    acc[0] += coeffs[-2]
+    acc %= p
+    for c in coeffs[-3::-1]:
+        acc = ctx._mul_cols(acc, x)
+        acc[0] += c
+        acc %= p
+    return acc
+
+
 def full_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
     """T_ell evaluated at every field element, one block of indices at a
     time in column-major (n, block) layout."""
@@ -29,7 +46,7 @@ def full_succ(ctx: FieldCtx, ell: int) -> np.ndarray:
     succ = np.empty(ctx.q, dtype=np.int64)
     for lo in range(0, ctx.q, ctx.BLOCK):
         x = ctx.coeff_cols(np.arange(lo, min(lo + ctx.BLOCK, ctx.q)))
-        succ[lo:lo + ctx.BLOCK] = ctx.encode_cols(ctx.eval_cols(coeffs, x))
+        succ[lo:lo + ctx.BLOCK] = ctx.encode_cols(horner_cols(ctx, coeffs, x))
     return succ
 
 

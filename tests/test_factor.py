@@ -260,15 +260,15 @@ def test_squarefree_loop_runs_where_the_gcd_test_fails(ell, p, n,
 
 
 @pytest.mark.parametrize("cells", (None, 2 * 9))
-def test_one_minimal_polynomial_tests_every_t(cells, monkeypatch):
+def test_one_check_tests_every_t(cells, monkeypatch):
     # f' enters gcd only inside the squarefree loop, as its first step on
-    # the t that fail the test (+-2), not once per t; mu is formed once
-    # per call, also over chunks of two t
+    # the t that fail the test (+-2), not once per t; g^2 = 4 mod f' is
+    # checked once per call, also over chunks of two t
     ell, p, n = 3, 1009, 2
     if cells:
         monkeypatch.setattr(factor, "STACK_CELLS", cells)
     df = polys.deriv(cheb_coeffs(ell ** n, p), p)
-    mus = _record_calls(monkeypatch, polys, "minimal_polynomial")
+    checks = _record_calls(monkeypatch, polys, "mul_rem")
     log = []  # ("loop", t) and ("gcd", inside a loop) for gcds with f'
     real_loop, real_gcd = polys.squarefree_parts, polys.gcd
 
@@ -290,7 +290,7 @@ def test_one_minimal_polynomial_tests_every_t(cells, monkeypatch):
     monkeypatch.setattr(polys, "gcd", gcd)
     got = list(factor_patterns_actual(ell, p, n, range(p)))
     assert got == list(factor.factor_patterns_predicted(ell, p, n, range(p)))
-    assert len(mus) == 1
+    assert len(checks) == 1
     assert log == [("loop", 2), ("gcd", True), ("loop", p - 2), ("gcd", True)]
 
 

@@ -15,7 +15,7 @@ from chebdyn.graph import (_cycle_min, _indegree, build_graph, export_dot,
                            orbit_stats_order, summarize, verify_structure)
 from chebdyn.predict import predict_summary
 from structure_reference import (SHAPES, full_succ, functional_graph,
-                                 reference_cycle_min,
+                                 horner_cols, reference_cycle_min,
                                  reference_verify_structure)
 
 # the criterion-05 sweep (ell in {2,3,5,7}, odd p <= 31, p^n <= 2^14),
@@ -80,31 +80,23 @@ def test_succ_and_weight_equal_full_evaluation():
 
 
 @pytest.mark.parametrize("p,n", ((1009, 1), (3, 4), (5, 3), (7, 2)))
-def test_ladder_successors_equal_horner(p, n, monkeypatch):
-    # from LADDER_ELL on, T_ell is the pair ladder: equal to Horner over
-    # the coefficients at every column and every ell, below the handoff
-    # too, and its successor tables byte-equal to Horner's, and to FFElem
-    # arithmetic at sampled vertices
+def test_ladder_successors_equal_horner(p, n):
+    # T_ell by the pair ladder equals Horner over its coefficients at
+    # every column, for ell a power of two, odd, and both, and the
+    # successor tables built on it are byte-equal to Horner's at every
+    # element, and to FFElem arithmetic at sampled vertices
     ctx = make_field(p, n)
     x = ctx.coeff_cols(np.arange(ctx.q))
-    for ell in (2, 3, 5, 7, 11, 13, 101, 1021):
-        if ell != p:
-            want = ctx.eval_cols(cheb_coeffs(ell, p), x)
-            assert np.array_equal(ctx.ladder_cols(ell, x), want), ell
-    ladders, real = [], FieldCtx.ladder_cols
-
-    def ladder(self, d, x):
-        ladders.append(d)
-        return real(self, d, x)
-
-    monkeypatch.setattr(FieldCtx, "ladder_cols", ladder)
+    for ell in (*range(1, 34), 48, 101, 1021):
+        want = horner_cols(ctx, cheb_coeffs(ell, p), x)
+        assert np.array_equal(ctx.ladder_cols(ell, x), want), ell
     for ell in (11, 13, 1021):
-        g = build_graph(ell, ctx)
-        assert ladders[-1] == ell
-        assert g.succ.tobytes() == full_succ(ctx, ell).astype(
-            np.int32).tobytes(), ell
-        if ell < 100:
-            check_succ_and_weight_by_ffelem(g)
+        if ell != p:
+            g = build_graph(ell, ctx)
+            assert g.succ.tobytes() == full_succ(ctx, ell).astype(
+                np.int32).tobytes(), ell
+            if ell < 100:
+                check_succ_and_weight_by_ffelem(g)
 
 
 def test_build_graph_memory_per_vertex():

@@ -183,16 +183,15 @@ def rfft_product_exact():
         assert got.tolist() == want, p
 
 
-def minimal_polynomial_annihilates_g():
-    """mu(g) = 0 mod f', g = f mod f', and mu(t) != 0 exactly where
-    gcd(f - t, f') = 1, for random monic f of degree 3 to 12 at p = 31,
-    where deg mu often reaches deg f', and of degree 33 in two limbs on
-    the numpy engines."""
-    rng = random.Random(7)
-    for p, degrees in ((31, range(3, 13)), (test_polys.TWO_LIMB_P, (33,))):
-        for d in degrees:
-            f = [rng.randrange(p) for _ in range(d)] + [1]
-            test_polys.check_minimal_polynomial(f, p, range(31))
+def mul_equals_schoolbook():
+    """mul against the double loop at full slots, (p - 1)^2 at every
+    term, over lengths 1 to 40: at p = 65521 two such terms already
+    pass 2^32, the slot's four bytes."""
+    for p in (3, 257, 65521):
+        for n in range(1, 41):
+            full = [p - 1] * n
+            assert polys.mul(full, full, p) == test_polys._schoolbook(
+                full, full, p), (p, n)
 
 
 fft_limb_width_widest = (
@@ -208,7 +207,7 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              stacked_patterns_equal_one_t, patterns_equal_closed_form,
              tree_product_equals_one_at_a_time, kernel_rows_equal_powers_of_x,
              x_power_equals_powering, rfft_product_exact,
-             minimal_polynomial_annihilates_g, fft_limb_width_widest,
+             mul_equals_schoolbook, fft_limb_width_widest,
              powmod_counts_products)
 
 # -- mutants -----------------------------------------------------------------
@@ -330,14 +329,15 @@ MUTANTS = {
     # every t stacked for the distinct-degree split, squarefree or not
     "patterns_skip_squarefree_test": (
         factor, "_patterns",
-        [("if mu_t:", "if True:")],
+        [("if (t * t - 4) % p:", "if True:")],
         patterns_equal_closed_form),
-    # the Krylov sequence stops before g^dm, so a g whose minimal
-    # polynomial has degree dm gets one of degree dm - 1
-    "krylov_stops_one_power_early": (
-        polys, "minimal_polynomial",
-        [("    for k in range(1, dm + 1):\n", "    for k in range(1, dm):\n")],
-        minimal_polynomial_annihilates_g),
+    # the Kronecker slot bounds one term's product, not the sum of
+    # min(len a, len b) of them, so a full slot carries into the next
+    "kronecker_slot_one_term": (
+        polys, "mul",
+        [("k = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8",
+          "k = (((p - 1) ** 2).bit_length() + 7) // 8")],
+        mul_equals_schoolbook),
     # the pairwise product drops an odd leftover term
     "tree_product_drops_odd_term": (
         polys.ModulusKernel, "tree_product",

@@ -13,15 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_factor, gf_gcd,
+from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd,
                                      gf_irreducible_p, gf_sqf_list,
                                      gf_sqf_p)
 
 from chebdyn import polys
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.ffield import _lex_min_irreducible
-from poly_reference import (compose, eval_at, lift, moduli, powmod, to_list,
-                            to_lists)
+from poly_reference import compose, lift, moduli, powmod, to_list, to_lists
 
 
 def test_gcd_examples():
@@ -503,83 +502,80 @@ _HYPOTHESIS = settings(max_examples=40, deadline=timedelta(seconds=10),
                        suppress_health_check=[HealthCheck.too_slow])
 
 
-def _at_g(a, g, m, p):
-    """a(g) mod m, by Horner on the list routines."""
-    acc = []
-    for c in reversed(a):
-        acc = polys.rem(polys.add(polys.mul(acc, g, p), [c], p), m, p)
-    return acc
+def _schoolbook(a, b, p):
+    """a b mod p by the double loop over the coefficients."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return polys.trim([c % p for c in out])
 
 
-def check_minimal_polynomial(f, p, ts, minimal=False):
-    """minimal_polynomial of f mod f' (f' != 0) against its definition and
-    against gcd as the oracle: mu monic of degree at most deg f', mu(g) = 0
-    mod f' for g = f mod f', and mu(t) != 0 exactly when gcd(f - t, f') =
-    [1] at each t in ts.  With minimal, (mu / r)(g) != 0 for every
-    irreducible factor r of mu (sympy's gf_factor).  Returns mu."""
-    df = polys.deriv(f, p)
-    mu = polys.minimal_polynomial(f, df, p)
-    assert mu[-1] == 1 and polys.degree(mu) <= polys.degree(df), mu
-    g = polys.rem(f, df, p)
-    assert _at_g(mu, g, df, p) == [], mu
-    for t in ts:
-        ft = polys.sub(f, [t % p], p)
-        assert (eval_at(mu, t, p) != 0) == (polys.gcd(ft, df, p) == [1]), t
-    if minimal:
-        for r, _ in gf_factor([ZZ(c) for c in mu[::-1]], p, ZZ)[1]:
-            rest = polys.divmod_(mu, [int(c) for c in r[::-1]], p)[0]
-            assert _at_g(rest, g, df, p) != [], (mu, r)
-    return mu
+@pytest.mark.parametrize("p", (3, 47, 257, 65521, 10 ** 9 + 7,
+                               (1 << 61) - 1))
+def test_mul_equals_the_schoolbook_product(p):
+    # Kronecker slots from one byte to sixteen, full slots ((p - 1)^2 at
+    # every term; at p = 257, (p - 1)^2 = 2^16 takes a third byte), empty
+    # and constant factors, entries past p and negative, and products
+    # that vanish mod p
+    rng = random.Random(p)
+    lengths = (0, 1, 2, 3, 5, 8, 31, 32, 33, 100, 257, 300)
+    for la, lb in iproduct(lengths, repeat=2):
+        a = [rng.randrange(-3 * p, 3 * p) for _ in range(la)]
+        b = [rng.randrange(p) for _ in range(lb)]
+        assert polys.mul(a, b, p) == _schoolbook(a, b, p), (la, lb)
+        full = [p - 1] * la
+        assert polys.mul(full, full, p) == _schoolbook(full, full, p), la
+    assert polys.mul([p, 2 * p], [1, 1], p) == []
 
 
-# T_ell^n, ell^n <= 243 (every factor_sweep degree, and 7, 49)
-MINPOLY_ITERATES = tuple((ell, n) for ell in (2, 3, 5, 7)
-                         for n in range(1, 8) if ell ** n <= 243)
-# fields for both engines: long moduli take _product with residues whole
-# (below 1000003) and in two limbs (prevprime(2^26)) and the numpy
-# division below 2^31, the list routines past it and for every short one
-TWO_LIMB_P = prevprime(1 << 26)
-MINPOLY_PRIMES = (3, 5, 7, 13, 47, 1009, 1000003, TWO_LIMB_P,
-                  nextprime(1 << 31), prevprime(1 << 40))
+@pytest.mark.parametrize("p", (3, 47, 1000003, prevprime(1 << 31),
+                               nextprime(1 << 31), prevprime(1 << 40)))
+def test_mul_rem_on_both_engines(p):
+    # moduli of degree 32 and above divide on int64 numpy below 2^31 and
+    # on the list loop past it, shorter ones on the list loop
+    rng = random.Random(p)
+    for dm in (1, 2, 7, 31, 32, 33, 64, 200):
+        m = [rng.randrange(p) for _ in range(dm)] + [rng.randrange(1, p)]
+        for da, db in ((0, 3), (dm - 1, dm - 1), (dm + 5, dm // 2),
+                       (2 * dm, 2 * dm)):
+            a = [rng.randrange(p) for _ in range(da + 1)]
+            b = [rng.randrange(p) for _ in range(db + 1)]
+            want = polys.rem(_schoolbook(a, b, p), m, p)
+            assert polys.mul_rem(a, b, m, p) == want, (dm, da, db)
+
+
+# T_ell^n, ell^n <= 243 (every factor_sweep degree, and 7, 49), over
+# fields for both of mul_rem's division engines
+ANNIHILATOR_ITERATES = tuple((ell, n) for ell in (2, 3, 5, 7)
+                             for n in range(1, 8) if ell ** n <= 243)
+ANNIHILATOR_PRIMES = (3, 5, 7, 13, 47, 1009, 1000003, prevprime(1 << 26),
+                      nextprime(1 << 31), prevprime(1 << 40))
 
 
 @_HYPOTHESIS
 @given(data=st.data())
-def test_minimal_polynomial_tests_every_t_of_an_iterate(data):
-    # every critical value of T_d is +-2, so mu = T^2 - 4 from d = 3 on
-    # (T_d -+ 2 both have a repeated root), and T + 2 at d = 2
-    ell, n = data.draw(st.sampled_from(MINPOLY_ITERATES), label="(ell, n)")
-    p = data.draw(st.sampled_from([q for q in MINPOLY_PRIMES if q != ell]),
-                  label="p")
+def test_t_squared_minus_4_annihilates_f_mod_f_prime(data):
+    # every critical value of T_d is +-2: g = T_d mod T_d' has g^2 = 4,
+    # so T_d - t is squarefree (gcd(T_d - t, T_d') = 1) wherever
+    # t^2 != 4; T_d -+ 2 both have a repeated root from d = 3 on, and
+    # at d = 2 only T_2 + 2 = x^2 does
+    ell, n = data.draw(st.sampled_from(ANNIHILATOR_ITERATES),
+                       label="(ell, n)")
+    p = data.draw(st.sampled_from([q for q in ANNIHILATOR_PRIMES
+                                   if q != ell]), label="p")
     ts = data.draw(st.lists(st.integers(0, p - 1), max_size=4), label="ts")
     d = ell ** n
-    if p == TWO_LIMB_P and d > polys.GCD_NUMPY_DEGREE:
-        assert len(polys._limb_shifts(p, polys.limb_width(d - 1, p))) == 2
-    mu = check_minimal_polynomial(cheb_coeffs(d, p), p, ts + [2, p - 2])
-    assert mu == ([2 % p, 1] if d == 2 else [-4 % p, 0, 1])
-
-
-@pytest.mark.parametrize("p", (3, 7, 31, 1009, TWO_LIMB_P,
-                               nextprime(1 << 31)))
-def test_minimal_polynomial_of_random_f(p):
-    # random monic f, whose mu has degree up to deg f' (the ring is not
-    # the one of an iterate): moduli of degree 32 and above take the
-    # numpy engines below 2^31
-    rng = random.Random(p)
-    found = []
-    for d in (2, 3, 5, 8, 13, 21, 33, 40):
-        f = [rng.randrange(p) for _ in range(d)] + [1]
-        if not polys.deriv(f, p):
-            continue
-        ts = [rng.randrange(p) for _ in range(6)]
-        found.append(polys.degree(check_minimal_polynomial(f, p, ts, True)))
-    assert max(found) > 2, found
-
-
-def test_minimal_polynomial_refuses_a_zero_modulus():
-    assert polys.minimal_polynomial([1, 2, 3], [5], 7) == [1]
-    with pytest.raises(ZeroDivisionError):
-        polys.minimal_polynomial([1, 2, 3], [7, 0], 7)
+    f = cheb_coeffs(d, p)
+    df = polys.deriv(f, p)
+    g = polys.rem(f, df, p)
+    assert polys.mul_rem(g, g, df, p) == [4 % p]
+    for t in ts + [2, p - 2]:
+        squarefree = polys.gcd(polys.sub(f, [t], p), df, p) == [1]
+        if (t * t - 4) % p:
+            assert squarefree, t
+        else:
+            assert squarefree == (d == 2 and t == 2), t
 
 
 @_HYPOTHESIS
