@@ -88,22 +88,24 @@ def sub(a: Poly, b: Poly, p: int) -> Poly:
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
     """a b mod p for lists of ints, by Kronecker substitution: each factor,
-    reduced mod p, is packed into one integer of k bytes a coefficient,
-    with 2^(8k) > min(len a, len b) (p - 1)^2, a bound on every coefficient
-    of the product, so one big-integer product holds the coefficients in
-    their slots with no carry between them."""
+    reduced mod p, is packed into one integer of w bits a coefficient,
+    2^w > min(len a, len b) (p - 1)^2, a bound on every coefficient of
+    the product, so one big-integer product holds them in its w-bit slots
+    with no carry between them."""
     if not a or not b:
         return []
-    k = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    n = len(a) + len(b) - 1
-    raw = (_pack(a, p, k) * _pack(b, p, k)).to_bytes(n * k, "little")
-    return trim([int.from_bytes(raw[i:i + k], "little") % p
-                 for i in range(0, n * k, k)])
-
-
-def _pack(a: Poly, p: int, k: int) -> int:
-    return int.from_bytes(b"".join([(c % p).to_bytes(k, "little")
-                                    for c in a]), "little")
+    w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    x = y = 0
+    for c in reversed(a):
+        x = x << w | c % p
+    for c in reversed(b):
+        y = y << w | c % p
+    z, mask = x * y, (1 << w) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        out.append((z & mask) % p)
+        z >>= w
+    return trim(out)
 
 
 def mul_scalar(a: Poly, k: int, p: int) -> Poly:
@@ -261,10 +263,11 @@ def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
 
 
 def mul_rem(a: Poly, b: Poly, m: Poly, p: int) -> Poly:
-    """a b mod m, m nonzero: the product by mul, the remainder on gcd's
-    engines, one int64 numpy division with delayed reduction (_np_rem)
-    when m has degree at least GCD_NUMPY_DEGREE and p < 2^31, the list
-    loop otherwise."""
+    """a b mod m, m nonzero, exact at every p: the product by mul, the
+    remainder on gcd's engines, one int64 numpy division with delayed
+    reduction (_np_rem) when m has degree at least GCD_NUMPY_DEGREE and
+    p < 2^31, the list loop otherwise.  It uses none of the float64
+    kernel's products, so a check built on it is independent of them."""
     out = mul(a, b, p)
     k = _STEP_BOUND // (p * p)
     if k and len(m) > GCD_NUMPY_DEGREE:

@@ -185,8 +185,8 @@ def rfft_product_exact():
 
 def mul_equals_schoolbook():
     """mul against the double loop at full slots, (p - 1)^2 at every
-    term, over lengths 1 to 40: at p = 65521 two such terms already
-    pass 2^32, the slot's four bytes."""
+    term, over lengths 1 to 40: at each p two such terms already pass
+    the width of one."""
     for p in (3, 257, 65521):
         for n in range(1, 41):
             full = [p - 1] * n
@@ -335,8 +335,8 @@ MUTANTS = {
     # min(len a, len b) of them, so a full slot carries into the next
     "kronecker_slot_one_term": (
         polys, "mul",
-        [("k = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8",
-          "k = (((p - 1) ** 2).bit_length() + 7) // 8")],
+        [("w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()",
+          "w = ((p - 1) ** 2).bit_length()")],
         mul_equals_schoolbook),
     # the pairwise product drops an odd leftover term
     "tree_product_drops_odd_term": (

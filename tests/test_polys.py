@@ -514,10 +514,10 @@ def _schoolbook(a, b, p):
 @pytest.mark.parametrize("p", (3, 47, 257, 65521, 10 ** 9 + 7,
                                (1 << 61) - 1))
 def test_mul_equals_the_schoolbook_product(p):
-    # Kronecker slots from one byte to sixteen, full slots ((p - 1)^2 at
-    # every term; at p = 257, (p - 1)^2 = 2^16 takes a third byte), empty
-    # and constant factors, entries past p and negative, and products
-    # that vanish mod p
+    # Kronecker slots from 3 bits to 131, full slots ((p - 1)^2 at every
+    # term; at p = 3 and 257, (p - 1)^2 is a power of two), empty and
+    # constant factors, entries past p and negative, and products that
+    # vanish mod p
     rng = random.Random(p)
     lengths = (0, 1, 2, 3, 5, 8, 31, 32, 33, 100, 257, 300)
     for la, lb in iproduct(lengths, repeat=2):
