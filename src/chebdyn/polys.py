@@ -128,6 +128,8 @@ def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
     the quotient's coefficients go into quo when it is given.  A constant
     b divides at once: the quotient is a b0^-1 and the remainder 0."""
     db = degree(b)
+    if len(a) <= db:  # a is its own remainder
+        return
     inv = pow(b[-1], -1, p)
     if not db:
         if quo is not None:
@@ -269,8 +271,7 @@ def mul_rem(a: Poly, b: Poly, m: Poly, p: int) -> Poly:
     p < 2^31, the list loop otherwise.  It uses none of the float64
     kernel's products, so a check built on it is independent of them."""
     out = mul(a, b, p)
-    k = _STEP_BOUND // (p * p)
-    if k and len(m) > GCD_NUMPY_DEGREE:
+    if len(m) > GCD_NUMPY_DEGREE and (k := _STEP_BOUND // (p * p)):
         return _np_rem(np.array(out, dtype=np.int64),
                        np.array(m, dtype=np.int64), p, k,
                        np.empty(len(m) - 1, dtype=np.int64)).tolist()
