@@ -275,9 +275,8 @@ class FieldCtx:
     # the Frobenius map 4 (int32); alpha_order_tables and
     # frobenius_indices refuse above this size, which also keeps the walk's
     # n * p^2 below 2^53, every index below 2^31 and each side's divisor
-    # count below 2^15.  alpha_order never builds the tables, and reads
-    # them only at n > 1 when build_graph already has: on a prime field it
-    # always takes the T_d ladder.  It is also the default graph
+    # count below 2^15.  alpha_order neither builds nor reads the tables:
+    # it always takes the T_d ladder.  It is also the default graph
     # enumeration cap (graph.DEFAULT_CAP): on a 2-core host with one BLAS
     # thread, `chebdyn graph --ell 3 --p 33554393 --n 1`, q just below
     # 2^25, ran in 10.3 s with a peak RSS of 961 MiB (30 bytes per vertex,
@@ -748,19 +747,12 @@ def alpha_order(a: FFElem) -> tuple[int, Branch]:
     order is the least k dividing q -+ 1 with T_k(a) = 2: for each prime
     power r^e exactly dividing q -+ 1, T_r is applied to T_{(q-+1)/r^e}(a)
     until it reaches 2 (T_r . T_k = T_rk).  That is O(omega(q -+ 1) log q)
-    ring operations, and no table.  On a prime field the ladder runs on
-    the plain residue and is always taken, so the factoring route's closed
-    form (classify_t) never reads the walk tables that label the graph.
-    On an extension field it runs on FFElem products, 0.2-1.8 ms a call
-    at q <= 2^14, so there the walk tables are read when build_graph has
-    built them.
+    ring operations, and no table: the walk tables that label the graph
+    are never read, so the closed-form route checks them.  The ladder
+    runs on the plain residue on a prime field, on FFElem products
+    otherwise.
     """
     ctx = a.ctx
-    tables = ctx._cache.get("alpha") if ctx.n > 1 else None
-    if tables is not None:
-        ids, order, branch = tables
-        k = ids[a.index]
-        return int(order[k]), (MINUS if branch[k] == 0 else PLUS)
     t, two, p = _ladder_operands(a, ctx)
     br = MINUS if _cheb_ladder(ctx.q - 1, t, two, p) == two else PLUS
     group = ctx.order_minus if br == MINUS else ctx.order_plus

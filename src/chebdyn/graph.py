@@ -294,7 +294,11 @@ def orbit_stats_order(a: FFElem, ell: int) -> tuple[int, int]:
     """(preperiod, period) of a from the order of its lifted root alone.
 
     No iteration of the map: the preperiod is the ell-valuation of
-    ord(alpha) and the period is c of the prime-to-ell part.
+    ord(alpha) and the period is c of the prime-to-ell part.  The order
+    comes from alpha_order's T_d ladder, never from the walk tables; at
+    n > 1 that runs on FFElem products, 0.2-1.8 ms a call at q <= 2^14.
+    To label many vertices of a built graph, apply the same formula to
+    g.class_order[g.class_id].
     """
     check_domain(ell, a.ctx.p)
     ordv, _ = alpha_order(a)

@@ -5,6 +5,7 @@ with its runtime.  Run with `pytest tests/test_acceptance.py -v -s`.
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -13,11 +14,12 @@ from chebdyn.cli import main as cli_main
 from chebdyn.factor import (decompose_prime, factor_pattern_actual,
                             factor_pattern_predicted, factor_patterns_actual,
                             verify_reciprocity)
-from chebdyn.ffield import element_degree, is_prime, make_field
+from chebdyn.ffield import element_degree, is_prime, make_field, nu
 from chebdyn.graph import build_graph, orbit_stats_order, summarize, \
     verify_structure
-from chebdyn.predict import (D1, D2, periodic_density, predict_summary,
-                             predict_weight, structure_params, tower_limit)
+from chebdyn.predict import (D1, D2, half_order, periodic_density,
+                             predict_summary, predict_weight,
+                             structure_params, tower_limit)
 from chebdyn.verify import verify_instance
 
 ODD_PRIMES_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -134,22 +136,36 @@ def test_criterion_03_weight_table_g_3_53_18():
 
 
 def test_criterion_04_orbit_oracle_equivalence():
+    # every vertex: brute (pper, per) == (nu_ell(o), c(o / ell^nu)) for o
+    # the order of its class in the walk tables; then the T_d ladder,
+    # which reads no table, on every vertex at n = 1 and on one vertex of
+    # every divisor class at n > 1, where it runs on FFElem products
     t0 = time.time()
     sweep = _sweep()
-    checked = 0
+    checked = laddered = reps = 0
     for key, val in sweep.items():
         if key == "build_seconds":
             continue
         ell, p, n = key
         ctx, g = val
-        for i in range(ctx.q):
+        rhos = [nu(int(o), ell) for o in g.class_order]
+        pers = [half_order(ell, int(o) // ell ** r)
+                for o, r in zip(g.class_order, rhos)]
+        assert np.array_equal(np.array(rhos)[g.class_id], g.pper), key
+        assert np.array_equal(np.array(pers)[g.class_id], g.per), key
+        checked += ctx.q
+        verts = (range(ctx.q) if n == 1
+                 else np.unique(g.class_id, return_index=True)[1].tolist())
+        for i in verts:
             rho, pi = orbit_stats_order(ctx.decode(i), ell)
             assert rho == g.pper[i] and pi == g.per[i], (ell, p, n, i)
-        checked += ctx.q
+        laddered += len(verts)
+        reps += len(verts) if n > 1 else 0
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"{elapsed:.1f}s"
-    _report(4, f"brute (pper, per) == order formula on {checked} vertices",
-            t0)
+    _report(4, f"brute (pper, per) == order formula on {checked} vertices "
+            f"by their class orders, on {laddered} by the T_d ladder "
+            f"({reps} of them one a divisor class at n > 1)", t0)
 
 
 def test_criterion_05_structure_theorem():

@@ -1,4 +1,5 @@
-"""Byte-for-byte golden outputs of the README command-line examples.
+"""Byte-for-byte golden outputs of the README command-line examples, and
+the README's library quick start run as written.
 
 Each case runs in table and json format; the files under tests/golden/
 hold the expected stdout (and, for ``--dot``, the DOT text).
@@ -11,6 +12,7 @@ import pytest
 from chebdyn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CASES = {
     "graph_3_53_1": ["graph", "--ell", "3", "--p", "53", "--n", "1"],
@@ -46,3 +48,19 @@ def render(name, fmt, tmp_path, capsys):
 def test_cli_golden(name, fmt, tmp_path, capsys):
     for fname, data in render(name, fmt, tmp_path, capsys).items():
         assert data == (GOLDEN / fname).read_bytes(), fname
+
+
+def test_readme_library_quick_start(capsys):
+    # the python block under "Library quick start", then what its
+    # comments state: the graph's arrays, the printed divisor-class table,
+    # the summary rows equal to the closed form's and 2 factors of degree 4
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    g, summarize = ns["g"], ns["summarize"]
+    for name in ("succ", "pper", "per", "weight", "divisor", "comp"):
+        assert len(getattr(g, name)) == 53, name
+    assert capsys.readouterr().out == summarize(g).table_str() + "\n"
+    assert summarize(g).rows == ns["predict_summary"](3, 53, 1).rows
+    assert str(ns["factor_pattern_predicted"](2, 13, 3, 105)) == "2 x (deg 4)"

@@ -376,8 +376,8 @@ def test_alpha_order_of_embedded_residues_above_table_cap():
 
 
 def test_alpha_order_ladder_matches_walk_tables():
-    # a fresh context holds no tables, so alpha_order takes the T_d
-    # ladder; the walk tables built afterwards are the reference.  Both
+    # alpha_order takes the T_d ladder and leaves no table on a fresh
+    # context; the walk tables built afterwards are the reference.  Both
     # sides of the last two fields walk more than one block of exponents,
     # the last one partial; about 2000 of their elements are compared
     for (p, n) in ((13, 1), (5, 2), (3, 4), (7, 3), (11, 2), (53, 1),
@@ -438,27 +438,32 @@ def test_order_tables_refuse_a_side_of_2_15_divisors():
         ctx.alpha_order_tables()
 
 
-def test_closed_form_route_ignores_the_walk_tables():
+@pytest.mark.parametrize("ell,p,n", [(3, 53, 1), (3, 5, 2), (2, 3, 4)])
+def test_closed_form_route_ignores_the_walk_tables(ell, p, n):
     # build_graph leaves the walk tables that label the graph on the
-    # shared context; with one vertex's class order changed in them, the
-    # closed-form route on a prime field must still give the T_d ladder's
-    # answer, or verify would check the tables against themselves
+    # shared context; after it, and with one class order changed in them,
+    # alpha_order and the routes on it must still give a fresh context's
+    # T_d ladder answer at every element, or criterion 04 and verify would
+    # check the tables against themselves.  alpha_order is looked up on
+    # its module, so that a replacement patched there is the one called
     from chebdyn.factor import classify_t
     from chebdyn.graph import build_graph, orbit_stats_order
-    ell, p, i = 3, 53, 5
-    fresh = make_field.__wrapped__(p, 1).from_int(i)
-    want = (alpha_order(fresh), classify_t(ell, p, i),
-            orbit_stats_order(fresh, ell))
-    ctx = make_field(p, 1)
+
+    def answers(ctx):
+        return [(ffield.alpha_order(a), orbit_stats_order(a, ell))
+                + ((classify_t(ell, p, i),) if n == 1 else ())
+                for i, a in enumerate(map(ctx.decode, range(ctx.q)))]
+
+    want = answers(make_field.__wrapped__(p, n))
+    ctx = make_field(p, n)
     build_graph(ell, ctx)
+    assert answers(ctx) == want
     tables = ids, order, branch = ctx._cache["alpha"]
     bad = order.copy()
-    bad[ids[i]] = order[ids[i]] // ell
+    bad[ids[5]] = order[ids[5]] * ell
     ctx._cache["alpha"] = (ids, bad, branch)
     try:
-        a = ctx.from_int(i)
-        got = (alpha_order(a), classify_t(ell, p, i),
-               orbit_stats_order(a, ell))
+        got = answers(ctx)
     finally:
         ctx._cache["alpha"] = tables
     assert got == want

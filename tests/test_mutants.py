@@ -194,6 +194,14 @@ def mul_equals_schoolbook():
                 full, full, p), (p, n)
 
 
+def alpha_order_ignores_walk_tables():
+    """alpha_order and orbit_stats_order at every element of F_{5^2} and
+    F_{3^4}, after build_graph and with one class order corrupted in the
+    walk tables, against a fresh context's."""
+    for ell, p, n in ((3, 5, 2), (2, 3, 4)):
+        test_ffield.test_closed_form_route_ignores_the_walk_tables(ell, p, n)
+
+
 fft_limb_width_widest = (
     test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
 powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
@@ -207,8 +215,8 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              stacked_patterns_equal_one_t, patterns_equal_closed_form,
              tree_product_equals_one_at_a_time, kernel_rows_equal_powers_of_x,
              x_power_equals_powering, rfft_product_exact,
-             mul_equals_schoolbook, fft_limb_width_widest,
-             powmod_counts_products)
+             mul_equals_schoolbook, alpha_order_ignores_walk_tables,
+             fft_limb_width_widest, powmod_counts_products)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -364,6 +372,18 @@ MUTANTS = {
         polys, "_product",
         [("parts.append(np.rint(part, out=part))", "parts.append(part)")],
         rfft_product_exact),
+    # alpha_order answering from the walk tables when build_graph has left
+    # them on an extension field, so the tables would check themselves
+    "alpha_order_reads_walk_tables": (
+        ffield, "alpha_order",
+        [("    t, two, p = _ladder_operands(a, ctx)\n",
+          "    tables = ctx._cache.get(\"alpha\") if ctx.n > 1 else None\n"
+          "    if tables is not None:\n"
+          "        ids, order, branch = tables\n"
+          "        k = ids[a.index]\n"
+          "        return int(order[k]), (MINUS if branch[k] == 0 else PLUS)\n"
+          "    t, two, p = _ladder_operands(a, ctx)\n")],
+        alpha_order_ignores_walk_tables),
     # powmod starting from the unit: a squaring and a product wasted
     "powmod_from_the_unit": (
         polys.ModulusKernel, "powmod",
