@@ -395,8 +395,9 @@ def decompose_prime(ell: int, t: int, p: int, max_level: int,
         witness = find_irreducibility_witness(ell, t)
         if witness is None:
             raise ValueError(
-                "cannot certify that every iterate is irreducible: no "
-                "witness prime found; pass one explicitly")
+                f"no witness prime for t = {t} up to WITNESS_BOUND = "
+                f"{WITNESS_BOUND} certifies every iterate irreducible; pass "
+                "one to the library call decompose_prime(..., witness=w)")
     elif not all_iterates_irreducible(ell, witness, t):
         raise ValueError(f"witness {witness} does not certify irreducibility")
 

@@ -11,7 +11,7 @@ import pytest
 import chebdyn
 from chebdyn import cli
 from chebdyn.cli import main
-from chebdyn.factor import DEGREE_CAP
+from chebdyn.factor import DEGREE_CAP, WITNESS_BOUND
 from chebdyn.ffield import is_prime
 from chebdyn.graph import DEFAULT_CAP
 
@@ -161,6 +161,18 @@ def test_decompose_table_and_refusal(capsys):
     code, _, err = run(capsys, ["decompose", "--ell", "2", "--t", "105",
                                 "--p", "103"])
     assert code == 3 and "refused" in err
+
+
+def test_decompose_without_witness_names_the_bound(capsys):
+    # T_3(0) = 0, so t = 0 has preperiod 0 mod every prime, never the
+    # maximal one: no prime up to the search bound certifies the tower,
+    # and the CLI has no witness option, so the refusal names both
+    code, out, err = run(capsys, ["decompose", "--ell", "3", "--t", "0",
+                                  "--p", "7"])
+    assert code == 3 and out == ""
+    assert err.startswith("refused: ") and "t = 0" in err, err
+    assert f"WITNESS_BOUND = {WITNESS_BOUND}" in err, err
+    assert "decompose_prime(..., witness=w)" in err, err
 
 
 def test_unbounded_sizes_refused_before_the_work(capsys):

@@ -513,6 +513,28 @@ def test_trace_walk_matches_the_ladder():
             assert checked == len(want), (p, n, m)
 
 
+def test_trace_walk_makes_no_ffelem_product(monkeypatch):
+    # the walk multiplies through its x-power table alone: the scalar
+    # element product belongs to alpha_order, the full-order scan and the
+    # Frobenius basis
+    product, calls = FFElem.__mul__, []
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    for (p, n) in ((3, 10), (7, 6)):
+        ctx = make_field.__wrapped__(p, n)
+        for m, group in ((ctx.q + 1, ctx.order_plus),
+                         (ctx.q - 1, ctx.order_minus)):
+            a = ctx._full_order_trace(m, group)
+            monkeypatch.setattr(FFElem, "__mul__", counted)
+            for _ in ctx._trace_walk(a, m // 2 + 1):
+                pass
+            monkeypatch.undo()
+        assert len(calls) == 0, (p, n, len(calls))
+
+
 def test_alpha_order_tables_match_gcd_formula():
     # every table entry against m // gcd(e, m) on the same walk: q - 1 =
     # 145006 and q + 1 walk three blocks, 3^10 + 1 and 7^6 -+ 1 carry

@@ -2,11 +2,13 @@
 
 A mutant is a whole replacement of one package function, compiled from
 that function's own source with one named edit and applied with
-monkeypatch, so the package source is never touched; the edit must match
-the source exactly once, so a mutant cannot silently stop applying when
-the code moves.  Each mutant names its detector, the smallest check that
-kills it: the check passes on the package and fails (an AssertionError,
-or the package's own ArithmeticError) on the mutant.  After DeMillo,
+monkeypatch to every binding of the function in chebdyn, so the package
+source is never touched and no caller that imported it by name keeps
+the original; the edit must match the source exactly once, so a mutant
+cannot silently stop applying when the code moves.  Each mutant names
+its detectors, the smallest checks that kill it: each check passes on
+the package and fails (an AssertionError, or the package's own
+ArithmeticError) on the mutant.  After DeMillo,
 Lipton and Sayward, "Hints on test data selection: help for the
 practicing programmer", IEEE Computer 11(4), 1978.
 """
@@ -14,6 +16,7 @@ practicing programmer", IEEE Computer 11(4), 1978.
 import __future__
 import inspect
 import random
+import sys
 import textwrap
 
 import numpy as np
@@ -202,6 +205,23 @@ def alpha_order_ignores_walk_tables():
         test_ffield.test_closed_form_route_ignores_the_walk_tables(ell, p, n)
 
 
+def orbit_stats_ignore_walk_tables():
+    """graph.orbit_stats_order alone at every element of F_{3^4}, after
+    build_graph and with one class order corrupted in the walk tables,
+    against a fresh context's: the order it reads comes through graph's
+    own binding of alpha_order."""
+    ell = 2
+    fresh, ctx = (make_field.__wrapped__(3, 4) for _ in range(2))
+    graph.build_graph(ell, ctx)
+    ids, order, branch = ctx._cache["alpha"]
+    bad = order.copy()
+    bad[ids[5]] = order[ids[5]] * ell
+    ctx._cache["alpha"] = (ids, bad, branch)
+    for i in range(ctx.q):
+        assert (graph.orbit_stats_order(ctx.decode(i), ell)
+                == graph.orbit_stats_order(fresh.decode(i), ell)), i
+
+
 fft_limb_width_widest = (
     test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
 powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
@@ -216,7 +236,8 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              tree_product_equals_one_at_a_time, kernel_rows_equal_powers_of_x,
              x_power_equals_powering, rfft_product_exact,
              mul_equals_schoolbook, alpha_order_ignores_walk_tables,
-             fft_limb_width_widest, powmod_counts_products)
+             orbit_stats_ignore_walk_tables, fft_limb_width_widest,
+             powmod_counts_products)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -261,10 +282,15 @@ MUTANTS = {
     # the walk reduces before subtracting T_{lo-1}, T_{lo-2}, ...
     "walk_minus_prev_unreduced": (
         FieldCtx, "_trace_walk",
-        [("block = self.mul_matrix(h).T.astype(np.float64) @ base[:, :take]",
-          "block = polys._mod(self.mul_matrix(h).T.astype(np.float64)"
-          " @ base[:, :take], self.p)"),
-         ("return polys._mod(block, self.p)", "return block")],
+        [("block = times_h @ base[:, :take]",
+          "block = polys._mod(times_h @ base[:, :take], p)"),
+         ("return polys._mod(block, p)", "return block")],
+        trace_walk_matches_the_ladder),
+    # the x-power matrices built without their transpose, so the matrix of
+    # y -> x^k y takes x^(i+j)_k for x^(j+k)_i: the same at n = 1 only
+    "walk_multiplier_untransposed": (
+        FieldCtx, "_trace_walk",
+        [("].T.reshape(", "].reshape(")],
         trace_walk_matches_the_ladder),
     # psi(u) read from u's own window, not from the window 4 steps on
     "psi_from_own_window": (
@@ -383,7 +409,7 @@ MUTANTS = {
           "        k = ids[a.index]\n"
           "        return int(order[k]), (MINUS if branch[k] == 0 else PLUS)\n"
           "    t, two, p = _ladder_operands(a, ctx)\n")],
-        alpha_order_ignores_walk_tables),
+        (alpha_order_ignores_walk_tables, orbit_stats_ignore_walk_tables)),
     # powmod starting from the unit: a squaring and a product wasted
     "powmod_from_the_unit": (
         polys.ModulusKernel, "powmod",
@@ -399,9 +425,29 @@ def test_detector_passes_on_the_package(detector):
     detector()
 
 
+def rebind(monkeypatch, owner, attr, fake) -> int:
+    """Set fake in place of owner.attr on its owner and under every name
+    a chebdyn module, or the package, imported it by (factor, graph and
+    the package hold alpha_order, verify holds verify_structure), as the
+    bench tracer rebinds its wrappers; the count of bindings set."""
+    orig = getattr(owner, attr)
+    spaces = [owner] + [mod for name, mod in sorted(sys.modules.items())
+                        if name.split(".")[0] == "chebdyn"]
+    count = 0
+    for space in spaces:
+        for name, value in list(vars(space).items()):
+            if value is orig:
+                monkeypatch.setattr(space, name, fake)
+                count += 1
+    return count
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed(name, monkeypatch):
-    owner, attr, edits, detector = MUTANTS[name]
-    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), edits))
-    with pytest.raises((AssertionError, ArithmeticError)):
-        detector()
+    owner, attr, edits, detectors = MUTANTS[name]
+    fake = mutant(getattr(owner, attr), edits)
+    assert rebind(monkeypatch, owner, attr, fake) >= 1
+    for detector in (detectors if isinstance(detectors, tuple)
+                     else (detectors,)):
+        with pytest.raises((AssertionError, ArithmeticError)):
+            detector()
