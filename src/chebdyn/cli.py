@@ -17,7 +17,6 @@ import errno
 import json
 import os
 import sys
-from contextlib import nullcontext
 from functools import cache
 from typing import Optional
 
@@ -54,13 +53,14 @@ def _check_printable(what: str, base: int, exp: int, coef: int = 1) -> None:
 
 
 def _graph(args):
+    # the domain and the cap before make_field, which would otherwise
+    # search for a modulus of any degree n
     check_domain(args.ell, args.p, args.n, args.cap)
-    # the DOT path is opened first: an unwritable one stops before the build
-    with (open(args.dot, "w", encoding="utf-8") if args.dot
-          else nullcontext()) as fh:
-        g = build_graph(args.ell, make_field(args.p, args.n), cap=args.cap)
-        s = summarize(g)
-        if fh:
+    g = build_graph(args.ell, make_field(args.p, args.n), cap=args.cap)
+    s = summarize(g)
+    # opened only now: a refused graph leaves the DOT file as it was
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             export_dot(g, fh)
     return s.to_json_obj(), s.table_str(), 0
 
@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_writable(path: str) -> None:
     """Raise the OSError that open(path, "w") would raise for a path that
     cannot be written (a missing or unwritable directory, a directory, an
-    unwritable file), without creating the file: --out is checked before
-    any work, and written only once the subcommand has answered."""
+    unwritable file), without creating the file: --out and --dot are
+    checked before any work, and written only once the subcommand has
+    answered."""
     def fail(code):
         raise OSError(code, os.strerror(code), path)
 
@@ -196,8 +197,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.out:
-            _check_writable(args.out)
+        for path in (args.out, getattr(args, "dot", None)):
+            if path:
+                _check_writable(path)
         obj, text, code = args.run(args)
         if args.format == "json":
             text = json.dumps(obj, indent=2, sort_keys=True)

@@ -107,10 +107,10 @@ def factor_patterns_actual(ell: int, p: int, n: int,
     direct factorization.
 
     One check per call tests every t: with f = T_ell^n and g = f mod f',
-    T^2 - 4 annihilates g, that is g^2 = 4 mod f' (polys.mul_rem, checked
-    before the first chunk; an ArithmeticError if it fails).  Then
-    f - t is squarefree whenever t^2 != 4 mod p: T^2 - 4 =
-    (T - t)(T + t) + t^2 - 4, so (g - t)(g + t) = 4 - t^2, a nonzero
+    T^2 - 4 annihilates g, that is g^2 = 4 mod f' (polys.mul and
+    polys.rem, checked before the first chunk; an ArithmeticError if it
+    fails).  Then f - t is squarefree whenever t^2 != 4 mod p:
+    T^2 - 4 = (T - t)(T + t) + t^2 - 4, so (g - t)(g + t) = 4 - t^2, a nonzero
     constant, mod f', g - t is a unit, and gcd(f - t, f') =
     gcd(g - t, f') = 1.  The check holds since every critical value of
     T_d is +-2: T_d(z + 1/z) = z^d + z^-d gives (x^2 - 4) f'^2 =
@@ -139,7 +139,9 @@ def _patterns(f: list[int], p: int, ts: Iterator[int]
     d = len(f) - 1
     df = polys.deriv(f, p)
     g = polys.rem(f, df, p)
-    if polys.mul_rem(g, g, df, p) != [4 % p]:
+    # mul and rem use none of the float64 kernel's products, so the
+    # check is independent of the kernel
+    if polys.rem(polys.mul(g, g, p), df, p) != [4 % p]:
         raise ArithmeticError("T^2 - 4 does not annihilate f mod f'")
     while chunk := list(islice(ts, max(1, STACK_CELLS // d))):
         entries: list[list[tuple[int, int, int]]] = []

@@ -25,15 +25,17 @@ is built a block of ceil(sqrt(d)) rows at a time, each block one matrix
 product with the first (_fill_rows); and x^p starts from its monomial
 head, x^e0 for e0 the longest prefix of p's bits below d, with one
 mulmod a further bit, a squaring or x r times r (x_power).
-gcd is one Euclid in two step engines: int64 numpy divisions with
-delayed reduction (_np_rem) while the divisor is long and p < 2^31, the
-exact list loop for short divisors and every larger p; it is where
-kernel residues become ints.  Exact divisions stay on the list routines.
+Every division has two engines, chosen from the divisor alone
+(_np_steps): int64 numpy with delayed reduction (_np_rem) while the
+divisor has degree at least GCD_NUMPY_DEGREE and p < 2^31, the exact
+list loop for shorter divisors and every larger p.  divmod_ (and rem)
+divide once; gcd is one Euclid whose steps take the same engines, and
+it is where kernel residues become ints.
 Factoring has one path per step: gcd(f, f') = 1 tests squarefreeness
 (for the whole family T_d - t, factor checks g^2 = 4 mod f' once, g =
-f mod f', by mul_rem on gcd's division engines, and t^2 != 4 then
-suffices), the characteristic-p squarefree loop, whose p-th-root step
-also covers f' = 0, splits what fails the test, and the baby-step giant-step
+f mod f', by mul and rem, and t^2 != 4 then suffices), the
+characteristic-p squarefree loop, whose p-th-root step also covers
+f' = 0, splits what fails the test, and the baby-step giant-step
 distinct-degree split at every degree >= 2, by one tree over the degree
 range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
 when e | k = js - i, so one gcd with the product of every V_k, k <= K,
@@ -113,16 +115,6 @@ def mul_scalar(a: Poly, k: int, p: int) -> Poly:
     return trim([c * k % p for c in a])
 
 
-def divmod_(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    b = trim([c % p for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = trim([c % p for c in a])
-    quo = [0] * max(0, len(a) - degree(b))
-    _reduce(a, b, p, quo)
-    return trim(quo), a
-
-
 def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
     """Replace a by a mod b in place (both trimmed, entries in [0, p));
     the quotient's coefficients go into quo when it is given.  A constant
@@ -147,36 +139,35 @@ def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
     trim(a)
 
 
-def rem(a: Poly, b: Poly, p: int) -> Poly:
-    b = trim([c % p for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = trim([c % p for c in a])
-    _reduce(a, b, p)
-    return a
-
-
 def monic(a: Poly, p: int) -> Poly:
     if not a:
         return a
     return mul_scalar(a, pow(a[-1], -1, p), p)
 
 
-# The Euclid in gcd divides on int64 numpy remainders while the divisor
-# has at least this degree, and on the list loop below it.  Measured per
-# gcd of random pairs of degree (d, d - 1) at p = 5 on a 2-core host (best
-# of 5 passes over 40 pairs): the list loop takes 5.4-6.3 ms at d = 243,
-# 1.7-1.9 ms at d = 125 and 0.38-0.41 ms at d = 49, against 1.7-2.2,
-# 1.1 and 0.37-0.42 ms for the numpy steps; at d = 27, 8 and 4 the list
-# loop wins (0.16 against 0.24, 0.03 against 0.08, 0.017 against 0.043
-# ms).  Factoring 37 criterion-07 cases of degree 64 and 243 took
-# 1.7-2.0 s with the handoff anywhere from 16 to 64, 2.2 s at 96, and
-# 2.7 s on the list loop alone.
+# A division, by divmod_ or a step of gcd's Euclid, runs on int64 numpy
+# remainders while the divisor has at least this degree (and p < 2^31),
+# and on the list loop below it.  Measured per gcd of random pairs of
+# degree (d, d - 1) at p = 5 on a 2-core host (best of 5 passes over 40
+# pairs): the list loop takes 5.4-6.3 ms at d = 243, 1.7-1.9 ms at
+# d = 125 and 0.38-0.41 ms at d = 49, against 1.7-2.2, 1.1 and
+# 0.37-0.42 ms for the numpy steps; at d = 27, 8 and 4 the list loop wins
+# (0.16 against 0.24, 0.03 against 0.08, 0.017 against 0.043 ms).
+# Factoring 37 criterion-07 cases of degree 64 and 243 took 1.7-2.0 s
+# with the handoff anywhere from 16 to 64, 2.2 s at 96, and 2.7 s on the
+# list loop alone.
 GCD_NUMPY_DEGREE = 32
 
 # A numpy division step leaves every remainder entry above -2^62 for
 # 2^62 // p^2 steps after a reduction mod p (see gcd).
 _STEP_BOUND = 1 << 62
+
+
+def _np_steps(n: int, p: int) -> int:
+    """The numpy steps between reductions mod p of a division by a
+    divisor of length n, or 0 where it divides on the list loop: below
+    degree GCD_NUMPY_DEGREE, or at p >= 2^31."""
+    return _STEP_BOUND // (p * p) if n > GCD_NUMPY_DEGREE else 0
 
 
 def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
@@ -199,9 +190,8 @@ def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
     on long slices, so the short divisors at the end of the Euclid, and
     every small-degree gcd, run on the list loop (GCD_NUMPY_DEGREE).
     """
-    k = _STEP_BOUND // (p * p)
-    if k and min(len(a), len(b)) > GCD_NUMPY_DEGREE:
-        a, b = _np_euclid(_np_residues(a, p), _np_residues(b, p), p, k)
+    if _np_steps(min(len(a), len(b)), p):
+        a, b = _np_euclid(_np_residues(a, p), _np_residues(b, p), p)
     a, b = _residues(a, p), _residues(b, p)
     while b:
         _reduce(a, b, p)
@@ -228,25 +218,27 @@ def _np_trim(a: np.ndarray) -> np.ndarray:
     return a[:n]
 
 
-def _np_euclid(a: np.ndarray, b: np.ndarray, p: int,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
+def _np_euclid(a: np.ndarray, b: np.ndarray,
+               p: int) -> tuple[np.ndarray, np.ndarray]:
     """Euclid's divisions on trimmed int64 residues, which it may
     overwrite, while deg b >= GCD_NUMPY_DEGREE; returns the last (a, b),
     both trimmed residues."""
     if len(a) < len(b):
         a, b = b, a
     buf = np.empty(len(b), dtype=np.int64)
-    while len(b) > GCD_NUMPY_DEGREE:
+    while k := _np_steps(len(b), p):
         a, b = b, _np_rem(a, b, p, k, buf)
     return a, b
 
 
 def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
-            buf: np.ndarray) -> np.ndarray:
+            buf: np.ndarray, quo: Poly | None = None) -> np.ndarray:
     """a mod b, trimmed residues, for trimmed int64 residues a (which it
     overwrites) and b, deg b >= 1: one division with delayed reduction,
     the remainder reduced mod p every k steps and once at the end; buf,
-    of length at least deg b, holds each step's product."""
+    of length at least deg b, holds each step's product, and quo, when
+    given, a list of len(a) - deg b zeros, takes the quotient's
+    coefficients."""
     db = len(b) - 1
     inv = pow(b.item(db), -1, p)
     low, prod = b[:-1], buf[:db]
@@ -254,6 +246,8 @@ def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
     for top in range(len(a) - 1, db - 1, -1):
         c = a.item(top) % p * inv % p
         if c:
+            if quo is not None:
+                quo[top - db] = c
             if not left:
                 a[:top] %= p
                 left = k
@@ -264,19 +258,25 @@ def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
     return _np_trim(a[:db] % p)
 
 
-def mul_rem(a: Poly, b: Poly, m: Poly, p: int) -> Poly:
-    """a b mod m, m nonzero, exact at every p: the product by mul, the
-    remainder on gcd's engines, one int64 numpy division with delayed
-    reduction (_np_rem) when m has degree at least GCD_NUMPY_DEGREE and
-    p < 2^31, the list loop otherwise.  It uses none of the float64
-    kernel's products, so a check built on it is independent of them."""
-    out = mul(a, b, p)
-    if len(m) > GCD_NUMPY_DEGREE and (k := _STEP_BOUND // (p * p)):
-        return _np_rem(np.array(out, dtype=np.int64),
-                       np.array(m, dtype=np.int64), p, k,
-                       np.empty(len(m) - 1, dtype=np.int64)).tolist()
-    _reduce(out, m, p)
-    return out
+def divmod_(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
+    """(a div b, a mod b) for b nonzero mod p, exact at every p, on gcd's
+    engines: one int64 numpy division with delayed reduction (_np_rem)
+    when b has degree at least GCD_NUMPY_DEGREE and p < 2^31, the list
+    loop otherwise."""
+    a, b = _residues(a, p), _residues(b, p)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo = [0] * max(0, len(a) - degree(b))
+    if k := _np_steps(len(b), p):
+        a = _np_rem(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                    p, k, np.empty(len(b) - 1, dtype=np.int64), quo).tolist()
+    else:
+        _reduce(a, b, p, quo)
+    return trim(quo), a
+
+
+def rem(a: Poly, b: Poly, p: int) -> Poly:
+    return divmod_(a, b, p)[1]
 
 
 def deriv(a: Poly, p: int) -> Poly:

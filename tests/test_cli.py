@@ -85,7 +85,7 @@ def test_out_file(tmp_path, capsys):
                                   ["graph", "--ell", "3", "--p", "5", "--dot"]),
                          ids=("out", "dot"))
 def test_unwritable_output_path_exit_2(argv, tmp_path, capsys, monkeypatch):
-    # a usage error, named on one stderr line; the DOT path is opened
+    # a usage error, named on one stderr line; the DOT path is checked
     # before the graph is built
     path = tmp_path / "missing" / "x.txt"
 
@@ -96,6 +96,24 @@ def test_unwritable_output_path_exit_2(argv, tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, argv + [str(path)])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and str(path) in err, err
+
+
+@pytest.mark.parametrize("before", (None, b"digraph old {}\n"),
+                         ids=("absent", "existing"))
+def test_refused_graph_leaves_the_dot_file(before, tmp_path, capsys):
+    # the DOT file is opened only once the graph is built: a refusal
+    # leaves an existing file byte-identical and creates none
+    path = tmp_path / "y.gv"
+    if before is not None:
+        path.write_bytes(before)
+    code, out, err = run(capsys, ["graph", "--ell", "65537", "--p", "3",
+                                  "--n", "2", "--dot", str(path)])
+    assert code == 3 and out == ""
+    assert "degree 65537 exceeds the coefficient cap 65536" in err, err
+    if before is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("where", ("missing", "directory"))
@@ -188,7 +206,8 @@ def test_unbounded_sizes_refused_before_the_work(capsys):
             # the pattern check's degree, not after the whole graph (3.5 s)
             (["verify", "--ell", "4099", "--p", "145007", "--n", "1"],
              "degree 4099^1 exceeds cap 4096"),
-            # the ladder needs no coefficients, but the cap stays
+            # the successor ladder needs no coefficients; the cap bounds
+            # its length, at most 2 log2(ell) column products a block
             (["graph", "--ell", "65537", "--p", "3", "--n", "10"],
              "degree 65537 exceeds the coefficient cap 65536")):
         start = time.perf_counter()
@@ -277,6 +296,25 @@ def test_large_p_factor_never_exits_1():
                           env=env, capture_output=True, timeout=60)
     assert proc.returncode in (0, 3), (proc.returncode, proc.stdout,
                                        proc.stderr)
+
+
+def test_import_adds_no_module_outside_stdlib_and_numpy():
+    # pyproject names numpy as the one dependency; a test-only import
+    # (sympy, hypothesis) leaking into the package would also load on
+    # every CLI start.  sys.modules is compared before and after, since
+    # site hooks may already have loaded modules of their own
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(chebdyn.__file__).resolve().parents[1]))
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import chebdyn, chebdyn.cli\n"
+              "print(*sorted({name.split('.')[0]\n"
+              "               for name in set(sys.modules) - before}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert added - set(sys.stdlib_module_names) - {"numpy"} == {"chebdyn"}
 
 
 def test_determinism(capsys):

@@ -263,12 +263,15 @@ def test_squarefree_loop_runs_where_the_gcd_test_fails(ell, p, n,
 def test_one_check_tests_every_t(cells, monkeypatch):
     # f' enters gcd only inside the squarefree loop, as its first step on
     # the t that fail the test (+-2), not once per t; g^2 = 4 mod f' is
-    # checked once per call, also over chunks of two t
+    # checked once per call, also over chunks of two t: the check's
+    # product g g is the one polys.mul of the call
     ell, p, n = 3, 1009, 2
     if cells:
         monkeypatch.setattr(factor, "STACK_CELLS", cells)
-    df = polys.deriv(cheb_coeffs(ell ** n, p), p)
-    checks = _record_calls(monkeypatch, polys, "mul_rem")
+    f = cheb_coeffs(ell ** n, p)
+    df = polys.deriv(f, p)
+    g = polys.rem(f, df, p)
+    checks = _record_calls(monkeypatch, polys, "mul")
     log = []  # ("loop", t) and ("gcd", inside a loop) for gcds with f'
     real_loop, real_gcd = polys.squarefree_parts, polys.gcd
 
@@ -289,8 +292,8 @@ def test_one_check_tests_every_t(cells, monkeypatch):
     monkeypatch.setattr(polys, "squarefree_parts", loop)
     monkeypatch.setattr(polys, "gcd", gcd)
     got = list(factor_patterns_actual(ell, p, n, range(p)))
+    assert checks == [(g, g, p)]
     assert got == list(factor.factor_patterns_predicted(ell, p, n, range(p)))
-    assert len(checks) == 1
     assert log == [("loop", 2), ("gcd", True), ("loop", p - 2), ("gcd", True)]
 
 

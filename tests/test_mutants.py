@@ -222,6 +222,12 @@ def orbit_stats_ignore_walk_tables():
                 == graph.orbit_stats_order(fresh.decode(i), ell)), i
 
 
+def divmod_equals_gf_div():
+    """divmod_ and rem against sympy's gf_div at p = 1000003, whose
+    divisors of degree 32 and above divide on int64 numpy."""
+    test_polys.check_divmod(1000003)
+
+
 fft_limb_width_widest = (
     test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
 powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
@@ -237,7 +243,7 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              x_power_equals_powering, rfft_product_exact,
              mul_equals_schoolbook, alpha_order_ignores_walk_tables,
              orbit_stats_ignore_walk_tables, fft_limb_width_widest,
-             powmod_counts_products)
+             powmod_counts_products, divmod_equals_gf_div)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -417,6 +423,12 @@ MUTANTS = {
           "    r = np.ones_like(a)\n    r[..., 1:] = 0\n"
           "    for bit in bin(e)[2:]:\n")],
         powmod_counts_products),
+    # the numpy division's quotient stored one place down, its lowest
+    # coefficient wrapped onto the top
+    "np_quotient_one_place_off": (
+        polys, "_np_rem",
+        [("quo[top - db] = c", "quo[top - db - 1] = c")],
+        divmod_equals_gf_div),
 }
 
 

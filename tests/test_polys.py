@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_gcd,
+from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_div, gf_gcd,
                                      gf_irreducible_p, gf_sqf_list,
                                      gf_sqf_p)
 
@@ -369,9 +369,9 @@ def test_gcd_numpy_steps_only_below_2_to_31(monkeypatch):
     seen = []
     np_euclid = polys._np_euclid
 
-    def spy(a, b, p, k):
+    def spy(a, b, p):
         seen.append(p)
-        return np_euclid(a, b, p, k)
+        return np_euclid(a, b, p)
 
     monkeypatch.setattr(polys, "_np_euclid", spy)
     for p in (prevprime(1 << 31), nextprime(1 << 31)):
@@ -529,24 +529,48 @@ def test_mul_equals_the_schoolbook_product(p):
     assert polys.mul([p, 2 * p], [1, 1], p) == []
 
 
+DIVISOR_DEGREES = (1, 2, 7, 31, 32, 33, 64, 200)
+
+
+def check_divmod(p):
+    """divmod_ and rem against sympy's gf_div at DIVISOR_DEGREES, with
+    dividends shorter than, as long as and longer than the divisor, and
+    unreduced entries on one pair."""
+    rng = random.Random(p)
+    for db in DIVISOR_DEGREES:
+        b = _random_poly(rng, p, db)
+        for da in (db - 1, db, db + 5, 2 * db, 3 * db + 40):
+            a = _random_poly(rng, p, da)
+            q, r = gf_div(a[::-1], b[::-1], p, ZZ)
+            want = ([int(c) for c in q[::-1]], [int(c) for c in r[::-1]])
+            assert polys.divmod_(a, b, p) == want, (p, db, da)
+            assert polys.rem(a, b, p) == want[1], (p, db, da)
+        # entries off [0, p) and a divisor with zero terms past its top
+        a = [c + p * rng.randrange(-3, 4) for c in a]
+        assert polys.divmod_(a, b + [p, -p], p) == want, (p, db)
+
+
 @pytest.mark.parametrize("p", (3, 47, 1000003, prevprime(1 << 31),
                                nextprime(1 << 31), prevprime(1 << 40)))
-def test_mul_rem_on_both_engines(p):
-    # moduli of degree 32 and above divide on int64 numpy below 2^31 and
-    # on the list loop past it, shorter ones on the list loop
-    rng = random.Random(p)
-    for dm in (1, 2, 7, 31, 32, 33, 64, 200):
-        m = [rng.randrange(p) for _ in range(dm)] + [rng.randrange(1, p)]
-        for da, db in ((0, 3), (dm - 1, dm - 1), (dm + 5, dm // 2),
-                       (2 * dm, 2 * dm)):
-            a = [rng.randrange(p) for _ in range(da + 1)]
-            b = [rng.randrange(p) for _ in range(db + 1)]
-            want = polys.rem(_schoolbook(a, b, p), m, p)
-            assert polys.mul_rem(a, b, m, p) == want, (dm, da, db)
+def test_divmod_on_both_engines(p, monkeypatch):
+    # divisors of degree 32 and above divide on int64 numpy below 2^31
+    # and on the list loop past it, shorter ones on the list loop
+    numpy = []  # the divisor degrees _np_rem divided by
+    real = polys._np_rem
+
+    def np_rem(a, b, *rest):
+        numpy.append(len(b) - 1)
+        return real(a, b, *rest)
+
+    monkeypatch.setattr(polys, "_np_rem", np_rem)
+    check_divmod(p)
+    assert sorted(set(numpy)) == [
+        d for d in DIVISOR_DEGREES
+        if d >= polys.GCD_NUMPY_DEGREE and p < 1 << 31]
 
 
 # T_ell^n, ell^n <= 243 (every factor_sweep degree, and 7, 49), over
-# fields for both of mul_rem's division engines
+# fields for both of rem's division engines
 ANNIHILATOR_ITERATES = tuple((ell, n) for ell in (2, 3, 5, 7)
                              for n in range(1, 8) if ell ** n <= 243)
 ANNIHILATOR_PRIMES = (3, 5, 7, 13, 47, 1009, 1000003, prevprime(1 << 26),
@@ -569,7 +593,7 @@ def test_t_squared_minus_4_annihilates_f_mod_f_prime(data):
     f = cheb_coeffs(d, p)
     df = polys.deriv(f, p)
     g = polys.rem(f, df, p)
-    assert polys.mul_rem(g, g, df, p) == [4 % p]
+    assert polys.rem(polys.mul(g, g, p), df, p) == [4 % p]
     for t in ts + [2, p - 2]:
         squarefree = polys.gcd(polys.sub(f, [t], p), df, p) == [1]
         if (t * t - 4) % p:
