@@ -279,9 +279,9 @@ class FieldCtx:
     # it always takes the T_d ladder.  It is also the default graph
     # enumeration cap (graph.DEFAULT_CAP): on a 2-core host with one BLAS
     # thread, `chebdyn graph --ell 3 --p 33554393 --n 1`, q just below
-    # 2^25, ran in 10.3 s with a peak RSS of 961 MiB (30 bytes per vertex,
-    # a child process), under an eighth of an 8 GB host; G(2, 3, 14),
-    # q = 4.78 M, peaks near 45 bytes per vertex (205.8 MiB, 3.6-4.3 s).
+    # 2^25, ran in 7.5-9.7 s with a peak RSS of 978 MiB (31 bytes per
+    # vertex, fresh processes), under an eighth of an 8 GB host; G(2, 3,
+    # 14), q = 4.78 M, peaks near 39 bytes per vertex (178 MiB, 2.8 s).
     TABLE_CAP = 1 << 25
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...],

@@ -4,11 +4,12 @@ The graph lives in flat numpy arrays keyed by the canonical element
 index.  Preperiods and periods are found by brute force, completely
 independently of the multiplicative-order route, so the two can check
 each other: in-degree peeling leaves the cycles, pointer jumping labels
-each cycle by its least index, and level sweeps climb the trees.  The
-jumping contracts as it goes.  With F(v) the least index among the
-iterates of v and low(v) the least of v's first four, F(v) = F(low(v))
-and F(u) = min(low(u), F(low(succ^4(u)))), so the window minima alone
-carry the rest of the search (_cycle_min).
+each cycle by its least index, and the peel's rounds, replayed last
+first, label the trees from the cycles down.  The jumping contracts as
+it goes.  With F(v) the least index among the iterates of v and low(v)
+the least of v's first four, F(v) = F(low(v)) and F(u) = min(low(u),
+F(low(succ^4(u)))), so the window minima alone carry the rest of the
+search (_cycle_min).
 """
 
 from __future__ import annotations
@@ -226,33 +227,41 @@ def _indegree(succ: np.ndarray, block: int,
     return out
 
 
-def _peel(succ: np.ndarray, alive: np.ndarray, indeg: np.ndarray) -> None:
+def _peel(succ: np.ndarray, alive: np.ndarray,
+          indeg: np.ndarray) -> list[np.ndarray]:
     """Strip the vertices of no predecessor from alive, round by round,
-    until only its cycles remain.
+    until only its cycles remain; the rounds' vertices, int32, the first
+    round first.
 
     alive masks a vertex set closed under succ and indeg, int32, counts
     each vertex's predecessors in it; both are updated in place.  A round per
     tree level, and the trees of G(ell, p, n) are at most
-    lambda <= log_ell(q + 1) high.
+    lambda <= log_ell(q + 1) high.  This is Kahn's topological sort (CACM
+    5(11), 1962): a vertex is stripped only after all its predecessors,
+    so its successor is stripped in a later round or stays alive.
     """
+    rounds = []
     frontier = np.flatnonzero((indeg == 0) & alive)
     while frontier.size:
         alive[frontier] = False
         np.subtract.at(indeg, succ[frontier], np.int32(1))
+        rounds.append(frontier.astype(np.int32))
         frontier = np.flatnonzero((indeg == 0) & alive)
+    return rounds
 
 
 def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
     """Enumerate G(ell, p, n): successors by evaluation once per
-    Frobenius orbit, orbit statistics by graph search, weights by
-    Frobenius orbits, divisor classes from the order tables."""
+    Frobenius orbit, weights by Frobenius orbits, divisor classes from
+    the order tables, and orbit statistics from one peel: pointer jumping
+    labels the cycles it leaves, and its rounds replayed label the trees."""
     # check_domain caps q at TABLE_CAP too: the order tables would refuse
     # above it only after all the work below
     check_domain(ell, ctx.p, ctx.n, cap)
     # T_ell takes no coefficients here; the cap bounds the ladder's
     # length, at most 2 log2(ell) <= 32 column products a block, whose
     # cost grows with it: on a 2-core host G(ell, 33554393, 1) took
-    # 14.9 s and 1,450 MiB at ell = 1021 against 10.1 s and 960 MiB at 3
+    # 14.3 s and 1,450 MiB at ell = 1021 against 7.5-7.8 s and 978 MiB at 3
     if ell > COEFF_DEGREE_CAP:
         raise ValueError(f"degree {ell} exceeds the coefficient cap "
                          f"{COEFF_DEGREE_CAP}")
@@ -260,35 +269,29 @@ def build_graph(ell: int, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> FuncGraph:
     succ, weight = _succ_and_weight(ctx, ell)
 
     alive = np.ones(q, dtype=bool)
-    _peel(succ, alive, _indegree(succ, ctx.BLOCK))
+    rounds = _peel(succ, alive, _indegree(succ, ctx.BLOCK))
     core = np.flatnonzero(alive)
     del alive
 
-    # every cycle vertex is labelled by its cycle's smallest index
+    # every cycle vertex is labelled by its cycle's smallest index, and
+    # its period counted at that index
     low = _cycle_min(succ, core)
-    comp = np.full(q, -1, dtype=np.int32)
+    comp = np.empty(q, dtype=np.int32)
     comp[core] = low
     per = np.zeros(q, dtype=np.int32)
-    per[core] = np.bincount(low)[low]
-    pper = np.full(q, -1, dtype=np.int16)
-    pper[core] = 0
+    np.add.at(per, low, np.int32(1))
+    per[core] = per[low]
+    pper = np.zeros(q, dtype=np.int16)
     del core, low
 
-    # level sweeps: a vertex whose successor sits at depth d - 1 has
-    # depth d and inherits its successor's period and component
-    rest = np.flatnonzero(pper < 0)
-    depth = 0
-    while rest.size:
-        depth += 1
-        nxt = succ[rest]
-        hit = pper[nxt] == depth - 1
-        if not hit.any():
-            raise ArithmeticError("level sweep missed vertices")
-        level, up = rest[hit], nxt[hit]
-        pper[level] = depth
+    # the rounds, last first, reach each tree vertex after its successor:
+    # it lies one level deeper and inherits its period and component
+    while rounds:
+        level = rounds.pop()
+        up = succ[level]
+        pper[level] = pper[up] + 1
         per[level] = per[up]
         comp[level] = comp[up]
-        rest = rest[~hit]
 
     return FuncGraph(ctx, ell, succ, pper, per, weight,
                      *ctx.alpha_order_tables(), comp)
@@ -519,9 +522,10 @@ def verify_structure(g: FuncGraph) -> VerifyReport:
     # core, in the order of the label's first vertex, keyed by the cycle
     # minimum recomputed there
     core_rest = core[~is_special(core)]
-    first = np.full(q, core_rest.size)
+    # positions are below |core| < 2^31
+    first = np.full(q, core_rest.size, dtype=np.int32)
     np.minimum.at(first, np.clip(comp[core_rest], 0, q - 1),
-                  np.arange(core_rest.size))
+                  np.arange(core_rest.size, dtype=np.int32))
     heads = core_rest[np.sort(first[first < core_rest.size])]
     del core_rest, first
 

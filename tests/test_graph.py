@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from chebdyn.cheb import cheb_coeffs
 from chebdyn.ffield import FieldCtx, element_degree, make_field
-from chebdyn.graph import (_cycle_min, _indegree, build_graph, export_dot,
-                           orbit_stats_order, summarize, verify_structure)
+from chebdyn.graph import (_cycle_min, _indegree, _peel, build_graph,
+                           export_dot, orbit_stats_order, summarize,
+                           verify_structure)
 from chebdyn.predict import predict_summary
 from structure_reference import (SHAPES, full_succ, functional_graph,
                                  horner_cols, reference_cycle_min,
@@ -99,21 +100,27 @@ def test_ladder_successors_equal_horner(p, n):
                 check_succ_and_weight_by_ffelem(g)
 
 
-def test_build_graph_memory_per_vertex():
-    # G(2,3,12), q = 531441: the build's traced peak above the field's
-    # cached order tables and Frobenius map (32.9 bytes per vertex
-    # measured), and the int32 index arrays
-    ctx = make_field(3, 12)
+@pytest.mark.parametrize("ell,p,n,bound", ((2, 3, 12, 29.2),
+                                           (3, 145007, 1, 31.9)))
+def test_build_graph_memory_per_vertex(ell, p, n, bound):
+    # the build's traced peak above the field's cached order tables and
+    # Frobenius map: 26.7 bytes per vertex measured at G(2,3,12) and 29.1
+    # at G(3, 145007, 1), with the trees labelled by replaying the peel's
+    # int32 rounds (32.9 and 35.3 with level sweeps and the cycle lengths
+    # counted by a q-long int64 np.bincount); each bound leaves 9% above
+    # its measurement, as 36 did over 32.9.  And the int32 index arrays
+    ctx = make_field(p, n)
     ctx.alpha_order_tables()
-    fr = ctx.frobenius_indices()
+    if n > 1:
+        assert ctx.frobenius_indices().dtype == np.int32
     tracemalloc.start()
     try:
-        g = build_graph(2, ctx)
+        g = build_graph(ell, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / ctx.q <= 36, peak / ctx.q
-    assert g.succ.dtype == np.int32 and fr.dtype == np.int32
+    assert peak / ctx.q <= bound, peak / ctx.q
+    assert g.succ.dtype == np.int32
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -130,15 +137,39 @@ def test_indegree_equals_bincount(shape):
                                                minlength=succ.size))
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_peel_rounds_order_the_trees(shape):
+    # the premise of build_graph's replay: each stripped vertex lies in
+    # exactly one round, and its successor in a later round or alive; over
+    # verts, where a rho has tails, and over every index, where those
+    # outside verts hang off it
+    succ, verts = functional_graph(shape, 5000, 7)
+    for within in (verts, None):
+        alive = np.zeros(succ.size, dtype=bool)
+        alive[verts if within is not None else slice(None)] = True
+        start = alive.copy()
+        rounds = _peel(succ, alive, _indegree(succ, 1000, within))
+        seen = np.zeros(succ.size, dtype=np.int64)
+        when = np.full(succ.size, len(rounds))
+        for k, level in enumerate(rounds):
+            assert level.dtype == np.int32 and level.size
+            np.add.at(seen, level, 1)
+            when[level] = k
+        assert np.array_equal(seen, start & ~alive), shape
+        stripped = np.flatnonzero(seen)
+        assert (when[succ[stripped]] > when[stripped]).all(), shape
+
+
 @pytest.mark.parametrize("ell,p,n,bound", ((2, 3, 12, 38.5),
-                                           (3, 145007, 1, 37.4)))
+                                           (3, 145007, 1, 31.0)))
 def test_verify_structure_memory_per_vertex(ell, p, n, bound):
     # the structure check's traced peak above the built graph, 37.4 bytes
-    # per vertex measured at G(2,3,12) and 36.3 at G(3, 145007, 1) with
-    # the in-degrees counted as int32 a block at a time (40.2 and 42.5
-    # with np.bincount's intp copy and int64 counts; 62.9 at G(2,3,12)
-    # with a level-by-level search of the special trees); each bound
-    # leaves 3% above its measurement
+    # per vertex measured at G(2,3,12) and 30.1 at G(3, 145007, 1) with
+    # the in-degrees counted as int32 a block at a time and the first
+    # core position of each label int32 (36.3 at G(3, 145007, 1) with
+    # those positions int64; 40.2 and 42.5 with np.bincount's intp copy
+    # and int64 counts; 62.9 at G(2,3,12) with a level-by-level search of
+    # the special trees); each bound leaves 3% above its measurement
     g = build_graph(ell, make_field(p, n))
     tracemalloc.start()
     try:
@@ -272,7 +303,8 @@ def test_summarize_equals_predict_on_grid():
 
 def test_pper_per_minimality():
     # (pper, per) is the least pair with succ^(rho+pi) = succ^rho
-    for (ell, p, n) in ((3, 53, 1), (2, 3, 4), (5, 7, 2)):
+    # G(2, 257, 1) has trees 8 deep
+    for (ell, p, n) in ((3, 53, 1), (2, 3, 4), (5, 7, 2), (2, 257, 1)):
         g = build_graph(ell, make_field(p, n))
         succ = g.succ.tolist()
         for i in range(g.q):
@@ -303,6 +335,16 @@ def test_pper_per_minimality():
             for _ in range(pi - 1):
                 cyc.append(succ[cyc[-1]])
             assert int(g.comp[i]) == min(cyc)
+
+
+@pytest.mark.parametrize("p,depth", ((12289, 12), (65537, 16)))
+def test_deep_trees(p, depth):
+    # trees 12 and 16 deep, where SWEEP's deepest are 6 (G(2, 31, 2)):
+    # the replay runs a round per level
+    g = build_graph(2, make_field(p, 1))
+    assert int(g.pper.max()) == depth
+    assert summarize(g).rows == predict_summary(2, p, 1).rows
+    assert verify_structure(g).ok
 
 
 def test_summarize_equals_predict_full_sweep():

@@ -88,6 +88,26 @@ def cycle_min_equals_cycle_walk():
             shape, size)
 
 
+def tree_labels_equal_orbit_walk():
+    """pper, per and comp against each vertex's own successor walk on
+    G(2, 257, 1), whose trees run 8 deep: the preperiod is where the walk
+    first repeats a vertex, the period and component the length and least
+    index of the cycle it repeats."""
+    g = graph.build_graph(2, make_field(257, 1))
+    succ = g.succ.tolist()
+    for v in range(g.q):
+        seen, path = {}, []
+        while v not in seen:
+            seen[v] = len(path)
+            path.append(v)
+            v = succ[v]
+        cycle = path[seen[v]:]
+        want = (seen[v], len(cycle), min(cycle))
+        got = (int(g.pper[path[0]]), int(g.per[path[0]]),
+               int(g.comp[path[0]]))
+        assert got == want, (path[0], got, want)
+
+
 def special_trees_pass_at_f53():
     """G(3, 53, 1) passes the structure check: its trees over +-2 have
     the height lambda_m = lambda_+ = 3, and +-2 lie on the minus side,
@@ -235,7 +255,8 @@ powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
 
 DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              order_tables_equal_gcd_formula,
-             cycle_min_equals_cycle_walk, trace_walk_matches_the_ladder,
+             cycle_min_equals_cycle_walk, tree_labels_equal_orbit_walk,
+             trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
              ddf_counts_two_of_each_degree, moduli_are_pinned,
              stacked_patterns_equal_one_t, patterns_equal_closed_form,
@@ -314,6 +335,12 @@ MUTANTS = {
         graph, "_cycle_min",
         [("    while stride < size:\n", "    while 2 * stride < size:\n")],
         cycle_min_equals_cycle_walk),
+    # the peel's rounds replayed first round first, so each vertex reads
+    # its successor's labels before they are set
+    "replay_first_round_first": (
+        graph, "build_graph",
+        [("level = rounds.pop()", "level = rounds.pop(0)")],
+        tree_labels_equal_orbit_walk),
     # the trees over +-2 given the height of their branch, not lambda_m
     "special_height_from_branch": (
         graph, "verify_structure",
