@@ -50,13 +50,20 @@ Branch = str
 # Integer factorization
 # ---------------------------------------------------------------------------
 
-# Witnesses proving Miller-Rabin deterministic below 3.3 * 10^24; for the
-# handful of larger inputs we allow (N < 2^96) the same fixed set is used.
+# No composite passes Miller-Rabin on the first 13 prime bases below
+# PSI_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# all of them (Sorenson and Webster, Math. Comp. 86, 2017); from PSI_13
+# on, is_prime proves what passes them by Pocklington's theorem.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2^96."""
+    """Proven primality of n < 2^96: Miller-Rabin on the 13 bases, exact
+    below PSI_13, and from PSI_13 on, for n that passes them, Pocklington's
+    theorem on the factored n - 1 (_pocklington), which refuses
+    (ValueError) where it finds no witness.  Never True on a probable
+    prime."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -77,6 +84,34 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
+            return False
+    return n < PSI_13 or _pocklington(n)
+
+
+def _pocklington(n: int) -> bool:
+    """Whether odd n > 41 is prime, proven from the primes r of n - 1.
+
+    Pocklington's theorem with n - 1 wholly factored (Brillhart, Lehmer
+    and Selfridge, Math. Comp. 29, 1975): n is prime when every r has a
+    witness a, a^(n-1) = 1 mod n and gcd(a^((n-1)/r) - 1, n) = 1.  A base
+    with a^(n-1) != 1, or with a gcd strictly between 1 and n, proves n
+    composite.  For prime n, a is a witness for r unless it is an r-th
+    power mod n, and under GRH the least r-th power non-residue is below
+    2 (ln n)^2 (Bach, Math. Comp. 55, 1990), below 8,856 for n < 2^96;
+    bases up to that bound are tried, and past it the proof is refused.
+    Every prime of n - 1 is below n, so the proofs inside
+    factor_int(n - 1) recurse downwards and end below PSI_13.
+    """
+    m, bound = n - 1, 2 * math.log(n) ** 2
+    for r in _factor_below(n).primes:
+        a = 2
+        while (g := math.gcd(pow(a, m // r, n) - 1, n)) == n:
+            a += 1
+            if a > bound:
+                raise ValueError(
+                    f"no Pocklington witness below {bound:.0f} for the "
+                    f"prime {r} of {n} - 1: primality of {n} unproven")
+        if g > 1 or pow(a, m, n) != 1:
             return False
     return True
 
@@ -222,7 +257,8 @@ def factor_int(n: int) -> FactoredInt:
 
 @lru_cache(maxsize=None)
 def _factor_below(q: int) -> FactoredInt:
-    """factor_int(q - 1), once per prime q."""
+    """factor_int(q - 1), once per q: phi of the prime q, and the
+    primality proof of q (_pocklington)."""
     return factor_int(q - 1)
 
 

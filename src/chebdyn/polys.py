@@ -28,9 +28,10 @@ mulmod a further bit, a squaring or x r times r (x_power).
 Every division has two engines, chosen from the divisor alone
 (_np_steps): int64 numpy with delayed reduction (_np_rem) while the
 divisor has degree at least GCD_NUMPY_DEGREE and p < 2^31, the exact
-list loop for shorter divisors and every larger p.  divmod_ (and rem)
-divide once; gcd is one Euclid whose steps take the same engines, and
-it is where kernel residues become ints.
+list loop for shorter divisors and every larger p.  divmod_ divides
+once, and rem, on residues, builds no quotient; gcd is one Euclid whose
+steps take the same engines.  A kernel row becomes ints once, in the
+division that reads it.
 Factoring has one path per step: gcd(f, f') = 1 tests squarefreeness
 (for the whole family T_d - t, factor checks g^2 = 4 mod f' once, g =
 f mod f', by mul and rem, and t^2 != 4 then suffices), the
@@ -41,7 +42,10 @@ range.  A factor of degree e divides V_k = x^(p^(js)) - x^(p^i) exactly
 when e | k = js - i, so one gcd with the product of every V_k, k <= K,
 holds all the factors of degree <= K and leaves one irreducible or none,
 and each node's gcd with its left labels' product holds exactly its
-factors of degree in the left range (distinct_degree_counts).  One
+factors of degree in the left range (distinct_degree_counts).  A node
+whose factors all have one degree e, lo <= e < 2 lo, ends at one
+remainder: V_e = 0 mod g forces every factor's degree, at least lo >
+e / 2, to divide e, so to be e.  One
 split serves a whole stack of moduli f - c: the Frobenius powers are
 computed once for every row, and each row is split by its own tree.
 These two answer every factoring question in the package: the patterns
@@ -116,8 +120,9 @@ def mul_scalar(a: Poly, k: int, p: int) -> Poly:
 
 
 def _reduce(a: Poly, b: Poly, p: int, quo: Poly | None = None) -> None:
-    """Replace a by a mod b in place (both trimmed, entries in [0, p));
-    the quotient's coefficients go into quo when it is given.  A constant
+    """Replace a by a mod b in place (entries in [0, p), b trimmed; a
+    longer than b is trimmed, a shorter one left as it is); the
+    quotient's coefficients go into quo when it is given.  A constant
     b divides at once: the quotient is a b0^-1 and the remainder 0."""
     db = degree(b)
     if len(a) <= db:  # a is its own remainder
@@ -171,8 +176,8 @@ def _np_steps(n: int, p: int) -> int:
 
 
 def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
-    """Monic gcd of two lists or numpy arrays of integers (ints, or the
-    float64 residues of a ModulusKernel), by Euclid.
+    """Monic gcd of two lists of integers or numpy arrays of residues
+    (ints, or the float64 rows of a ModulusKernel), by Euclid.
 
     While the divisor b has degree at least GCD_NUMPY_DEGREE, each division
     runs on an int64 numpy copy of the remainder with delayed reduction.
@@ -199,16 +204,22 @@ def gcd(a: Poly | np.ndarray, b: Poly | np.ndarray, p: int) -> Poly:
     return monic(a, p)
 
 
+def _ints(a: Poly | np.ndarray) -> Poly:
+    """A new list of a's ints: a kernel row, residues already, converted
+    once."""
+    return a.astype(np.int64).tolist() if isinstance(a, np.ndarray) else a[:]
+
+
 def _residues(a: Poly | np.ndarray, p: int) -> Poly:
     if isinstance(a, np.ndarray):
-        a = a.astype(np.int64).tolist()
+        return trim(_ints(a))
     return trim([c % p for c in a])
 
 
 def _np_residues(a: Poly | np.ndarray, p: int) -> np.ndarray:
-    if not isinstance(a, np.ndarray):
-        a = _residues(a, p)
-    return _np_trim(np.asarray(a, dtype=np.int64) % p)
+    if isinstance(a, np.ndarray):
+        return _np_trim(a.astype(np.int64))
+    return np.array(_residues(a, p), dtype=np.int64)
 
 
 def _np_trim(a: np.ndarray) -> np.ndarray:
@@ -233,9 +244,10 @@ def _np_euclid(a: np.ndarray, b: np.ndarray,
 
 def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
             buf: np.ndarray, quo: Poly | None = None) -> np.ndarray:
-    """a mod b, trimmed residues, for trimmed int64 residues a (which it
-    overwrites) and b, deg b >= 1: one division with delayed reduction,
-    the remainder reduced mod p every k steps and once at the end; buf,
+    """a mod b, trimmed residues, for int64 residues a, trimmed or not
+    (which it overwrites), and trimmed b, deg b >= 1: one division with
+    delayed reduction, the remainder reduced mod p every k steps and
+    once at the end; buf,
     of length at least deg b, holds each step's product, and quo, when
     given, a list of len(a) - deg b zeros, takes the quotient's
     coefficients."""
@@ -260,23 +272,39 @@ def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
 
 def divmod_(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
     """(a div b, a mod b) for b nonzero mod p, exact at every p, on gcd's
-    engines: one int64 numpy division with delayed reduction (_np_rem)
-    when b has degree at least GCD_NUMPY_DEGREE and p < 2^31, the list
-    loop otherwise."""
+    engines (_divide)."""
     a, b = _residues(a, p), _residues(b, p)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     quo = [0] * max(0, len(a) - degree(b))
+    r = _divide(a, b, p, quo)
+    return trim(quo), r
+
+
+def rem(a: Poly | np.ndarray, b: Poly, p: int) -> Poly:
+    """a mod b for residues a (a list of ints in [0, p), or a
+    ModulusKernel's float64 row, trimmed or not) and b (trimmed,
+    nonzero), with no quotient built and no entry reduced before the
+    division (_divide)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _divide(a, b, p)
+
+
+def _divide(a: Poly | np.ndarray, b: Poly, p: int,
+            quo: Poly | None = None) -> Poly:
+    """a mod b for residues a and b, b trimmed and nonzero, on gcd's
+    engines: one int64 numpy division with delayed reduction (_np_rem)
+    when b has degree at least GCD_NUMPY_DEGREE and p < 2^31, the list
+    loop otherwise; quo, when given, a list of len(a) - deg b zeros,
+    takes the quotient's coefficients."""
     if k := _np_steps(len(b), p):
-        a = _np_rem(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                    p, k, np.empty(len(b) - 1, dtype=np.int64), quo).tolist()
-    else:
-        _reduce(a, b, p, quo)
-    return trim(quo), a
-
-
-def rem(a: Poly, b: Poly, p: int) -> Poly:
-    return divmod_(a, b, p)[1]
+        return _np_rem(np.array(a, dtype=np.int64),
+                       np.array(b, dtype=np.int64), p, k,
+                       np.empty(len(b) - 1, dtype=np.int64), quo).tolist()
+    a = _ints(a)
+    _reduce(a, b, p, quo)
+    return trim(a)
 
 
 def deriv(a: Poly, p: int) -> Poly:
@@ -796,8 +824,18 @@ def distinct_degree_counts(f: Poly, p: int, shifts: Sequence[int] = (0,)
     polynomial has degree D < 2 lo is one irreducible of degree D, since
     two would have degree at least 2 lo.  A leaf k holds D / k factors
     of degree k.  No factor at a node exceeds D, so hi is cut to D + 1.
-    Each gcd reduces a full-degree residue, so their number follows the
-    factors found (one for an irreducible f), not the J blocks.
+    Before it bisects, a node tests whether its factors share one
+    degree: for each e in [max(lo, 2), min(hi, 2 lo)) dividing D, it
+    reduces the stored label V_e mod g, and a zero remainder gives D / e
+    factors of degree e.  The test is exact: V_e = 0 mod g means every
+    factor's degree divides e, and each is at least lo > e / 2, so each
+    is e; conversely factors of degree e all divide V_e.  At most one e
+    passes.  A range starting at 1, the root's and its left edge's, holds
+    no candidate: its only one would be e = 1, where the bisection's
+    gcds already stop after one division.  Each gcd reduces a
+    full-degree residue, so their number follows the factors found (one
+    for an irreducible f), not the J blocks; a node of one degree costs
+    one division instead.
 
     The moduli f - c share one ModulusKernel, one row each, so the baby
     steps, giant steps, compose tables and block products are computed
@@ -904,6 +942,12 @@ def distinct_degree_counts(f: Poly, p: int, shifts: Sequence[int] = (0,)
                 if dg % lo:
                     raise ArithmeticError("distinct-degree split failed")
                 out[lo] = out.get(lo, 0) + dg // lo
+                continue
+            # every factor has degree e when V_e = 0 mod g, lo <= e < 2 lo
+            e = next((e for e in range(max(lo, 2), min(hi, 2 * lo))
+                      if dg % e == 0 and not rem(label(e, one)[0], g, p)), 0)
+            if e:
+                out[e] = out.get(e, 0) + dg // e
                 continue
             mid = (lo + hi) // 2
             if hi - lo > s:

@@ -30,10 +30,6 @@ class SummaryRow:
     def divisor_value(self) -> int:
         return self.divisor.value
 
-    @property
-    def periodic(self) -> bool:
-        return self.preperiod == 0
-
     def to_json_obj(self) -> dict:
         obj = {
             "divisor": str(self.divisor),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chebdyn
-from chebdyn import cli
+from chebdyn import cli, ffield
 from chebdyn.cli import main
 from chebdyn.factor import DEGREE_CAP, WITNESS_BOUND
 from chebdyn.ffield import is_prime
@@ -214,6 +214,22 @@ def test_unbounded_sizes_refused_before_the_work(capsys):
         code, _, err = run(capsys, argv)
         assert time.perf_counter() - start < 1, argv
         assert code == 3 and reason in err, (argv, err)
+
+
+def test_composite_p_past_psi13_refused_before_the_work(capsys):
+    # PSI_13 = 1287836182261 * 2575672364521 passes Miller-Rabin on all 13
+    # bases; the Pocklington proof rejects it in the domain check
+    p = str(ffield.PSI_13)
+    for argv in (["predict", "--ell", "3", "--p", p, "--n", "1"],
+                 ["density", "--ell", "3", "--p", p, "--n", "1"],
+                 ["decompose", "--ell", "2", "--t", "105", "--p", p,
+                  "--max-level", "2"],
+                 ["factor", "--ell", "3", "--p", p, "--n", "1", "--t", "5"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 3 and out == "", (argv, code)
+        assert f"p = {p} must be an odd prime" in err, (argv, err)
 
 
 def test_density(capsys):

@@ -259,6 +259,18 @@ def test_squarefree_loop_runs_where_the_gcd_test_fails(ell, p, n,
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("ell, p, n, t", ((3, 37, 5, 24), (3, 29, 5, 6),
+                                          (3, 47, 5, 40), (3, 17, 5, 15)))
+def test_equal_degree_nodes_take_no_bisection(ell, p, n, t, monkeypatch):
+    # degree 243 with factors of four or five degrees, most nodes of the
+    # split tree holding one: each ends at its remainder V_e mod g, so
+    # the whole pattern takes at most 9 gcds (18 to 21 by bisection)
+    calls = _record_calls(monkeypatch, polys, "gcd")
+    got = factor_pattern_actual(ell, p, n, t)
+    assert got == factor_pattern_predicted(ell, p, n, t)
+    assert len(calls) <= 9, len(calls)
+
+
 @pytest.mark.parametrize("cells", (None, 2 * 9))
 def test_one_check_tests_every_t(cells, monkeypatch):
     # f' enters gcd only inside the squarefree loop, as its first step on

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,36 @@ def test_is_prime():
         assert is_prime(n)
     for n in [0, 1, 4, 561, 1105, 2465, 252601, 3215031751]:  # Carmichaels too
         assert not is_prime(n)
+
+
+def test_is_prime_equals_sympy_past_psi13():
+    # PSI_13 passes Miller-Rabin on all 13 bases, so from it on a pass is
+    # proven by Pocklington's theorem; 3825123056546413051 passes the
+    # bases 2..31 and base 37 rejects it.  Drawn primes and semiprimes
+    # (a 48-bit prime times a larger one below 2^48) in [PSI_13, 2^96)
+    psi = ffield.PSI_13
+    assert factor_int(psi) == FactoredInt(((1287836182261, 1),
+                                           (2575672364521, 1)))
+    rng = random.Random(13)
+    cases = [psi, 3825123056546413051]
+    for _ in range(8):
+        cases.append(sympy.nextprime(rng.randrange(psi, 1 << 96)))
+        r = sympy.nextprime(rng.randrange(1 << 47, 1 << 48))
+        cases.append(r * sympy.nextprime(rng.randrange(-(-psi // r), 1 << 48)))
+    for n in cases:
+        assert psi <= n < 1 << 96 or n == 3825123056546413051, n
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_pocklington_refuses_without_a_witness():
+    # the Carmichael number 1171 * 2341 * 3511 = (6k + 1)(12k + 1)(18k + 1),
+    # k = 195: lambda(n) = 36k divides (n - 1) / 2, so every base prime to
+    # n has a^((n-1)/2) = 1, and its least prime, 1171, lies past the
+    # base bound 2 (ln n)^2 = 1057
+    n = 1171 * 2341 * 3511
+    with pytest.raises(ValueError, match="primality of 9624742921 unproven"):
+        ffield._pocklington(n)
+    assert not is_prime(n)  # Miller-Rabin rejects it below PSI_13
 
 
 # -- field construction ------------------------------------------------------

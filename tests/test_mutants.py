@@ -137,6 +137,25 @@ def ddf_counts_two_of_each_degree():
         test_polys.test_ddf_two_irreducibles_of_one_degree(p)
 
 
+def ddf_counts_two_degrees_split_at_the_root():
+    """Two irreducibles of degree 2 and two of degree 7, then 3 and 8, at
+    p = 3: the root's gcd parts the two degrees, so the right half's
+    polynomial must lose the left half's factors."""
+    test_polys.test_ddf_two_degrees_split_at_the_root(3)
+
+
+def ddf_counts_two_degrees_in_one_node():
+    """Two irreducibles of each of two degrees a < b <= 2a, at p = 3 and
+    7, against sympy: a node holding both fails the equal-degree test at
+    every candidate, and b = 2a passes V_(2 lo) at lo = a."""
+    for p in (3, 7):
+        test_polys.test_ddf_two_degrees_in_one_node_match_sympy(p)
+
+
+ddf_equal_degree_divides_by_divisors_only = (
+    test_polys.test_ddf_equal_degree_test_divides_by_divisors_of_d_only)
+
+
 moduli_are_pinned = test_ffield.test_make_field_moduli_are_pinned
 
 
@@ -248,6 +267,8 @@ def divmod_equals_gf_div():
     test_polys.check_divmod(1000003)
 
 
+is_prime_equals_sympy_past_psi13 = (
+    test_ffield.test_is_prime_equals_sympy_past_psi13)
 fft_limb_width_widest = (
     test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
 powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
@@ -258,13 +279,17 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              cycle_min_equals_cycle_walk, tree_labels_equal_orbit_walk,
              trace_walk_matches_the_ladder,
              special_trees_pass_at_f53, special_corruptions_match_reference,
-             ddf_counts_two_of_each_degree, moduli_are_pinned,
+             ddf_counts_two_of_each_degree,
+             ddf_counts_two_degrees_split_at_the_root,
+             ddf_counts_two_degrees_in_one_node, moduli_are_pinned,
              stacked_patterns_equal_one_t, patterns_equal_closed_form,
              tree_product_equals_one_at_a_time, kernel_rows_equal_powers_of_x,
              x_power_equals_powering, rfft_product_exact,
              mul_equals_schoolbook, alpha_order_ignores_walk_tables,
              orbit_stats_ignore_walk_tables, fft_limb_width_widest,
-             powmod_counts_products, divmod_equals_gf_div)
+             powmod_counts_products, divmod_equals_gf_div,
+             ddf_equal_degree_divides_by_divisors_only,
+             is_prime_equals_sympy_past_psi13)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -357,7 +382,25 @@ MUTANTS = {
         polys, "distinct_degree_counts",
         [("        stack.append((mid, hi, divmod_(g, left, p)[0]))\n",
           "        stack.append((mid, hi, g))\n")],
-        ddf_counts_two_of_each_degree),
+        ddf_counts_two_degrees_split_at_the_root),
+    # the equal-degree candidates run to 2 lo inclusive, where factors of
+    # degree lo and 2 lo together pass V_(2 lo)
+    "ddf_equal_degree_to_twice_lo": (
+        polys, "distinct_degree_counts",
+        [("min(hi, 2 * lo))", "min(hi, 2 * lo + 1))")],
+        ddf_counts_two_degrees_in_one_node),
+    # an equal-degree candidate tried whether or not it divides D: the
+    # answer holds, but each such candidate costs a remainder
+    "ddf_equal_degree_any_candidate": (
+        polys, "distinct_degree_counts",
+        [("if dg % e == 0 and not rem(", "if not rem(")],
+        ddf_equal_degree_divides_by_divisors_only),
+    # the first candidate dividing D taken without its zero remainder
+    "ddf_equal_degree_without_remainder": (
+        polys, "distinct_degree_counts",
+        [("if dg % e == 0 and not rem(label(e, one)[0], g, p)), 0)",
+          "if dg % e == 0), 0)")],
+        ddf_counts_two_degrees_in_one_node),
     # the one-factor cut taken at D = 2 lo, where two factors of degree lo
     # fit
     "ddf_cut_at_twice_lo": (
@@ -450,6 +493,12 @@ MUTANTS = {
           "    r = np.ones_like(a)\n    r[..., 1:] = 0\n"
           "    for bit in bin(e)[2:]:\n")],
         powmod_counts_products),
+    # a number that passes the 13 Miller-Rabin bases taken as prime from
+    # PSI_13 on too, where they prove nothing
+    "is_prime_skips_the_proof": (
+        ffield, "is_prime",
+        [("return n < PSI_13 or _pocklington(n)", "return True")],
+        is_prime_equals_sympy_past_psi13),
     # the numpy division's quotient stored one place down, its lowest
     # coefficient wrapped onto the top
     "np_quotient_one_place_off": (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from sympy import nextprime, prevprime
+from sympy import divisors, mobius, nextprime, prevprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_div, gf_gcd,
                                      gf_irreducible_p, gf_sqf_list,
@@ -271,6 +271,104 @@ def test_ddf_linear_and_quadratic_factors_on_many_labels(p, counts):
                           for g in _irreducibles(p, k, c)], p)
     assert want == counts
     assert polys.distinct_degree_counts(f, p) == [counts]
+
+
+def _irreducible_count(p, e):
+    """The number of monic irreducibles of degree e over F_p (Gauss)."""
+    return sum(mobius(k) * p ** (e // k) for k in divisors(e)) // e
+
+
+def _sympy_counts(f, p):
+    """{degree: count} of the irreducible factors of squarefree monic f,
+    by sympy's distinct-degree factorization."""
+    return {deg: (len(h) - 1) // deg for h, deg in gf_ddf_zassenhaus(
+        [ZZ(c) for c in f[::-1]], p, ZZ)}
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_equal_degree_nodes_match_sympy(p):
+    # k irreducibles of one degree e, for e = 2..12 and k = 2..4 (at most
+    # as many as there are): a node holding them ends at one remainder,
+    # V_e mod g
+    for e in range(2, 13):
+        for k in range(2, min(4, _irreducible_count(p, e)) + 1):
+            f, want = _counts_of(_irreducibles(p, e, k), p)
+            assert polys.distinct_degree_counts(f, p) == [want], (p, e, k)
+            assert want == _sympy_counts(f, p), (p, e, k)
+
+
+# Two degrees a < b <= 2a that one node [lo, hi) can hold, two factors of
+# each, so that D = 2 (a + b) has divisors among the candidates
+# [lo, 2 lo); b = 2a fails every candidate below 2 lo and passes V_(2 lo)
+# at lo = a
+EQUAL_DEGREE_MIXTURES = ((1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6),
+                         (4, 6), (4, 7), (5, 8), (5, 10), (6, 9))
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_two_degrees_in_one_node_match_sympy(p):
+    for a, b in EQUAL_DEGREE_MIXTURES:
+        f, want = _counts_of(_irreducibles(p, a, 2) + _irreducibles(p, b, 2),
+                             p)
+        assert polys.distinct_degree_counts(f, p) == [want], (p, a, b)
+        assert want == _sympy_counts(f, p), (p, a, b)
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_equal_degree_rows_in_a_stack(p):
+    # f a product of equal-degree factors, stacked with every shift c
+    # whose f - c is squarefree: each row against sympy
+    for e, k in ((3, 3), (5, 2), (7, 2)):
+        f, _ = _counts_of(_irreducibles(p, e, k), p)
+        moduli = [(c, polys.sub(f, [c], p)) for c in range(p)]
+        cs = [c for c, g in moduli
+              if polys.gcd(g, polys.deriv(g, p), p) == [1]]
+        assert cs[0] == 0
+        assert polys.distinct_degree_counts(f, p, cs) == [
+            _sympy_counts(g, p) for c, g in moduli if c in cs], (p, e, k)
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_ddf_two_degrees_split_at_the_root(p):
+    # two factors of each degree, which the root's gcd parts: 2 and 7 at
+    # mid = 4 (d = 18, s = 3, K = 9), 3 and 8 at mid = 5 (d = 22, s = 4,
+    # K = 12); the right half is G / G_left, of the larger degree only
+    for degrees in ((2, 7), (3, 8)):
+        f, want = _counts_of([g for k in degrees
+                              for g in _irreducibles(p, k, 2)], p)
+        assert polys.distinct_degree_counts(f, p) == [want], (p, degrees)
+
+
+def ddf_tree_calls(f, p):
+    """polys.distinct_degree_counts(f, p) and its calls of rem and gcd,
+    counted in the globals the function runs in (a committed mutant's
+    own, in test_mutants)."""
+    ddf = polys.distinct_degree_counts
+    space = ddf.__globals__
+    calls = dict.fromkeys(("rem", "gcd"), 0)
+    saved = {name: space[name] for name in calls}
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return saved[name](*args)
+        return wrapper
+
+    space.update({name: counted(name) for name in calls})
+    try:
+        return ddf(f, p), calls
+    finally:
+        space.update(saved)
+
+
+def test_ddf_equal_degree_test_divides_by_divisors_of_d_only():
+    # two irreducibles of degree 7 at d = 14 (s = 3, K = 9): the root
+    # splits at mid = 4, and of the right node's candidates 4..7 only 7
+    # divides D = 14, so the tree takes one remainder and one gcd past the
+    # root's
+    f, want = _counts_of(_irreducibles(3, 7, 2), 3)
+    assert ddf_tree_calls(f, 3) == ([want], {"rem": 1, "gcd": 2})
+    assert want == {7: 2}
 
 
 def test_ddf_stack_equals_each_modulus_alone():

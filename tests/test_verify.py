@@ -91,3 +91,36 @@ def test_factor_check_proves_ell_and_p_once(monkeypatch):
     monkeypatch.setattr(ffield, "is_prime", counted)
     assert verify.verify_instance(3, 1009, 1).ok
     assert 0 < len(calls) < 1009
+
+
+def test_pattern_level_steps_down_to_the_degree_cap(monkeypatch):
+    # with the cap at 8, G(2, 5, 4) checks its patterns at level 3, the
+    # largest m with 2^m <= 8
+    monkeypatch.setattr(verify, "DEGREE_CAP", 8)
+    rep = verify.verify_instance(2, 5, 4)
+    assert rep.ok
+    ok, _ = _check(rep, "factor patterns at level 3: ")
+    assert ok
+
+
+def test_summary_check_names_the_first_differing_class(monkeypatch):
+    # two rows of G(3, 53, 1) changed: the detail names the lower
+    # (divisor, branch) of the two, with both sides' rows
+    summarize = verify.summarize
+    changed = []
+
+    def patched(g):
+        s = summarize(g)
+        rows = list(s.rows)
+        for i in (5, 2):
+            rows[i] = dataclasses.replace(rows[i], weight=rows[i].weight + 1)
+            changed.append((s.rows[i], rows[i]))
+        return dataclasses.replace(s, rows=tuple(rows))
+
+    monkeypatch.setattr(verify, "summarize", patched)
+    rep = verify.verify_instance(3, 53, 1)
+    ok, detail = _check(rep, "summary rows")
+    want, got = min(changed, key=lambda pair: verify._row_key(pair[0]))
+    assert not ok and detail == (
+        f"first differing class {verify._row_key(want)}: enumerated {got}, "
+        f"predicted {want}")
