@@ -13,6 +13,7 @@ arrays.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -50,17 +51,28 @@ Branch = str
 # Integer factorization
 # ---------------------------------------------------------------------------
 
-# No composite passes Miller-Rabin on the first 13 prime bases below
-# PSI_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
-# all of them (Sorenson and Webster, Math. Comp. 86, 2017); from PSI_13
-# on, is_prime proves what passes them by Pocklington's theorem.
+# The first k prime bases decide Miller-Rabin below psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233): Jaeschke, Math. Comp.
+# 61, 1993, up to psi_8, Jiang and Deng, Math. Comp. 83, 2014, for psi_9
+# to psi_11, and Sorenson and Webster, Math. Comp. 86, 2017, for psi_12
+# and PSI_13 = psi_13 = 1287836182261 * 2575672364521.
+# is_prime tests n < psi_k on the least such k's bases only, and from
+# PSI_13 on proves what passes all 13 by Pocklington's theorem.  So a
+# prime below psi_4 = 3215031751 costs 4 modular powers, not 13.  psi_7 =
+# psi_8 and psi_9 = psi_10 = psi_11: the eighth, tenth and eleventh bases
+# join only at the next bound up.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PSI_13 = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+PSI_13 = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Proven primality of n < 2^96: Miller-Rabin on the 13 bases, exact
-    below PSI_13, and from PSI_13 on, for n that passes them, Pocklington's
+    """Proven primality of n < 2^96: Miller-Rabin on the first k prime
+    bases, k the least with n < psi_k (all 13 from PSI_13 on), exact below
+    PSI_13, and from PSI_13 on, for n that passes them, Pocklington's
     theorem on the factored n - 1 (_pocklington), which refuses
     (ValueError) where it finds no witness.  Never True on a probable
     prime."""
@@ -75,7 +87,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -194,7 +206,8 @@ class FactoredInt:
     @classmethod
     def _proven(cls, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
         """A FactoredInt whose primes are all proven already, built without
-        proving them again (divisors and phi of a checked FactoredInt)."""
+        proving them again (factor_int, and divisors and phi of a checked
+        FactoredInt)."""
         out = object.__new__(cls)
         object.__setattr__(out, "factors", factors)
         return out
@@ -251,8 +264,8 @@ def factor_int(n: int) -> FactoredInt:
     if n >= FACTOR_LIMIT:
         raise ValueError(f"a {n.bit_length()}-bit integer exceeds the 2^96 "
                          "factorization bound")
-    fm = _factor_map(n)
-    return FactoredInt(tuple(sorted(fm.items())))
+    # _factor_map proved every prime, so the result is built unchecked
+    return FactoredInt._proven(tuple(sorted(_factor_map(n).items())))
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,9 @@
 
 Polynomials are lists of ints in [0, p), ascending degree, trailing
 zeros trimmed (the zero polynomial is []).  The scalar routines are
-plain Python; mul is one big-integer product (Kronecker substitution).
+plain Python; mul is one big-integer product (Kronecker substitution),
+packed and unpacked by shifts, or through bytes from MUL_BYTES_BITS
+bits of product on.
 The ModulusKernel gives exact multiply-reduce, powering
 and composition for the Frobenius powers of the factoring sweeps, on
 stacks of float64 residues from end to end: one row for each modulus
@@ -24,7 +26,13 @@ tree, each level one stacked mulmod (tree_product); the reduction table
 is built a block of ceil(sqrt(d)) rows at a time, each block one matrix
 product with the first (_fill_rows); and x^p starts from its monomial
 head, x^e0 for e0 the longest prefix of p's bits below d, with one
-mulmod a further bit, a squaring or x r times r (x_power).
+product a further bit, a squaring or x r times r (x_power).
+The engines go by size.  x^p on one row of small degree runs on the
+exact list routines, rem(mul(r, r)) a bit, and returns the same float64
+row: up to degree INT_POWER_DEGREE, 4 at one limb and 9 at two or
+more, where a float mulmod's fixed cost, which grows with its
+limbs, exceeds the list loop's, which grows with d (_int_power); a
+stack of two or more rows, and every larger degree, takes the mulmod.
 Every division has two engines, chosen from the divisor alone
 (_np_steps): int64 numpy with delayed reduction (_np_rem) while the
 divisor has degree at least GCD_NUMPY_DEGREE and p < 2^31, the exact
@@ -92,26 +100,59 @@ def sub(a: Poly, b: Poly, p: int) -> Poly:
     return trim(out)
 
 
+# mul packs and unpacks its Kronecker integers by shifts while the
+# product spans fewer than this many bits, and through bytes from there
+# on.  A shift copies the growing integer once a coefficient, quadratic
+# in the length; bytes cost a method call a coefficient.  Time by shifts
+# over time through bytes, a product of two factors of length n, at
+# (n, bits of the product) (best of 5, 2-core host):
+#   p = 5          (128, 3060) 0.75  (192, 4596) 0.94  (384, 9971) 1.30
+#   p = 47         (128, 4845) 0.86  (192, 7277) 0.97  (256, 10220) 1.22
+#   p = 10^9 + 7   (32, 4095) 0.76   (64, 8382) 0.98   (96, 12797) 1.18
+#   p = 2^36 + 31  (32, 4914) 0.81   (64, 10033) 1.06  (96, 15089) 1.26
+# Below 2000 bits shifts take half the time; a square of length 4096 at
+# p = 11 takes 27.9 against 3.7 ms.
+MUL_BYTES_BITS = 8192
+
+
 def mul(a: Poly, b: Poly, p: int) -> Poly:
     """a b mod p for lists of ints, by Kronecker substitution: each factor,
     reduced mod p, is packed into one integer of w bits a coefficient,
     2^w > min(len a, len b) (p - 1)^2, a bound on every coefficient of
     the product, so one big-integer product holds them in its w-bit slots
-    with no carry between them."""
+    with no carry between them.  From MUL_BYTES_BITS bits of product on,
+    the slots are whole bytes and the integers go through bytes; a square
+    packs once."""
     if not a or not b:
         return []
+    n = len(a) + len(b) - 1
     w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    if n * w >= MUL_BYTES_BITS:
+        k = (w + 7) // 8
+        x = _pack(a, k, p)
+        z = (x * (x if b is a else _pack(b, k, p))).to_bytes(k * n, "little")
+        return trim([int.from_bytes(z[i:i + k], "little") % p
+                     for i in range(0, len(z), k)])
     x = y = 0
     for c in reversed(a):
         x = x << w | c % p
-    for c in reversed(b):
-        y = y << w | c % p
+    if b is a:
+        y = x
+    else:
+        for c in reversed(b):
+            y = y << w | c % p
     z, mask = x * y, (1 << w) - 1
     out = []
-    for _ in range(len(a) + len(b) - 1):
+    for _ in range(n):
         out.append((z & mask) % p)
         z >>= w
     return trim(out)
+
+
+def _pack(a: Poly, k: int, p: int) -> int:
+    """The residues of a as one integer, k bytes a coefficient."""
+    return int.from_bytes(b"".join([(c % p).to_bytes(k, "little")
+                                    for c in a]), "little")
 
 
 def mul_scalar(a: Poly, k: int, p: int) -> Poly:
@@ -513,6 +554,33 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+# x_power runs on the exact list routines, for a kernel of one row, up
+# to this degree at one limb and at two or more; on the float mulmod past
+# it and for every stack.  Measured on a 2-core host, one BLAS thread, us
+# per product of x^p on one row (x_power(p) over its products, each
+# engine the best of 15 windows of 50 calls; median of four runs), at
+# p = 1000003, 10^9 + 7 and 2^36 + 31:
+#   d                 2    3    4    5    6    7    8    9   10   11   12
+#   1 limb   float  8.8  8.4  8.4  8.6  8.7  8.6  8.3  8.1  8.4  8.8  8.2
+#            ints   3.7  5.0  7.0  8.7 10.7 12.6 15.4 17.9 21.2 23.2 25.2
+#   2 limbs  float 19.8 20.1 20.0 20.2 20.2 20.6 20.4 20.4 20.1 20.5 20.5
+#            ints   3.8  5.1  6.8  8.8 10.9 12.8 15.6 18.9 21.6 24.5 28.0
+#   3 limbs  float 30.6 29.5 28.8 29.7 29.8 29.7 28.8 30.9 30.2 30.0 30.3
+#            ints   4.0  5.5  7.8 10.8 14.1 17.1 20.4 26.0 30.4 34.2 41.0
+# A float product's cost is set by its limbs, the ints' by d (rem is d
+# row updates of length d), so more limbs keep at least the bound of two:
+# at p = 2^42 + 15 (5 to 7 limbs) the float product took 47-75 us and the
+# ints 4-45 us at every d up to 12 (two runs).
+INT_POWER_DEGREE = (4, 9)
+
+
+def _int_power(rows: int, d: int, limbs: int) -> bool:
+    """Whether x_power on rows residues of degree d, in limbs limbs, runs
+    on the exact list routines (INT_POWER_DEGREE)."""
+    return rows == 1 and d <= INT_POWER_DEGREE[
+        min(limbs, len(INT_POWER_DEGREE)) - 1]
+
+
 def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n else 0
 
@@ -709,16 +777,27 @@ class ModulusKernel:
 
     def x_power(self, e: int) -> np.ndarray:
         """x^e in every row, for e >= 1, from its monomial head: x^e0 for
-        e0 the longest prefix of e's bits below d, then one mulmod for
+        e0 the longest prefix of e's bits below d, then one product for
         each further bit, a squaring r r or, where the bit is set, the
         product of x r (r shifted up, of degree d) by r.  That is
-        bit_length(e) - bit_length(e0) mulmods, against bit_length(e) +
-        popcount(e) - 2 for powmod(x, e)."""
-        d, size = self.d, e.bit_length()
+        bit_length(e) - bit_length(e0) products, against bit_length(e) +
+        popcount(e) - 2 for powmod(x, e).  The products are mulmods, or,
+        where _int_power picks the exact list routines, rem(mul(r, r)),
+        the set bit a shift of the square."""
+        d, p, size = self.d, self.p, e.bit_length()
         k = min(size, (d - 1).bit_length())  # the bits of the head
         if e >> (size - k) >= d:
             k -= 1
         head = e >> (size - k)
+        if _int_power(len(self.shifts), d, self.limbs):
+            f = sub([int(c) for c in self.f], [self.shifts[0]], p)
+            s = [0] * head + [1]
+            for i in range(size - k - 1, -1, -1):
+                s = mul(s, s, p)
+                s = rem([0] + s if e >> i & 1 else s, f, p)
+            r = np.zeros((1, d))
+            r[0, :len(s)] = s
+            return r
         r = np.zeros((len(self.shifts), d))
         r[:, head:head + 1] = 1  # none past x^(d-1)
         zero = np.zeros((len(r), 1))

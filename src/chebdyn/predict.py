@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .ffield import (FACTOR_LIMIT, MINUS, PLUS, FactoredInt, check_domain,
-                     factor_int, is_prime, nu)
+from .ffield import (FACTOR_LIMIT, MINUS, PLUS, FactoredInt, _factor_below,
+                     check_domain, factor_int, is_prime, nu)
 from .summary import GraphSummary, SummaryRow, canonical_row_order
 
 __all__ = [
@@ -150,8 +150,11 @@ def predict_summary(ell: int, p: int, n: int) -> GraphSummary:
     params = structure_params(ell, p, n)
     q = p ** n
     rows: list[SummaryRow] = []
-    for branch, group in ((MINUS, q - 1), (PLUS, q + 1)):
-        for d in factor_int(group).divisors():
+    # at n = 1, q - 1 = p - 1, factored once a p and cached (_factor_below),
+    # by p's own primality proof from PSI_13 on
+    minus = _factor_below(p) if n == 1 else factor_int(q - 1)
+    for branch, group in ((MINUS, minus), (PLUS, factor_int(q + 1))):
+        for d in group.divisors():
             dv = d.value
             # alpha = +-1 lives in both groups; tabulate once, on the side
             # carrying the trees (lambda_m), minus on ties

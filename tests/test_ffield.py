@@ -131,6 +131,80 @@ def test_is_prime():
         assert not is_prime(n)
 
 
+# psi_k, the least strong pseudoprime to all of the first k prime bases
+# (OEIS A014233), written out here apart from the package's table
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051,
+       318665857834031151167461, 3317044064679887385961981)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_bases_stop_at_psi_k():
+    # each psi_k is composite, passes the first k bases, and is refused:
+    # is_prime takes k bases only below psi_k.  Around each psi_k, and on
+    # 200 n drawn in each band [psi_(k-1), psi_k), half of them primes,
+    # is_prime equals sympy (read off the module, as a mutant replaces it)
+    for k, psi in enumerate(PSI, 1):
+        assert not sympy.isprime(psi), k
+        assert all(strong_probable_prime(psi, a) for a in BASES[:k]), k
+        assert not ffield.is_prime(psi), k
+        for n in range(psi - 2, psi + 3):
+            assert ffield.is_prime(n) == sympy.isprime(n), (k, n)
+    rng = random.Random(14)
+    for lo, hi in zip((43,) + PSI, PSI):
+        for i in range(200 if lo < hi else 0):
+            n = rng.randrange(lo, hi)
+            if i % 2:
+                n = sympy.prevprime(n) if n > lo + 2 else sympy.nextprime(n)
+            assert ffield.is_prime(n) == sympy.isprime(n), n
+
+
+def test_factor_int_proves_each_prime_once(monkeypatch):
+    # _factor_map proves r by Pocklington's theorem (r past PSI_13), and
+    # factor_int builds its result with no second proof; r - 1 comes
+    # factored, so no Brent's rho runs
+    r = 39075940546423832638766073383
+    factored = FactoredInt(((2, 1), (138294529740821, 1),
+                            (141277968910471, 1)))
+    below, proofs = ffield._factor_below, []
+
+    def pocklington(n, proof=ffield._pocklington):
+        proofs.append(n)
+        return proof(n)
+
+    monkeypatch.setattr(ffield, "_factor_below",
+                        lambda q: factored if q == r else below(q))
+    monkeypatch.setattr(ffield, "_pocklington", pocklington)
+    assert factor_int(2 * r) == FactoredInt._proven(((2, 1), (r, 1)))
+    assert proofs == [r]
+
+
+def test_factored_int_refuses_malformed_input():
+    # outside callers still have their factorizations checked
+    with pytest.raises(ValueError, match="4 is not prime"):
+        FactoredInt(((2, 1), (4, 1)))
+    with pytest.raises(ValueError, match="malformed"):
+        FactoredInt(((3, 1), (2, 1)))
+    with pytest.raises(ValueError, match="malformed"):
+        FactoredInt(((3, 0),))
+
+
 def test_is_prime_equals_sympy_past_psi13():
     # PSI_13 passes Miller-Rabin on all 13 bases, so from it on a pass is
     # proven by Pocklington's theorem; 3825123056546413051 passes the

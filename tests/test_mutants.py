@@ -227,10 +227,11 @@ def rfft_product_exact():
 
 def mul_equals_schoolbook():
     """mul against the double loop at full slots, (p - 1)^2 at every
-    term, over lengths 1 to 40: at each p two such terms already pass
-    the width of one."""
+    term, over lengths 1 to 40 and at 300: at each p two such terms
+    already pass the width of one, and at 300 past p = 3 the product
+    spans MUL_BYTES_BITS and goes through bytes."""
     for p in (3, 257, 65521):
-        for n in range(1, 41):
+        for n in (*range(1, 41), 300):
             full = [p - 1] * n
             assert polys.mul(full, full, p) == test_polys._schoolbook(
                 full, full, p), (p, n)
@@ -269,6 +270,9 @@ def divmod_equals_gf_div():
 
 is_prime_equals_sympy_past_psi13 = (
     test_ffield.test_is_prime_equals_sympy_past_psi13)
+is_prime_rejects_each_psi_k = test_ffield.test_is_prime_bases_stop_at_psi_k
+x_power_engine_follows_the_rule = (
+    test_polys.test_x_power_engine_follows_the_rule)
 fft_limb_width_widest = (
     test_polys.test_fft_limb_width_is_the_widest_under_its_bound)
 powmod_counts_products = test_polys.test_modulus_kernel_powmod_counts_products
@@ -289,11 +293,12 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              orbit_stats_ignore_walk_tables, fft_limb_width_widest,
              powmod_counts_products, divmod_equals_gf_div,
              ddf_equal_degree_divides_by_divisors_only,
-             is_prime_equals_sympy_past_psi13)
+             is_prime_equals_sympy_past_psi13, is_prime_rejects_each_psi_k,
+             x_power_engine_follows_the_rule)
 
 # -- mutants -----------------------------------------------------------------
 
-_CLOSURE_CHECK = "    if n > 1 and not np.array_equal(fr[r], mins):\n"
+_CLOSURE_CHECK = "    if not np.array_equal(fr[r], mins):\n"
 
 MUTANTS = {
     # the orbit walk steps by Frobenius squared
@@ -448,6 +453,10 @@ MUTANTS = {
         [("w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()",
           "w = ((p - 1) ** 2).bit_length()")],
         mul_equals_schoolbook),
+    # the byte slots rounded down, one bit of the bound short or more
+    "kronecker_bytes_slot_rounded_down": (
+        polys, "mul", [("k = (w + 7) // 8", "k = w // 8")],
+        mul_equals_schoolbook),
     # the pairwise product drops an odd leftover term
     "tree_product_drops_odd_term": (
         polys.ModulusKernel, "tree_product",
@@ -499,6 +508,17 @@ MUTANTS = {
         ffield, "is_prime",
         [("return n < PSI_13 or _pocklington(n)", "return True")],
         is_prime_equals_sympy_past_psi13),
+    # the first k bases taken up to psi_k inclusive, which passes them
+    "psi_bound_inclusive": (
+        ffield, "is_prime",
+        [("bisect_right(_PSI, n)", "bisect_right(_PSI, n - 1)")],
+        is_prime_rejects_each_psi_k),
+    # x^e on the list routines one degree past the measured rule
+    "int_engine_one_degree_past_rule": (
+        polys, "_int_power",
+        [("return rows == 1 and d <= INT_POWER_DEGREE[",
+          "return rows == 1 and d <= 1 + INT_POWER_DEGREE[")],
+        x_power_engine_follows_the_rule),
     # the numpy division's quotient stored one place down, its lowest
     # coefficient wrapped onto the top
     "np_quotient_one_place_off": (

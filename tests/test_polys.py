@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import random
+import unittest.mock
 import weakref
 from datetime import timedelta
 from fractions import Fraction
@@ -612,7 +613,8 @@ def _schoolbook(a, b, p):
 @pytest.mark.parametrize("p", (3, 47, 257, 65521, 10 ** 9 + 7,
                                (1 << 61) - 1))
 def test_mul_equals_the_schoolbook_product(p):
-    # Kronecker slots from 3 bits to 131, full slots ((p - 1)^2 at every
+    # Kronecker slots from 3 bits to 131, packed by shifts and, for the
+    # longer products past p = 3, through bytes; full slots ((p - 1)^2 at every
     # term; at p = 3 and 257, (p - 1)^2 is a power of two), empty and
     # constant factors, entries past p and negative, and products that
     # vanish mod p
@@ -625,6 +627,48 @@ def test_mul_equals_the_schoolbook_product(p):
         full = [p - 1] * la
         assert polys.mul(full, full, p) == _schoolbook(full, full, p), la
     assert polys.mul([p, 2 * p], [1, 1], p) == []
+
+
+@pytest.mark.parametrize("bits", (0, 1 << 62))
+def test_mul_packings_agree(bits):
+    # every product by shifts alone, then through bytes alone, against the
+    # schoolbook product: slots of 2 bits to 16 bytes, full ones too
+    rng = random.Random(bits)
+    with unittest.mock.patch.object(polys, "MUL_BYTES_BITS", bits):
+        for p in (2, 3, 257, 65521, (1 << 61) - 1):
+            for la, lb in ((1, 1), (1, 9), (2, 2), (7, 5), (33, 40)):
+                a = [rng.randrange(p) for _ in range(la)]
+                b = [rng.randrange(p) for _ in range(lb)]
+                assert polys.mul(a, b, p) == _schoolbook(a, b, p), (p, la)
+                full = [p - 1] * la
+                assert polys.mul(full, full, p) == _schoolbook(
+                    full, full, p), (p, la)
+
+
+def test_mul_at_length_4096():
+    # the squarefree check's g^2 near DEGREE_CAP, against the direct
+    # convolution, exact in int64 at p = 11; full slots too
+    rng = random.Random(4096)
+    p, n = 11, 4096
+    a = [rng.randrange(p) for _ in range(n)]
+    b = [rng.randrange(p) for _ in range(n - 1)]
+    for x, y in ((a, b), (a, a), ([p - 1] * n, [p - 1] * n)):
+        want = np.convolve(np.array(x, dtype=np.int64),
+                           np.array(y, dtype=np.int64)) % p
+        assert polys.mul(x, y, p) == polys.trim(want.tolist())
+
+
+def test_mul_near_the_kernel_bound():
+    # the largest p any ModulusKernel takes, 2^51 at degree 1: 13-byte
+    # slots, against the schoolbook product
+    p = prevprime(_kernel_bound(1) + 1)
+    rng = random.Random(p)
+    for la, lb in ((1, 1), (2, 300), (300, 299), (64, 64)):
+        a = [rng.randrange(p) for _ in range(la)]
+        b = [rng.randrange(p) for _ in range(lb)]
+        assert polys.mul(a, b, p) == _schoolbook(a, b, p), (la, lb)
+        full = [p - 1] * la
+        assert polys.mul(full, full, p) == _schoolbook(full, full, p), la
 
 
 DIVISOR_DEGREES = (1, 2, 7, 31, 32, 33, 64, 200)
@@ -789,6 +833,61 @@ def test_modulus_kernel_x_power_exact():
             for e in {1, d - 1, d, p % (1 << 24), rng.randrange(1, 1 << 24)}:
                 if e >= 1:
                     check_x_power(d, p, (0, p - 1, rng.randrange(p)), e, rng)
+
+
+def x_power_rule_holds(d, p):
+    """One-row x_power(p) at degree d runs on ints exactly where
+    INT_POWER_DEGREE puts it (no mulmod; its last entry for more limbs),
+    a two-row stack always on the float mulmod; every row against
+    powering on the list routines.  Returns the limb count."""
+    rng = random.Random(d * p)
+    f = [rng.randrange(p) for _ in range(d)] + [1]
+    rule = polys.INT_POWER_DEGREE
+    for shifts in ((0,), (0, 1)):
+        ker = polys.ModulusKernel(f, p, shifts)
+        ints = len(shifts) == 1 and d <= rule[min(ker.limbs, len(rule)) - 1]
+        calls = []
+        mulmod = ker.mulmod
+        ker.mulmod = lambda *args: calls.append(1) or mulmod(*args)
+        got = to_lists(ker.x_power(p))
+        assert (not calls) == ints, (d, p, shifts, len(calls))
+        for r, fr in enumerate(moduli(ker)):
+            assert got[r] == powmod([0, 1], p, fr, p), (d, p, r)
+    return ker.limbs
+
+
+def test_x_power_engine_follows_the_rule():
+    # every degree from 1 to 12 at one, two and three limbs, and at five
+    # to seven
+    limbs = {x_power_rule_holds(d, p)
+             for p in (1000003, 10 ** 9 + 7, (1 << 36) + 31, (1 << 42) + 15)
+             for d in range(1, 13)}
+    assert limbs == {1, 2, 3, 5, 6, 7}
+
+
+@_HYPOTHESIS
+@given(st.data())
+def test_x_power_engines_agree(data):
+    # one row on the engine of the rule, then on ints at every degree;
+    # the float kernel's row from a two-row stack with the same first
+    # modulus; all against powering on the list routines.  p is drawn up
+    # to the kernel bound, so one, two and three limbs or more occur
+    d = data.draw(st.integers(1, 12), label="d")
+    p = data.draw(_prime_upto(_kernel_bound(d)), label="p")
+    e = data.draw(st.one_of(st.just(p), st.integers(1, 1 << 64)), label="e")
+    c = data.draw(st.integers(0, p - 1), label="c")
+    rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    f = [rng.randrange(p) for _ in range(d)] + [1]
+    (fc,) = moduli(polys.ModulusKernel(f, p, (c,)))
+    want = powmod([0, 1], e, fc, p)
+    stack = polys.ModulusKernel(f, p, (c, (c + 1) % p))
+    assert to_lists(stack.x_power(e))[0] == want
+    rule = polys.INT_POWER_DEGREE
+    for bound in (rule, (12,) * len(rule)):
+        with unittest.mock.patch.object(polys, "INT_POWER_DEGREE", bound):
+            one = polys.ModulusKernel(f, p, (c,)).x_power(e)
+        assert one.shape == (1, d) and one.dtype == np.float64
+        assert to_list(one) == want, (d, p, e, c, bound)
 
 
 def test_tree_product_equals_one_product_at_a_time():

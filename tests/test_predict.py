@@ -205,6 +205,23 @@ def test_predict_summary_factors_only_the_two_group_orders(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_predict_summary_factors_p_minus_1_once(monkeypatch):
+    # p >= PSI_13: the primality proof factors p - 1 (ffield._factor_below),
+    # and at n = 1 the summary reads q - 1 = p - 1 from that cache
+    p = 5095666321357872304544443  # 2 * 3 * 1106137 * 767787100717462711 + 1
+    assert p >= ffield.PSI_13
+    ffield._factor_below.cache_clear()
+    calls, factor_map = [], ffield._factor_map
+
+    def counting(m):
+        calls.append(m)
+        return factor_map(m)
+
+    monkeypatch.setattr(ffield, "_factor_map", counting)
+    assert predict_summary(3, p, 1).total_points() == p
+    assert calls.count(p - 1) == 1
+
+
 def test_predict_summary_digests_are_pinned():
     # sha256 of the sorted-key JSON, as computed before the summary read
     # its rows off the two factored group orders
