@@ -104,46 +104,39 @@ def _succ_and_weight(ctx: FieldCtx,
     orbit minima, a block at a time in column-major (n, block) layout, and
     n - 1 steps along fr carry each value round its orbit (an orbit of
     length w | n revisits its entries with the same values).  At n = 1
-    every orbit is one vertex: T_ell is evaluated on index blocks, every
-    weight is 1, and neither fr nor the walk's arrays are built.  T_ell
-    is the pair ladder (FieldCtx.ladder_cols), at most 2 log2(ell) column
-    products.
+    every vertex is its orbit's minimum: mins is the int32 arange(q),
+    every weight is 1, and neither fr nor the walk's arrays are built.
+    T_ell is the pair ladder (FieldCtx.ladder_cols), at most 2 log2(ell)
+    column products.
     """
     q, n = ctx.q, ctx.n
-    if n == 1:
-        succ = np.empty(q, dtype=np.int32)
-        for lo in range(0, q, ctx.BLOCK):
-            succ[lo:lo + ctx.BLOCK] = _t_ell(
-                ctx, ell, np.arange(lo, min(lo + ctx.BLOCK, q)))
-        return succ, np.ones(q, dtype=np.int16)
-    fr = ctx.frobenius_indices()
-    ar = np.arange(q, dtype=np.int32)
-    is_min, cur = np.ones(q, dtype=bool), ar
     weight = np.full(q, n, dtype=np.int16)
-    for m in range(1, n):
-        cur = fr[cur]
-        is_min &= cur >= ar
-        weight[(cur == ar) & (weight == n)] = m
-    mins = np.flatnonzero(is_min)
-    del ar, is_min, cur
+    if n == 1:
+        mins = np.arange(q, dtype=np.int32)
+    else:
+        fr = ctx.frobenius_indices()
+        ar = np.arange(q, dtype=np.int32)
+        is_min, cur = np.ones(q, dtype=bool), ar
+        for m in range(1, n):
+            cur = fr[cur]
+            is_min &= cur >= ar
+            weight[(cur == ar) & (weight == n)] = m
+        mins = np.flatnonzero(is_min)
+        del ar, is_min, cur
 
     vals = np.empty(mins.size, dtype=np.int32)
     for lo in range(0, mins.size, ctx.BLOCK):
-        vals[lo:lo + ctx.BLOCK] = _t_ell(ctx, ell, mins[lo:lo + ctx.BLOCK])
+        x = ctx.coeff_cols(mins[lo:lo + ctx.BLOCK])
+        vals[lo:lo + ctx.BLOCK] = ctx.encode_cols(ctx.ladder_cols(ell, x))
     succ = np.empty(q, dtype=np.int32)
     succ[mins] = vals
     r, v = mins, vals
     for _ in range(n - 1):
         r, v = fr[r], fr[v]
         succ[r] = v
-    if not np.array_equal(fr[r], mins):
+    if n > 1 and not np.array_equal(fr[r], mins):
         raise ArithmeticError("Frobenius orbit walk did not close")
     return succ, weight
-
-
-def _t_ell(ctx: FieldCtx, ell: int, idx: np.ndarray) -> np.ndarray:
-    """The indices of T_ell at the elements of one block of indices."""
-    return ctx.encode_cols(ctx.ladder_cols(ell, ctx.coeff_cols(idx)))
 
 
 def _cycle_min(succ: np.ndarray, verts: np.ndarray) -> np.ndarray:

@@ -276,8 +276,10 @@ def test_one_check_tests_every_t(cells, monkeypatch):
     # f' enters gcd only inside the squarefree loop, as its first step on
     # the t that fail the test (+-2), not once per t; g^2 = 4 mod f' is
     # checked once per call, also over chunks of two t: the check's
-    # product g g is the one polys.mul of the call with g (the others
-    # square x-powers in one-row x_power, INT_POWER_DEGREE)
+    # product g g is the one polys.mul of the call with g.  Every other
+    # polys.mul squares x^p in one-row x_power (INT_POWER_DEGREE): the
+    # squarefree parts h of T_9 -+ 2 = (x -+ 2) h^2 have degree 4, so
+    # x^p starts from x^3, p's top two bits, with one squaring a bit after
     ell, p, n = 3, 1009, 2
     if cells:
         monkeypatch.setattr(factor, "STACK_CELLS", cells)
@@ -306,6 +308,10 @@ def test_one_check_tests_every_t(cells, monkeypatch):
     monkeypatch.setattr(polys, "gcd", gcd)
     got = list(factor_patterns_actual(ell, p, n, range(p)))
     assert [c for c in checks if g in c] == [(g, g, p)]
+    squares = [c for c in checks if g not in c]
+    assert polys.limb_width(4, p) == 0 and 4 <= polys.INT_POWER_DEGREE[0]
+    assert len(squares) == 2 * (p.bit_length() - 2)
+    assert all(a is b and len(a) <= 4 and q == p for a, b, q in squares)
     assert got == list(factor.factor_patterns_predicted(ell, p, n, range(p)))
     assert log == [("loop", 2), ("gcd", True), ("loop", p - 2), ("gcd", True)]
 

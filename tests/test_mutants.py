@@ -298,7 +298,7 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
 
 # -- mutants -----------------------------------------------------------------
 
-_CLOSURE_CHECK = "    if not np.array_equal(fr[r], mins):\n"
+_CLOSURE_CHECK = "    if n > 1 and not np.array_equal(fr[r], mins):\n"
 
 MUTANTS = {
     # the orbit walk steps by Frobenius squared
