@@ -188,27 +188,39 @@ class TClass:
 
 
 def classify_t(ell: int, p: int, t: int) -> TClass:
-    return next(_classes(structure_params(ell, p, 1), (t,)))  # domain first
+    params = structure_params(ell, p, 1)  # domain first
+    return next(_classes(params, [(t, *_ladder(ell, p, t))]))
 
 
-def _classes(params, ts: Iterable[int]) -> Iterator[TClass]:
-    """The class of each t in ts, with (ell, p) proved and its invariants
-    derived once, in params = structure_params(ell, p, 1)."""
+def _ladder(ell: int, p: int, t: int) -> tuple[int, int]:
+    """(rho, d0) of the order ell^rho d0 (d0 prime to ell) that
+    alpha_order's ladder gives the lifted root of t mod p."""
+    ordv, _ = alpha_order(make_field(p, 1).from_int(t % p))
+    rho = nu(ordv, ell)
+    return rho, ordv // ell ** rho
+
+
+def _classes(params, items: Iterable[tuple[int, int, int]]
+             ) -> Iterator[TClass]:
+    """The class of each t of (t, rho, d0) in items, where the caller gives
+    the order ell^rho d0 (d0 prime to ell) of the lifted root of t mod p:
+    alpha_order's ladder (_ladder), or the order tables of a built graph.
+    (ell, p) is proved and its invariants derived once, in params =
+    structure_params(ell, p, n), whose D1, D2, v and mu do not depend on
+    n.  An order whose d0 divides neither D1 nor D2 raises an
+    ArithmeticError naming t and the order."""
     ell, p = params.ell, params.p
-    ctx = make_field(p, 1)
     specials = (2 % p, (-2) % p) + ((0,) if ell == 2 else ())
-    for t in ts:
+    for t, rho, d0 in items:
         tbar = t % p
-        ordv, _ = alpha_order(ctx.from_int(tbar))
-        rho = nu(ordv, ell)
-        d0 = ordv // ell ** rho
         if params.d1 % d0 == 0:
             branch = D1
         elif params.d2 % d0 == 0:
             branch = D2
         else:
-            raise ArithmeticError(f"cycle divisor {d0} divides neither "
-                                  f"D1={params.d1} nor D2={params.d2}")
+            raise ArithmeticError(
+                f"t={tbar}: order {ell ** rho * d0} has cycle divisor {d0}, "
+                f"which divides neither D1={params.d1} nor D2={params.d2}")
         yield TClass(ell, p, tbar, rho, branch, tbar in specials, d0,
                      params.v, params.mu)
 
@@ -232,7 +244,8 @@ def factor_patterns_predicted(ell: int, p: int, n: int, ts: Iterable[int]
     only at the special values, which the key holds.  The domain is
     checked before the first pattern is asked for."""
     check_domain(n=n)
-    classes = _classes(structure_params(ell, p, 1), ts)  # checks ell, p
+    classes = _classes(structure_params(ell, p, 1),  # checks ell, p
+                       ((t, *_ladder(ell, p, t)) for t in ts))
     seen: dict[tuple, FactorPattern] = {}
 
     def pattern(cls: TClass) -> FactorPattern:

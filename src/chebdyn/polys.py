@@ -312,33 +312,25 @@ def _np_rem(a: np.ndarray, b: np.ndarray, p: int, k: int,
 
 
 def divmod_(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    """(a div b, a mod b) for b nonzero mod p, exact at every p, on gcd's
-    engines (_divide)."""
+    """(a div b, a mod b) for b nonzero mod p, exact at every p: rem with
+    a quotient list."""
     a, b = _residues(a, p), _residues(b, p)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
     quo = [0] * max(0, len(a) - degree(b))
-    r = _divide(a, b, p, quo)
+    r = rem(a, b, p, quo)
     return trim(quo), r
 
 
-def rem(a: Poly | np.ndarray, b: Poly, p: int) -> Poly:
+def rem(a: Poly | np.ndarray, b: Poly, p: int,
+        quo: Poly | None = None) -> Poly:
     """a mod b for residues a (a list of ints in [0, p), or a
     ModulusKernel's float64 row, trimmed or not) and b (trimmed,
-    nonzero), with no quotient built and no entry reduced before the
-    division (_divide)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    return _divide(a, b, p)
-
-
-def _divide(a: Poly | np.ndarray, b: Poly, p: int,
-            quo: Poly | None = None) -> Poly:
-    """a mod b for residues a and b, b trimmed and nonzero, on gcd's
+    nonzero), with no entry reduced before the division, on gcd's
     engines: one int64 numpy division with delayed reduction (_np_rem)
     when b has degree at least GCD_NUMPY_DEGREE and p < 2^31, the list
-    loop otherwise; quo, when given, a list of len(a) - deg b zeros,
-    takes the quotient's coefficients."""
+    loop otherwise.  quo, when given, a list of len(a) - deg b zeros,
+    takes the quotient's coefficients; no quotient is built without it."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     if k := _np_steps(len(b), p):
         return _np_rem(np.array(a, dtype=np.int64),
                        np.array(b, dtype=np.int64), p, k,

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .ffield import (FACTOR_LIMIT, MINUS, PLUS, FactoredInt, _factor_below,
                      check_domain, factor_int, is_prime, nu)
@@ -88,15 +87,6 @@ class StructureParams:
     @property
     def lambda_m(self) -> int:
         return max(self.lambda_minus, self.lambda_plus)
-
-    @property
-    def omega_m(self) -> Optional[int]:
-        """The omega paired with lambda_m; None when there is no ell part."""
-        if self.lambda_m == 0:
-            return None
-        if self.lambda_minus >= self.lambda_plus:
-            return self.omega_minus
-        return self.omega_plus
 
     @property
     def max_side(self) -> str:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .factor import (DEGREE_CAP, factor_patterns_actual,
-                     factor_patterns_predicted)
+from .factor import (DEGREE_CAP, _classes, _predicted,
+                     factor_patterns_actual)
 from .ffield import check_domain, make_field, nu
 from .graph import (DEFAULT_CAP, VerifyReport, _divisor_classes,
                     build_graph, summarize, verify_structure)
@@ -29,8 +29,22 @@ FIGURE_ERRATA = {
 }
 
 
-def _row_key(r):
-    return (r.divisor_value, r.branch)
+def _table_patterns(g, params, level, split):
+    """The closed-form pattern of T_ell^level - t for each t in [0, p), in
+    order, from the class of t in g's order tables: t is vertex t at
+    every n, and the order of its lifted root, ell^rho d0 with
+    (rho, d0) = split[class id], does not depend on the field.  The ids
+    are read a block at a time, and the case analysis runs once a class
+    id, at its first t: the pattern reads t only through its class, and
+    through t itself only at +-2 (and 0 at ell = 2), each alone in its
+    class, of order 1, 2 (and 4)."""
+    p, block, seen = params.p, g.ctx.BLOCK, {}
+    for lo in range(0, p, block):
+        for t, k in enumerate(g.class_id[lo:min(p, lo + block)].tolist(), lo):
+            if k not in seen:
+                seen[k] = _predicted(
+                    next(_classes(params, [(t, *split[k])])), level)
+            yield seen[k]
 
 
 def verify_instance(ell: int, p: int, n: int,
@@ -46,9 +60,13 @@ def verify_instance(ell: int, p: int, n: int,
     every t: the moduli T_ell^m - t differ only in their constant term,
     so one kernel and one run of Frobenius powers serve every t whose
     modulus is squarefree, and one check per pass tests which are.
-    The predicted ones come from one factor_patterns_predicted pass,
-    which proves (ell, p) once and runs the case analysis once per
-    class.  The check names the first differing t.
+    The predicted ones come from the order tables the graph has built
+    (_table_patterns), with no alpha_order call: the tables are checked
+    against brute force on every vertex by the orbit statistics, and the
+    honest factoring never reads them.  The two streams are compared one
+    t at a time, and the check names the first differing t; an
+    ArithmeticError on either side, such as a table order that fits
+    neither branch (named with its t), fails the check with its message.
     """
     check_domain(ell, p, n, cap)
     level = n
@@ -70,8 +88,8 @@ def verify_instance(ell: int, p: int, n: int,
         match = enumerated.rows == predicted.rows
         detail = ""
         if not match:
-            got = {_row_key(r): r for r in enumerated.rows}
-            want = {_row_key(r): r for r in predicted.rows}
+            got, want = ({(r.divisor_value, r.branch): r for r in s.rows}
+                         for s in (enumerated, predicted))
             for k in sorted(set(got) | set(want)):
                 if got.get(k) != want.get(k):
                     detail = (f"first differing class {k}: enumerated "
@@ -86,11 +104,12 @@ def verify_instance(ell: int, p: int, n: int,
             f"{rep.periodic} vs {want}")
 
     # per-element oracle, class by class: brute (pper, per) == order
-    # formula
+    # formula; the (rho, d0) of each class serves the patterns too
     classes, _, ranges = _divisor_classes(g, g.pper, g.per)
     orders = g.class_order[classes].tolist()
     rho = [nu(d, ell) for d in orders]
-    per = [half_order(ell, d // ell ** r) for d, r in zip(orders, rho)]
+    cyc = [d // ell ** r for d, r in zip(orders, rho)]
+    per = [half_order(ell, d0) for d0 in cyc]
     faults = [f"divisor class {d}: {name}s {lo} to {hi}, wanted {w}"
               for name, want, (lows, highs) in zip(("preperiod", "period"),
                                                    (rho, per), ranges)
@@ -106,15 +125,15 @@ def verify_instance(ell: int, p: int, n: int,
     rep.add("density == (omega- + omega+)/(2 q)",
             periodic_density(ell, p, n) == Fraction(rep.periodic, g.q))
 
-    mism = None
-    predicted = factor_patterns_predicted(ell, p, level, range(p))
-    for t, (pr, ac) in enumerate(zip(predicted, actual)):
-        if pr != ac:
-            mism = (t, pr.entries, ac.entries)
-            break
+    predicted = _table_patterns(g, params, level,
+                                dict(zip(classes.tolist(), zip(rho, cyc))))
+    try:  # streamed against the honest patterns one t at a time
+        mism = next((f"t={t}: {pr.entries} vs {ac.entries}" for t, (pr, ac)
+                     in enumerate(zip(predicted, actual)) if pr != ac), "")
+    except ArithmeticError as exc:
+        mism = str(exc)
     rep.add(f"factor patterns at level {level}: predicted == actual "
-            f"for all t in [0, {p})", mism is None,
-            "" if mism is None else f"t={mism[0]}: {mism[1]} vs {mism[2]}")
+            f"for all t in [0, {p})", not mism, mism)
 
     note = FIGURE_ERRATA.get((ell, p, n))
     if note:

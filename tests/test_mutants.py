@@ -25,7 +25,7 @@ import pytest
 import test_ffield
 import test_graph
 import test_polys
-from chebdyn import factor, ffield, graph, polys
+from chebdyn import factor, ffield, graph, polys, verify
 from chebdyn.ffield import FieldCtx, make_field
 from order_reference import walk_order_tables
 from structure_reference import (full_succ, functional_graph,
@@ -262,6 +262,16 @@ def orbit_stats_ignore_walk_tables():
                 == graph.orbit_stats_order(fresh.decode(i), ell)), i
 
 
+def table_patterns_equal_actual():
+    """verify's pattern check passes on G(3, 53, 1), where each t's closed
+    form comes from its class in the order tables; the assertion's
+    message is the check's detail, which names the first differing t."""
+    rep = verify.verify_instance(3, 53, 1)
+    (ok, detail), = [(ok, detail) for name, ok, detail in rep.checks
+                     if name.startswith("factor patterns")]
+    assert ok, detail
+
+
 def divmod_equals_gf_div():
     """divmod_ and rem against sympy's gf_div at p = 1000003, whose
     divisors of degree 32 and above divide on int64 numpy."""
@@ -294,7 +304,7 @@ DETECTORS = (succ_equals_full_evaluation, succ_equals_ffelem_horner,
              powmod_counts_products, divmod_equals_gf_div,
              ddf_equal_degree_divides_by_divisors_only,
              is_prime_equals_sympy_past_psi13, is_prime_rejects_each_psi_k,
-             x_power_engine_follows_the_rule)
+             x_power_engine_follows_the_rule, table_patterns_equal_actual)
 
 # -- mutants -----------------------------------------------------------------
 
@@ -519,6 +529,13 @@ MUTANTS = {
         [("return rows == 1 and d <= INT_POWER_DEGREE[",
           "return rows == 1 and d <= 1 + INT_POWER_DEGREE[")],
         x_power_engine_follows_the_rule),
+    # one class read off the order tables with the wrong order: class 6
+    # of G(3, 53, 1), of order 13, read as 3 * 13 = 39, a tree class
+    "table_class_order_times_ell": (
+        verify, "_table_patterns",
+        [("[(t, *split[k])]",
+          "[(t, split[k][0] + (k == 6), split[k][1])]")],
+        table_patterns_equal_actual),
     # the numpy division's quotient stored one place down, its lowest
     # coefficient wrapped onto the top
     "np_quotient_one_place_off": (
@@ -548,6 +565,18 @@ def rebind(monkeypatch, owner, attr, fake) -> int:
                 monkeypatch.setattr(space, name, fake)
                 count += 1
     return count
+
+
+def test_table_order_mutant_names_the_first_t(monkeypatch):
+    # t = 8 is the first t of G(3, 53, 1) in the class of order 13: read
+    # as order 39 it is a tree vertex, with three roots, against the
+    # linear and the quadratic factor the periodic class has
+    owner, attr, edits, _ = MUTANTS["table_class_order_times_ell"]
+    rebind(monkeypatch, owner, attr, mutant(getattr(owner, attr), edits))
+    with pytest.raises(AssertionError) as err:
+        table_patterns_equal_actual()
+    assert str(err.value).startswith(
+        "t=8: ((1, 1, 3),) vs ((1, 1, 1), (2, 1, 1))")
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

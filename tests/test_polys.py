@@ -343,7 +343,8 @@ def test_ddf_two_degrees_split_at_the_root(p):
 def ddf_tree_calls(f, p):
     """polys.distinct_degree_counts(f, p) and its calls of rem and gcd,
     counted in the globals the function runs in (a committed mutant's
-    own, in test_mutants)."""
+    own, in test_mutants); divmod_'s own division, a rem call with a
+    quotient list, is not a remainder and is not counted."""
     ddf = polys.distinct_degree_counts
     space = ddf.__globals__
     calls = dict.fromkeys(("rem", "gcd"), 0)
@@ -351,7 +352,7 @@ def ddf_tree_calls(f, p):
 
     def counted(name):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += len(args) == 3
             return saved[name](*args)
         return wrapper
 

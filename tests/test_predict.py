@@ -51,7 +51,6 @@ def test_structure_params_examples():
     s = structure_params(5, 3, 1)
     assert (s.lambda_minus, s.lambda_plus) == (0, 0)
     assert (s.omega_minus, s.omega_plus) == (2, 4)
-    assert s.omega_m is None
 
 
 def test_structure_params_errors():

@@ -6,12 +6,17 @@ import pytest
 from chebdyn import ffield, verify
 from chebdyn.cli import main
 from chebdyn.factor import FactorPattern, factor_pattern_actual
+from test_mutants import rebind
 
 
 def _corrupt_build(monkeypatch, corrupt):
     build = verify.build_graph
     monkeypatch.setattr(verify, "build_graph",
                         lambda *args, **kwargs: corrupt(build(*args, **kwargs)))
+
+
+def _row_key(row):
+    return (row.divisor_value, row.branch)
 
 
 def _check(rep, prefix):
@@ -42,13 +47,15 @@ def test_orbit_check_fails_on_one_changed_period(monkeypatch, order):
         assert detail == "mixed periods in class 52"
 
 
-def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
-    def corrupt(g):
-        class_order = g.class_order.copy()
-        class_order[class_order == 13] = 7
-        return dataclasses.replace(g, class_order=class_order)
+def _order_13_read_as_7(g):
+    # G(3, 53, 1): 7 divides neither branch, D1 = 54 nor D2 = 52
+    class_order = g.class_order.copy()
+    class_order[class_order == 13] = 7
+    return dataclasses.replace(g, class_order=class_order)
 
-    _corrupt_build(monkeypatch, corrupt)
+
+def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
+    _corrupt_build(monkeypatch, _order_13_read_as_7)
     code = main(["verify", "--ell", "3", "--p", "53", "--n", "1"])
     out = capsys.readouterr().out
     assert code == 1
@@ -56,17 +63,44 @@ def test_verify_reports_an_order_outside_its_branch(monkeypatch, capsys):
             "of order 7 does not divide") in out
 
 
+def test_factor_check_names_an_order_outside_its_branch(monkeypatch):
+    # the pattern check fails too, at t = 8, the least t of order 13, and
+    # names t and the order
+    _corrupt_build(monkeypatch, _order_13_read_as_7)
+    rep = verify.verify_instance(3, 53, 1)
+    ok, detail = _check(rep, "factor patterns at level 1")
+    assert not ok and detail == (
+        "t=8: order 7 has cycle divisor 7, which divides neither D1=54 "
+        "nor D2=52")
+
+
+@pytest.mark.parametrize("ell, p, n", [(3, 1009, 1), (2, 13, 2)])
+def test_verify_makes_no_ladder_call(monkeypatch, ell, p, n):
+    # every t takes its class from the order tables: no alpha_order call,
+    # under any name it is bound to in chebdyn
+    calls = []
+    real = ffield.alpha_order
+
+    def recorded(a):
+        calls.append(a)
+        return real(a)
+
+    assert rebind(monkeypatch, ffield, "alpha_order", recorded) >= 3
+    assert verify.verify_instance(ell, p, n).ok
+    assert calls == []
+
+
 def test_factor_check_names_the_differing_t(monkeypatch):
     # one wrong prediction at t = 17 of G(3, 53, 1): a double root where
     # t is not +-2 cannot be the actual pattern
-    predicted = verify.factor_patterns_predicted
+    predicted = verify._table_patterns
     wrong = FactorPattern.from_entries([(1, 1, 1), (1, 2, 1)])
 
-    def patched(ell, p, n, ts):
+    def patched(*args):
         return (wrong if t == 17 else pat
-                for t, pat in zip(ts, predicted(ell, p, n, ts)))
+                for t, pat in enumerate(predicted(*args)))
 
-    monkeypatch.setattr(verify, "factor_patterns_predicted", patched)
+    monkeypatch.setattr(verify, "_table_patterns", patched)
     rep = verify.verify_instance(3, 53, 1)
     ok, detail = _check(rep, "factor patterns at level 1")
     actual = factor_pattern_actual(3, 53, 1, 17)
@@ -120,7 +154,7 @@ def test_summary_check_names_the_first_differing_class(monkeypatch):
     monkeypatch.setattr(verify, "summarize", patched)
     rep = verify.verify_instance(3, 53, 1)
     ok, detail = _check(rep, "summary rows")
-    want, got = min(changed, key=lambda pair: verify._row_key(pair[0]))
+    want, got = min(changed, key=lambda pair: _row_key(pair[0]))
     assert not ok and detail == (
-        f"first differing class {verify._row_key(want)}: enumerated {got}, "
+        f"first differing class {_row_key(want)}: enumerated {got}, "
         f"predicted {want}")
